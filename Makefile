@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench campaign-smoke
+.PHONY: build vet test race bench bench-check campaign-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ race:
 # scripts/bench.sh; BENCHTIME=100x makes a quick local pass).
 bench:
 	./scripts/bench.sh
+
+# bench/ is a module of its own (it imports the root facade through a
+# replace directive), so build/vet/test above never see it. This vets
+# and tests it against the working tree, so a facade or obs change that
+# breaks the benchmark fails here and not first in the benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Replays the committed campaign baseline, re-runs the deterministic
 # smoke sweep, and diffs the two — the same gate the campaign-regression

@@ -164,7 +164,7 @@ func (r *DurableRunner[S, M]) recover() error {
 	r.truncated = r.wal.TruncatedBytes()
 	r.sinceSnap = n
 	if o := r.opts.Observer; o != nil {
-		obs.EmitWALReplayed(o, r.opts.name(), n, r.truncated)
+		obs.Emit(o, obs.WALReplayed(r.opts.name(), n, r.truncated))
 	}
 	return nil
 }
@@ -227,7 +227,7 @@ func (r *DurableRunner[S, M]) Snapshot() error {
 		return err
 	}
 	if o := r.opts.Observer; o != nil {
-		obs.EmitCheckpointTaken(o, r.opts.name(), seq, size)
+		obs.Emit(o, obs.CheckpointTaken(r.opts.name(), seq, size))
 	}
 	return nil
 }

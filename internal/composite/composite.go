@@ -126,7 +126,7 @@ func Retry[T any](v core.Variant[T, T], retries int, opts ...pattern.Option) (co
 		if pol.Bulkhead != nil {
 			if err := pol.Bulkhead.Acquire(ctx); err != nil {
 				if o != nil && req != 0 {
-					obs.EmitRequestShed(o, retryExecutorName, req)
+					obs.Emit(o, obs.RequestShed(retryExecutorName, req))
 				}
 				finish(false, false)
 				return zero, err

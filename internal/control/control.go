@@ -268,8 +268,8 @@ func (c *Controller) Reconcile(ctx context.Context, now time.Time) []Action {
 			if cm, ok := p.(Committer); ok {
 				cm.Committed(done)
 			}
-			obs.EmitControlAction(c.cfg.Observer, c.cfg.Name,
-				done.Kind, done.Cause, done.Target, done.Old, done.New)
+			obs.Emit(c.cfg.Observer, obs.ControlActionTaken(c.cfg.Name,
+				done.Kind, done.Cause, done.Target, done.Old, done.New))
 			taken = append(taken, done)
 		}
 	}

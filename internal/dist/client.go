@@ -198,33 +198,8 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	if maxHedges > len(order)-1 {
 		maxHedges = len(order) - 1
 	}
-	o := r.cfg.Observer
-	name := r.tp.name
-	var (
-		req   uint64
-		start time.Time
-	)
-	if o != nil {
-		req = obs.NextRequestID()
-		o.RequestStart(name, req)
-		start = time.Now()
-	}
-	// The trace context the attempts fan out under: a fresh child span
-	// when this client records traces, or the inherited context passed
-	// through verbatim when only an upstream executor records them. Each
-	// launched attempt derives its own child span for the wire.
-	parent, hasParent := obs.TraceContextFrom(ctx)
-	var rtc obs.TraceContext
-	if r.traced {
-		if hasParent {
-			rtc = parent.Child()
-		} else {
-			rtc = obs.NewTraceContext()
-		}
-		obs.EmitRequestTraced(o, name, req, rtc)
-	} else if hasParent {
-		rtc = parent
-	}
+	oreq := r.tp.observe(ctx, r.cfg.Observer, r.traced)
+	o, name, req, rtc := oreq.o, oreq.name, oreq.req, oreq.rtc
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
@@ -232,8 +207,7 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	launched, pending := 0, 0
 	// Per-attempt lineage, maintained by the Execute goroutine only (the
 	// attempt goroutines report through the results channel), so the
-	// records can be emitted before the request span closes — after
-	// RequestEnd a recorder has already committed the trace.
+	// records can be emitted before the request span closes.
 	var (
 		lineage  []obs.RPCAttempt
 		launches []time.Time
@@ -289,7 +263,7 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 			}
 		}
 		if attempt > 1 && o != nil {
-			obs.EmitHedgeLaunched(o, name, v.endpoints[ep].Name, req, attempt)
+			obs.Emit(o, obs.HedgeLaunched(name, v.endpoints[ep].Name, req, attempt))
 		}
 		pending++
 		go func() {
@@ -297,7 +271,7 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 			value, err := roundTrip[I, O](ctx, r.tp, v, ep, atc, input)
 			latency := time.Since(start)
 			if o != nil {
-				obs.EmitRPCCompleted(o, name, v.endpoints[ep].Name, req, latency, err)
+				obs.Emit(o, obs.RPCCompleted(name, v.endpoints[ep].Name, req, latency, err))
 			}
 			if brk != nil {
 				brk.Record(tok, err)
@@ -305,34 +279,13 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 			results <- attemptResult[O]{value: value, err: err, attempt: attempt, ep: ep, latency: latency}
 		}()
 	}
-	// finish closes the observed request: the lineage (attempts still in
-	// flight are the cancelled losers), the adjudication verdict, and the
-	// request span.
+	// finish closes the observed request; winner is the 1-based attempt
+	// whose result is returned, 0 for none.
 	finish := func(winner int, err error) {
-		if o == nil {
-			return
+		if o != nil && winner > 0 {
+			lineage[winner-1].Won = true
 		}
-		failureDetected := false
-		for i := range lineage {
-			a := &lineage[i]
-			a.Won = a.Attempt == winner
-			if !settled[i] {
-				a.Cancelled = true
-				a.Latency = time.Since(launches[i])
-			} else if a.Err != nil {
-				failureDetected = true
-			}
-			obs.EmitRPCAttempted(o, name, req, *a)
-		}
-		o.Adjudicated(name, req, err == nil, failureDetected)
-		outcome := obs.OutcomeSuccess
-		switch {
-		case err != nil:
-			outcome = obs.OutcomeFailed
-		case failureDetected:
-			outcome = obs.OutcomeMasked
-		}
-		o.RequestEnd(name, req, time.Since(start), outcome)
+		oreq.finish(lineage, launches, settled, err)
 	}
 	launchNext()
 
@@ -377,7 +330,7 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 			}
 			if res.err == nil {
 				if o != nil {
-					obs.EmitHedgeWon(o, name, v.endpoints[res.ep].Name, req, res.attempt)
+					obs.Emit(o, obs.HedgeWon(name, v.endpoints[res.ep].Name, req, res.attempt))
 				}
 				if ej != nil {
 					for i := range ejSettled {

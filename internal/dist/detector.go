@@ -354,8 +354,14 @@ func (d *Detector) record(name string, ok bool) {
 	m.recompute(d.cfg)
 	to := m.state
 	d.mu.Unlock()
-	if from != to && d.cfg.Observer != nil {
-		obs.EmitReplicaStateChanged(d.cfg.Observer, d.cfg.Name, name, from, to)
+	d.transitioned(name, from, to)
+}
+
+// transitioned emits a ReplicaStateChanged event if a member's state
+// moved. Called after d.mu is released: observers must not run under it.
+func (d *Detector) transitioned(name string, from, to obs.ReplicaState) {
+	if from != to {
+		obs.Emit(d.cfg.Observer, obs.ReplicaStateChanged(d.cfg.Name, name, from, to))
 	}
 }
 
@@ -379,9 +385,7 @@ func (d *Detector) Accuse(name string) {
 	m.recompute(d.cfg)
 	to := m.state
 	d.mu.Unlock()
-	if from != to && d.cfg.Observer != nil {
-		obs.EmitReplicaStateChanged(d.cfg.Observer, d.cfg.Name, name, from, to)
-	}
+	d.transitioned(name, from, to)
 }
 
 // Forget drops a replica from the membership along with all evidence
@@ -412,9 +416,7 @@ func (d *Detector) ReportSlow(name string) {
 	m.recompute(d.cfg)
 	to := m.state
 	d.mu.Unlock()
-	if from != to && d.cfg.Observer != nil {
-		obs.EmitReplicaStateChanged(d.cfg.Observer, d.cfg.Name, name, from, to)
-	}
+	d.transitioned(name, from, to)
 }
 
 // ClearSlow withdraws all slowness evidence against a replica — the
@@ -433,9 +435,7 @@ func (d *Detector) ClearSlow(name string) {
 	m.recompute(d.cfg)
 	to := m.state
 	d.mu.Unlock()
-	if from != to && d.cfg.Observer != nil {
-		obs.EmitReplicaStateChanged(d.cfg.Observer, d.cfg.Name, name, from, to)
-	}
+	d.transitioned(name, from, to)
 }
 
 // Evidence returns the detector's current evidence against a replica:

@@ -228,9 +228,7 @@ func (e *Ejector) Observe(endpoint string, latency time.Duration) {
 				if e.cfg.Detector != nil {
 					e.cfg.Detector.ClearSlow(endpoint)
 				}
-				if e.cfg.Observer != nil {
-					obs.EmitReplicaReinstated(e.cfg.Observer, e.cfg.Name, endpoint, probes)
-				}
+				obs.Emit(e.cfg.Observer, obs.ReplicaReinstated(e.cfg.Name, endpoint, probes))
 				return
 			}
 			e.mu.Unlock()
@@ -308,9 +306,7 @@ func (e *Ejector) maybeEject(endpoint string, p *epLatency) {
 	if e.cfg.Detector != nil {
 		e.cfg.Detector.ReportSlow(endpoint)
 	}
-	if e.cfg.Observer != nil {
-		obs.EmitReplicaEjected(e.cfg.Observer, e.cfg.Name, endpoint, ewma, time.Duration(med))
-	}
+	obs.Emit(e.cfg.Observer, obs.ReplicaEjected(e.cfg.Name, endpoint, ewma, time.Duration(med)))
 }
 
 // ejectPenalty pushes ejected endpoints' routing class below every
@@ -342,8 +338,8 @@ func (e *Ejector) route(n int, name func(int) string, class []int) int {
 		class[i] += ejectPenalty
 	}
 	e.mu.Unlock()
-	if probe >= 0 && e.cfg.Observer != nil {
-		obs.EmitProbeLaunched(e.cfg.Observer, e.cfg.Name, name(probe))
+	if probe >= 0 {
+		obs.Emit(e.cfg.Observer, obs.ProbeLaunched(e.cfg.Name, name(probe)))
 	}
 	return probe
 }

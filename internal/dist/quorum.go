@@ -176,8 +176,6 @@ func (q *Quorum[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	if q.tp.closed.Load() {
 		return zero, ErrClientClosed
 	}
-	o := q.cfg.Observer
-	name := q.tp.name
 	// One immutable endpoint view per request: a controller splicing
 	// replicas mid-flight changes the next request's fleet, not this one.
 	v := q.tp.view()
@@ -189,30 +187,8 @@ func (q *Quorum[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	if minReplies > n {
 		minReplies = n
 	}
-	var (
-		req   uint64
-		start time.Time
-	)
-	if o != nil {
-		req = obs.NextRequestID()
-		o.RequestStart(name, req)
-		start = time.Now()
-	}
-	// Trace plumbing mirrors Remote: a fresh child span when this client
-	// records traces, the inherited context otherwise; each replica
-	// attempt gets its own child span on the wire.
-	parent, hasParent := obs.TraceContextFrom(ctx)
-	var rtc obs.TraceContext
-	if q.traced {
-		if hasParent {
-			rtc = parent.Child()
-		} else {
-			rtc = obs.NewTraceContext()
-		}
-		obs.EmitRequestTraced(o, name, req, rtc)
-	} else if hasParent {
-		rtc = parent
-	}
+	oreq := q.tp.observe(ctx, q.cfg.Observer, q.traced)
+	o, name, req, rtc := oreq.o, oreq.name, oreq.req, oreq.rtc
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
@@ -242,7 +218,7 @@ func (q *Quorum[I, O]) Execute(ctx context.Context, input I) (O, error) {
 			value, err := roundTrip[I, O](ctx, q.tp, v, ep, atc, input)
 			latency := time.Since(start)
 			if o != nil {
-				obs.EmitRPCCompleted(o, name, v.endpoints[ep].Name, req, latency, err)
+				obs.Emit(o, obs.RPCCompleted(name, v.endpoints[ep].Name, req, latency, err))
 			}
 			replies <- quorumReply[O]{value: value, err: err, ep: ep, latency: latency}
 		}(ep, atc)
@@ -255,39 +231,19 @@ func (q *Quorum[I, O]) Execute(ctx context.Context, input I) (O, error) {
 		slate[ep] = core.Result[O]{Variant: v.endpoints[ep].Name, Err: errStragglerPending}
 	}
 
-	// finish closes the observed request span; verdictEp < 0 means no
-	// winning endpoint (failure or cancellation).
+	// finish closes the observed request; agreed marks the replies that
+	// voted with the verdict, nil when there is none (failure or
+	// cancellation).
 	finish := func(agreed []bool, err error) {
-		if o == nil {
-			return
-		}
-		failureDetected := false
 		for ep := range lineage {
-			a := &lineage[ep]
-			a.Won = agreed != nil && agreed[ep]
-			if !settled[ep] {
-				a.Cancelled = true
-				a.Latency = time.Since(launches[ep])
-			} else if a.Err != nil || (agreed != nil && !agreed[ep]) {
-				// A settled loser — failed round trip or outvoted reply —
-				// is a detected (and, on success, masked) fault.
-				failureDetected = true
-			}
-			obs.EmitRPCAttempted(o, name, req, *a)
+			lineage[ep].Won = agreed != nil && agreed[ep]
 		}
-		o.Adjudicated(name, req, err == nil, failureDetected)
-		outcome := obs.OutcomeSuccess
-		switch {
-		case err != nil:
-			outcome = obs.OutcomeFailed
-		case failureDetected:
-			outcome = obs.OutcomeMasked
-		}
-		o.RequestEnd(name, req, time.Since(start), outcome)
+		oreq.finish(lineage, launches, settled, err)
 	}
 
-	// disagreement counts the equivalence classes among the settled
-	// successful replies under eq.
+	// answerClasses counts the equivalence classes among the settled
+	// successful replies under eq. It copies reply values, so it is only
+	// called with an observer attached to report the count to.
 	answerClasses := func() int {
 		var reps []O
 	outer:
@@ -341,15 +297,15 @@ func (q *Quorum[I, O]) Execute(ctx context.Context, input I) (O, error) {
 					continue
 				}
 				disagreed = true
-				obs.EmitReplicaOutvoted(o, name, v.endpoints[ep].Name, req)
+				obs.Emit(o, obs.ReplicaOutvoted(name, v.endpoints[ep].Name, req))
 				if q.cfg.Detector != nil {
 					q.cfg.Detector.Accuse(v.endpoints[ep].Name)
 				}
 			}
-			if disagreed {
-				obs.EmitVoteDisagreement(o, name, req, answerClasses())
+			if disagreed && o != nil {
+				obs.Emit(o, obs.VoteDisagreement(name, req, answerClasses()))
 			}
-			obs.EmitQuorumReached(o, name, req, votes, settledCount, n)
+			obs.Emit(o, obs.QuorumReached(name, req, votes, settledCount, n))
 			finish(agreed, nil)
 			cancelAll()
 			return verdict, nil
@@ -363,8 +319,10 @@ func (q *Quorum[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	// split itself is still reportable evidence, but with no verdict no
 	// individual replica can be blamed, so nobody is accused.
 	_, err := q.adj.Adjudicate(slate)
-	if answerClasses() > 1 {
-		obs.EmitVoteDisagreement(o, name, req, answerClasses())
+	if o != nil {
+		if answers := answerClasses(); answers > 1 {
+			obs.Emit(o, obs.VoteDisagreement(name, req, answers))
+		}
 	}
 	err = fmt.Errorf("quorum %s: %w", name, err)
 	finish(nil, err)

@@ -174,6 +174,78 @@ func (t *transport) close() {
 	}
 }
 
+// observedRequest is the observer bracket both clients put around one
+// fan-out: the request span under the client's name, and the trace
+// context the attempts fan out under.
+type observedRequest struct {
+	o     obs.Observer // nil when unobserved; req and start are then zero
+	name  string
+	req   uint64
+	start time.Time
+	// rtc is a fresh child span when this client records traces, or the
+	// inherited context passed through verbatim when only an upstream
+	// executor records them. Each attempt derives its own child span of
+	// it for the wire.
+	rtc obs.TraceContext
+}
+
+// observe opens the observed request of one Execute call. It returns a
+// value and touches the observer only when there is one, so the
+// unobserved path stays allocation-free.
+func (t *transport) observe(ctx context.Context, o obs.Observer, traced bool) observedRequest {
+	r := observedRequest{o: o, name: t.name}
+	if o != nil {
+		r.req = obs.NextRequestID()
+		o.RequestStart(r.name, r.req)
+		r.start = time.Now()
+	}
+	parent, hasParent := obs.TraceContextFrom(ctx)
+	if traced {
+		if hasParent {
+			r.rtc = parent.Child()
+		} else {
+			r.rtc = obs.NewTraceContext()
+		}
+		obs.EmitRequestTraced(o, r.name, r.req, r.rtc)
+	} else if hasParent {
+		r.rtc = parent
+	}
+	return r
+}
+
+// finish closes the observed request: it flushes the attempt lineage
+// (the caller has marked the winners; attempts not yet settled are the
+// cancelled losers, timed from launches), reports the adjudication
+// verdict, and ends the request span. A settled loser — a failed round
+// trip, or on a verdict a reply that did not win — is a detected (and,
+// when err is nil, masked) fault. The lineage must be emitted before
+// RequestEnd: after it a recorder has already committed the trace.
+func (r *observedRequest) finish(lineage []obs.RPCAttempt, launches []time.Time, settled []bool, err error) {
+	if r.o == nil {
+		return
+	}
+	failureDetected := false
+	for i := range lineage {
+		a := &lineage[i]
+		if !settled[i] {
+			a.Cancelled = true
+			a.Latency = time.Since(launches[i])
+		} else if a.Err != nil || (err == nil && !a.Won) {
+			failureDetected = true
+		}
+		obs.EmitRPCAttempted(r.o, r.name, r.req, *a)
+	}
+	r.o.Adjudicated(r.name, r.req, err == nil, failureDetected)
+	outcome := obs.OutcomeSuccess
+	switch {
+	case err != nil:
+		outcome = obs.OutcomeFailed
+	case failureDetected:
+		outcome = obs.OutcomeMasked
+	}
+	r.o.RequestEnd(r.name, r.req, time.Since(r.start), outcome)
+}
+
 // roundTrip performs one RPC attempt against one endpoint of the
 // captured snapshot: pooled connection (or fresh dial), framed call
 // out, framed reply in, all under the per-endpoint deadline. The

@@ -27,49 +27,118 @@ var _ Observer = (*Collector)(nil)
 // NewCollector returns an empty Collector.
 func NewCollector() *Collector { return &Collector{} }
 
+// counterID indexes ExecutorStats.counters and counterRows.
+type counterID uint8
+
+const (
+	// noCounter is the zero value, so a kinds row that names no counter
+	// bumps none; its slot in the counter arrays stays unused.
+	noCounter counterID = iota
+	cRequests
+	cSuccesses
+	cMasked
+	cFailures
+	cDetected
+	cDisabled
+	cRetries
+	cRollbacks
+	cShed
+	cDegraded
+	cBreakerOpens
+	cCheckpoints
+	cWALReplays
+	cRestarts
+	cEscalations
+	cHedges
+	cHedgeWins
+	cSuspects
+	cDeaths
+	cEjections
+	cReinstatements
+	cProbeLaunches
+	cQuorums
+	cVoteDisagreements
+	cOutvoted
+	cControlActions
+	cInflight
+	nCounters
+)
+
+// counterRow binds one counter to its ExecutorSnapshot field and its
+// /metrics series. Snapshot and WritePrometheus are driven from
+// counterRows alone, so a counter cannot be kept without being
+// exported; TestEveryCounterExported walks ExecutorSnapshot to check
+// the converse, that no int64 field lacks a row.
+type counterRow struct {
+	series, help string
+	gauge        bool
+	field        func(*ExecutorSnapshot) *int64
+}
+
+// counterRows is in /metrics order: the span-callback counters, the
+// event counters in kinds order, and the in-flight gauge last.
+var counterRows = [nCounters]counterRow{
+	cRequests: {series: "redundancy_requests_total", help: "Requests handled by the executor.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Requests }},
+	cSuccesses: {series: "redundancy_successes_total", help: "Requests served without any variant failure.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Successes }},
+	cMasked: {series: "redundancy_failures_masked_total", help: "Requests on which redundancy masked a variant failure.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.FailuresMasked }},
+	cFailures: {series: "redundancy_failures_total", help: "Requests on which the executor failed.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Failures }},
+	cDetected: {series: "redundancy_failures_detected_total", help: "Requests on which at least one variant result was rejected.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.FailuresDetected }},
+	cDisabled: {series: "redundancy_components_disabled_total", help: "Components taken out of rotation.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Disabled }},
+	cRetries: {series: "redundancy_retries_total", help: "Retry attempts after a rejected result.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Retries }},
+	cRollbacks: {series: "redundancy_rollbacks_total", help: "State rollbacks and compensations executed.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Rollbacks }},
+	cShed: {series: "redundancy_requests_shed_total", help: "Requests rejected fast by a bulkhead under overload.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Shed }},
+	cDegraded: {series: "redundancy_degraded_serves_total", help: "Requests answered by the degradation ladder.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.DegradedServes }},
+	cBreakerOpens: {series: "redundancy_breaker_opens_total", help: "Circuit-breaker transitions into the open state.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.BreakerOpens }},
+	cCheckpoints: {series: "redundancy_checkpoints_taken_total", help: "Durable checkpoint snapshots committed.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Checkpoints }},
+	cWALReplays: {series: "redundancy_wal_replays_total", help: "WAL recovery replays completed after a restart.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.WALReplays }},
+	cRestarts: {series: "redundancy_process_restarts_total", help: "Supervised process restarts.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Restarts }},
+	cEscalations: {series: "redundancy_escalations_total", help: "Restart-intensity escalations raised to the parent supervisor.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Escalations }},
+	cHedges: {series: "redundancy_hedges_total", help: "Hedged RPC attempts launched beyond the primary.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Hedges }},
+	cHedgeWins: {series: "redundancy_hedge_wins_total", help: "Requests whose returned result came from a hedge attempt.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.HedgeWins }},
+	cSuspects: {series: "redundancy_replica_suspects_total", help: "Failure-detector transitions into the suspect state.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.ReplicaSuspects }},
+	cDeaths: {series: "redundancy_replica_deaths_total", help: "Failure-detector transitions into the dead state.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.ReplicaDeaths }},
+	cEjections: {series: "redundancy_ejections_total", help: "Endpoints ejected from rotation as latency outliers.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Ejections }},
+	cReinstatements: {series: "redundancy_reinstatements_total", help: "Ejected endpoints restored to rotation after probation.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.Reinstatements }},
+	cProbeLaunches: {series: "redundancy_probe_launches_total", help: "Trickle probes granted to ejected endpoints.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.ProbeLaunches }},
+	cQuorums: {series: "redundancy_quorums_reached_total", help: "Requests decided by a distributed quorum verdict.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.QuorumsReached }},
+	cVoteDisagreements: {series: "redundancy_vote_disagreements_total", help: "Quorum requests whose successful replies disagreed.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.VoteDisagreement }},
+	cOutvoted: {series: "redundancy_replicas_outvoted_total", help: "Successful replica replies rejected by a quorum verdict.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.ReplicasOutvoted }},
+	cControlActions: {series: "redundancy_control_actions_total", help: "Reconfigurations performed by the autonomic controller.",
+		field: func(s *ExecutorSnapshot) *int64 { return &s.ControlActions }},
+	cInflight: {series: "redundancy_inflight_variants", help: "Variant executions currently running.", gauge: true,
+		field: func(s *ExecutorSnapshot) *int64 { return &s.InflightVariants }},
+}
+
 // ExecutorStats aggregates the observations of one executor.
 type ExecutorStats struct {
 	name string
 
-	requests  atomic.Int64
-	successes atomic.Int64
-	masked    atomic.Int64
-	failures  atomic.Int64
-	detected  atomic.Int64
-	disabled  atomic.Int64
-	retries   atomic.Int64
-	rollbacks atomic.Int64
-	inflight  atomic.Int64 // variant executions currently running
-
-	// Resilience-policy counters (PolicyObserver events).
-	shed         atomic.Int64 // requests rejected by a bulkhead
-	degraded     atomic.Int64 // requests served by the degradation ladder
-	breakerOpens atomic.Int64 // circuit-breaker transitions into open
-
-	// Crash-recovery counters (RecoveryObserver events).
-	checkpoints atomic.Int64 // durable snapshots committed
-	walReplays  atomic.Int64 // recovery replays completed
-	restarts    atomic.Int64 // supervised process restarts
-	escalations atomic.Int64 // restart-intensity escalations
-
-	// Networked-replica counters (DistObserver events).
-	hedges    atomic.Int64 // hedged attempts launched beyond the primary
-	hedgeWins atomic.Int64 // requests won by a hedge (attempt > 1)
-	suspects  atomic.Int64 // detector transitions into suspect
-	deaths    atomic.Int64 // detector transitions into dead
-
-	// Gray-failure counters (GrayObserver events).
-	ejections     atomic.Int64 // latency-outlier ejections
-	reinstates    atomic.Int64 // probation endpoints restored to rotation
-	probeLaunches atomic.Int64 // trickle probes granted to ejected endpoints
-
-	// Byzantine-voting counters (QuorumObserver events).
-	quorums           atomic.Int64 // requests decided by a quorum verdict
-	voteDisagreements atomic.Int64 // requests whose successful replies disagreed
-	outvoted          atomic.Int64 // successful replies the quorum rejected
-
-	// Autonomic-control counters (ControlObserver events).
-	controlActions atomic.Int64 // reconfigurations performed by the controller
+	counters [nCounters]atomic.Int64
 
 	latency Histogram // request latency
 	mttr    Histogram // supervised-restart recovery time
@@ -85,6 +154,15 @@ type VariantStats struct {
 	executions atomic.Int64
 	failures   atomic.Int64
 	latency    Histogram
+}
+
+// observe records one execution of the variant.
+func (v *VariantStats) observe(latency time.Duration, err error) {
+	v.executions.Add(1)
+	if err != nil {
+		v.failures.Add(1)
+	}
+	v.latency.Observe(latency)
 }
 
 // exec resolves (creating on first use) the stats of an executor.
@@ -154,7 +232,7 @@ func (e *ExecutorStats) addVariant(name string) *VariantStats {
 
 // RequestStart implements Observer.
 func (c *Collector) RequestStart(executor string, _ uint64) {
-	c.exec(executor).requests.Add(1)
+	c.exec(executor).counters[cRequests].Add(1)
 }
 
 // RequestEnd implements Observer.
@@ -163,51 +241,46 @@ func (c *Collector) RequestEnd(executor string, _ uint64, latency time.Duration,
 	e.latency.Observe(latency)
 	switch outcome {
 	case OutcomeSuccess:
-		e.successes.Add(1)
+		e.counters[cSuccesses].Add(1)
 	case OutcomeMasked:
-		e.masked.Add(1)
+		e.counters[cMasked].Add(1)
 	case OutcomeFailed:
-		e.failures.Add(1)
+		e.counters[cFailures].Add(1)
 	}
 }
 
 // VariantStart implements Observer.
 func (c *Collector) VariantStart(executor, _ string, _ uint64) {
-	c.exec(executor).inflight.Add(1)
+	c.exec(executor).counters[cInflight].Add(1)
 }
 
 // VariantEnd implements Observer.
 func (c *Collector) VariantEnd(executor, variant string, _ uint64, latency time.Duration, err error) {
 	e := c.exec(executor)
-	e.inflight.Add(-1)
-	v := e.variant(variant)
-	v.executions.Add(1)
-	if err != nil {
-		v.failures.Add(1)
-	}
-	v.latency.Observe(latency)
+	e.counters[cInflight].Add(-1)
+	e.variant(variant).observe(latency, err)
 }
 
 // Adjudicated implements Observer.
 func (c *Collector) Adjudicated(executor string, _ uint64, _, failureDetected bool) {
 	if failureDetected {
-		c.exec(executor).detected.Add(1)
+		c.exec(executor).counters[cDetected].Add(1)
 	}
 }
 
 // ComponentDisabled implements Observer.
 func (c *Collector) ComponentDisabled(executor, _ string, _ uint64) {
-	c.exec(executor).disabled.Add(1)
+	c.exec(executor).counters[cDisabled].Add(1)
 }
 
 // RetryAttempt implements Observer.
 func (c *Collector) RetryAttempt(executor, _ string, _ uint64, _ int) {
-	c.exec(executor).retries.Add(1)
+	c.exec(executor).counters[cRetries].Add(1)
 }
 
 // Rollback implements Observer.
 func (c *Collector) Rollback(executor string, _ uint64) {
-	c.exec(executor).rollbacks.Add(1)
+	c.exec(executor).counters[cRollbacks].Add(1)
 }
 
 // VariantSnapshot is a point-in-time copy of one variant's stats.
@@ -262,37 +335,9 @@ func (c *Collector) Snapshot() []ExecutorSnapshot {
 	}
 	out := make([]ExecutorSnapshot, 0, len(*m))
 	for _, e := range *m {
-		s := ExecutorSnapshot{
-			Executor:         e.name,
-			Requests:         e.requests.Load(),
-			Successes:        e.successes.Load(),
-			FailuresMasked:   e.masked.Load(),
-			Failures:         e.failures.Load(),
-			FailuresDetected: e.detected.Load(),
-			Disabled:         e.disabled.Load(),
-			Retries:          e.retries.Load(),
-			Rollbacks:        e.rollbacks.Load(),
-			InflightVariants: e.inflight.Load(),
-			Shed:             e.shed.Load(),
-			DegradedServes:   e.degraded.Load(),
-			BreakerOpens:     e.breakerOpens.Load(),
-			Checkpoints:      e.checkpoints.Load(),
-			WALReplays:       e.walReplays.Load(),
-			Restarts:         e.restarts.Load(),
-			Escalations:      e.escalations.Load(),
-			Hedges:           e.hedges.Load(),
-			HedgeWins:        e.hedgeWins.Load(),
-			ReplicaSuspects:  e.suspects.Load(),
-			ReplicaDeaths:    e.deaths.Load(),
-			Ejections:        e.ejections.Load(),
-			Reinstatements:   e.reinstates.Load(),
-			ProbeLaunches:    e.probeLaunches.Load(),
-			QuorumsReached:   e.quorums.Load(),
-			VoteDisagreement: e.voteDisagreements.Load(),
-			ReplicasOutvoted: e.outvoted.Load(),
-			ControlActions:   e.controlActions.Load(),
-			Latency:          e.latency.Snapshot(),
-			MTTR:             e.mttr.Snapshot(),
+		s := ExecutorSnapshot{Executor: e.name, Latency: e.latency.Snapshot(), MTTR: e.mttr.Snapshot()}
+		for id := cRequests; id < nCounters; id++ {
+			*counterRows[id].field(&s) = e.counters[id].Load()
 		}
 		if vm := e.variants.Load(); vm != nil {
 			for _, v := range *vm {

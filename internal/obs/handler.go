@@ -98,64 +98,16 @@ func WritePrometheus(w io.Writer, c *Collector) {
 		return
 	}
 
-	counter := func(name, help string, value func(ExecutorSnapshot) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, e := range snap {
-			fmt.Fprintf(w, "%s{executor=%q} %d\n", name, escapeLabel(e.Executor), value(e))
+	for id := cRequests; id < nCounters; id++ {
+		row := &counterRows[id]
+		typ := "counter"
+		if row.gauge {
+			typ = "gauge"
 		}
-	}
-	counter("redundancy_requests_total", "Requests handled by the executor.",
-		func(e ExecutorSnapshot) int64 { return e.Requests })
-	counter("redundancy_successes_total", "Requests served without any variant failure.",
-		func(e ExecutorSnapshot) int64 { return e.Successes })
-	counter("redundancy_failures_masked_total", "Requests on which redundancy masked a variant failure.",
-		func(e ExecutorSnapshot) int64 { return e.FailuresMasked })
-	counter("redundancy_failures_total", "Requests on which the executor failed.",
-		func(e ExecutorSnapshot) int64 { return e.Failures })
-	counter("redundancy_failures_detected_total", "Requests on which at least one variant result was rejected.",
-		func(e ExecutorSnapshot) int64 { return e.FailuresDetected })
-	counter("redundancy_components_disabled_total", "Components taken out of rotation.",
-		func(e ExecutorSnapshot) int64 { return e.Disabled })
-	counter("redundancy_retries_total", "Retry attempts after a rejected result.",
-		func(e ExecutorSnapshot) int64 { return e.Retries })
-	counter("redundancy_rollbacks_total", "State rollbacks and compensations executed.",
-		func(e ExecutorSnapshot) int64 { return e.Rollbacks })
-	counter("redundancy_requests_shed_total", "Requests rejected fast by a bulkhead under overload.",
-		func(e ExecutorSnapshot) int64 { return e.Shed })
-	counter("redundancy_degraded_serves_total", "Requests answered by the degradation ladder.",
-		func(e ExecutorSnapshot) int64 { return e.DegradedServes })
-	counter("redundancy_breaker_opens_total", "Circuit-breaker transitions into the open state.",
-		func(e ExecutorSnapshot) int64 { return e.BreakerOpens })
-	counter("redundancy_checkpoints_taken_total", "Durable checkpoint snapshots committed.",
-		func(e ExecutorSnapshot) int64 { return e.Checkpoints })
-	counter("redundancy_wal_replays_total", "WAL recovery replays completed after a restart.",
-		func(e ExecutorSnapshot) int64 { return e.WALReplays })
-	counter("redundancy_process_restarts_total", "Supervised process restarts.",
-		func(e ExecutorSnapshot) int64 { return e.Restarts })
-	counter("redundancy_escalations_total", "Restart-intensity escalations raised to the parent supervisor.",
-		func(e ExecutorSnapshot) int64 { return e.Escalations })
-	counter("redundancy_hedges_total", "Hedged RPC attempts launched beyond the primary.",
-		func(e ExecutorSnapshot) int64 { return e.Hedges })
-	counter("redundancy_hedge_wins_total", "Requests whose returned result came from a hedge attempt.",
-		func(e ExecutorSnapshot) int64 { return e.HedgeWins })
-	counter("redundancy_replica_suspects_total", "Failure-detector transitions into the suspect state.",
-		func(e ExecutorSnapshot) int64 { return e.ReplicaSuspects })
-	counter("redundancy_replica_deaths_total", "Failure-detector transitions into the dead state.",
-		func(e ExecutorSnapshot) int64 { return e.ReplicaDeaths })
-	counter("redundancy_quorums_reached_total", "Requests decided by a distributed quorum verdict.",
-		func(e ExecutorSnapshot) int64 { return e.QuorumsReached })
-	counter("redundancy_vote_disagreements_total", "Quorum requests whose successful replies disagreed.",
-		func(e ExecutorSnapshot) int64 { return e.VoteDisagreement })
-	counter("redundancy_replicas_outvoted_total", "Successful replica replies rejected by a quorum verdict.",
-		func(e ExecutorSnapshot) int64 { return e.ReplicasOutvoted })
-	counter("redundancy_control_actions_total", "Reconfigurations performed by the autonomic controller.",
-		func(e ExecutorSnapshot) int64 { return e.ControlActions })
-
-	fmt.Fprint(w, "# HELP redundancy_inflight_variants Variant executions currently running.\n")
-	fmt.Fprint(w, "# TYPE redundancy_inflight_variants gauge\n")
-	for _, e := range snap {
-		fmt.Fprintf(w, "redundancy_inflight_variants{executor=%q} %d\n",
-			escapeLabel(e.Executor), e.InflightVariants)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", row.series, row.help, row.series, typ)
+		for i := range snap {
+			fmt.Fprintf(w, "%s{executor=%q} %d\n", row.series, escapeLabel(snap[i].Executor), *row.field(&snap[i]))
+		}
 	}
 
 	fmt.Fprint(w, "# HELP redundancy_request_latency_seconds Request latency per executor.\n")

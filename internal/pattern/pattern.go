@@ -278,7 +278,7 @@ func (c config) admit(ctx context.Context, executor string, req uint64) (context
 				cancel()
 			}
 			if o := c.observer; o != nil && req != 0 {
-				obs.EmitRequestShed(o, executor, req)
+				obs.Emit(o, obs.RequestShed(executor, req))
 			}
 			return ctx, noopDone, err
 		}
@@ -322,7 +322,7 @@ func serveFallback[I, O any](ctx context.Context, cfg config, executor string, r
 		return zero, false
 	}
 	if o := cfg.observer; o != nil && req != 0 {
-		obs.EmitDegradedServe(o, executor, req, source)
+		obs.Emit(o, obs.DegradedServe(executor, req, source))
 	}
 	return v, true
 }

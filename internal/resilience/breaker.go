@@ -408,6 +408,6 @@ func (bs *Breakers) emit(variant string, from, to obs.BreakerState) {
 	executor, o := bs.executor, bs.observer
 	bs.mu.Unlock()
 	if o != nil {
-		obs.EmitBreakerStateChanged(o, executor, variant, from, to)
+		obs.Emit(o, obs.BreakerStateChanged(executor, variant, from, to))
 	}
 }

@@ -20,9 +20,9 @@
 // same options.
 //
 // Every policy decision is observable: state transitions and shedding
-// decisions emit through the obs.PolicyObserver extension
-// (BreakerStateChanged, RequestShed, DegradedServe), so the metrics
-// handler, trace recorder and health engine see the policy layer act.
+// decisions emit obs events (BreakerStateChanged, RequestShed,
+// DegradedServe), so the metrics handler and trace recorder see the
+// policy layer act.
 //
 // All policies are deterministic given their configuration and, where
 // randomness is involved (retry jitter), an explicit xrand seed — the

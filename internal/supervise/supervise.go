@@ -435,7 +435,7 @@ func (s *Supervisor) handleFailure(ctx context.Context, idx int, cause error, re
 	if len(*restartTimes) > intensity.MaxRestarts {
 		s.stopAll()
 		if o := s.opts.Observer; o != nil {
-			obs.EmitEscalationRaised(o, s.opts.name(), s.kids[idx].spec.Name)
+			obs.Emit(o, obs.EscalationRaised(s.opts.name(), s.kids[idx].spec.Name))
 		}
 		return fmt.Errorf("%w: child %q failed %d times in %v: %w",
 			ErrEscalated, s.kids[idx].spec.Name, len(*restartTimes), intensity.Window, cause)
@@ -506,7 +506,7 @@ func (s *Supervisor) start(ctx context.Context, idx int, failedAt *time.Time) er
 		restarts := c.restarts
 		s.mu.Unlock()
 		if o := s.opts.Observer; o != nil {
-			obs.EmitProcessRestarted(o, s.opts.name(), c.spec.Name, restarts, time.Since(*failedAt))
+			obs.Emit(o, obs.ProcessRestarted(s.opts.name(), c.spec.Name, restarts, time.Since(*failedAt)))
 		}
 	}
 	// The run context is detached from the supervisor's: shutdown must
