@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-check campaign-smoke
+.PHONY: build vet test race bench bench-diff bench-check campaign-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,17 @@ race:
 # scripts/bench.sh; BENCHTIME=100x makes a quick local pass).
 bench:
 	./scripts/bench.sh
+
+# Runs the benchmarks into .bench-new/ and gates the transport results
+# against the committed BENCH_net.json — what the CI bench job applies.
+# The tolerance is loose enough for a shared runner (a metric fails at
+# more than 2x its baseline) and tight enough that losing the wire
+# path's >= 3x does.
+bench-diff:
+	mkdir -p .bench-new
+	./scripts/bench.sh .bench-new/BENCH_obs.json .bench-new/BENCH_resilience.json \
+		.bench-new/BENCH_recovery.json .bench-new/BENCH_net.json
+	$(GO) run ./cmd/campaign bench-diff -tolerance 1.0 BENCH_net.json .bench-new/BENCH_net.json
 
 # bench/ is a module of its own (it imports the root facade through a
 # replace directive), so build/vet/test above never see it. This vets

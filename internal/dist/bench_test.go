@@ -12,8 +12,8 @@ import (
 )
 
 // BenchmarkRPCRoundTrip measures one framed call over the in-memory
-// transport: gob encode, CRC frame, pipe hop, server dispatch, and the
-// reply path, on a pooled connection.
+// transport: value encode, binary envelope, CRC frame, pipe hop, server
+// dispatch, and the reply path, on a pooled connection.
 func BenchmarkRPCRoundTrip(b *testing.B) {
 	network := NewPipeNetwork()
 	ln, err := network.Listen("r1")

@@ -162,12 +162,22 @@ func (r *Remote[I, O]) RemoveEndpoint(name string) error { return r.tp.remove(na
 // Endpoints returns the current endpoint names in configured order.
 func (r *Remote[I, O]) Endpoints() []string { return r.tp.view().names() }
 
+// attempt is one claimed slot of a request's fan-out: the endpoint next
+// in ranked order, admitted by its breaker and about to be tried.
+type attempt struct {
+	n   int // 1-based launch order
+	ep  int // index into the captured endpoint view
+	tc  obs.TraceContext
+	brk *resilience.Breaker
+	tok resilience.Token
+}
+
 // attemptResult is one finished (or breaker-rejected) attempt.
 type attemptResult[O any] struct {
 	value   O
 	err     error
 	attempt int // 1-based launch order
-	ep      int // index into the detector-ranked order
+	ep      int // index into the captured endpoint view
 	latency time.Duration
 }
 
@@ -175,6 +185,11 @@ type attemptResult[O any] struct {
 // breaker-guarded RPC fan-out. The first acceptable result wins; every
 // other in-flight attempt is canceled promptly (its connection deadline
 // is smashed, so blocked reads return).
+//
+// With hedging off at most one attempt is ever in flight, so the
+// attempts run one after another on the caller's goroutine; only a
+// request that may race attempts pays for goroutines, a results channel
+// and a cancelable context.
 //
 // With an observer attached the fan-out is one observed request: a
 // RequestStart/RequestEnd span under the Remote's name, an Adjudicated
@@ -185,178 +200,234 @@ type attemptResult[O any] struct {
 // envelope carries a per-attempt child span so the replica server's
 // request span joins the same causal trace.
 func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
-	var zero O
 	if r.tp.closed.Load() {
+		var zero O
 		return zero, ErrClientClosed
 	}
+	// Two fanout variables, because the hedged one is shared with attempt
+	// goroutines and so lives on the heap; the sequential one need not.
+	if hedgeAfter := time.Duration(r.hedgeAfter.Load()); hedgeAfter > 0 {
+		f := r.newFanout(ctx, input)
+		return f.hedged(ctx, hedgeAfter)
+	}
+	f := r.newFanout(ctx, input)
+	return f.sequential(ctx)
+}
+
+// fanout is the state of one Execute call: the captured endpoint view
+// and routing order, the observed request, and the per-attempt records.
+// Only the goroutine running Execute touches it; attempt goroutines of
+// a hedged request get their attempt by value and report through the
+// results channel.
+type fanout[I, O any] struct {
+	r *Remote[I, O]
 	// One immutable endpoint view per request: a controller splicing
 	// endpoints mid-flight changes the next request, not this one.
-	v := r.tp.view()
-	order := r.ordered(v)
-	hedgeAfter := time.Duration(r.hedgeAfter.Load())
-	maxHedges := r.cfg.MaxHedges
-	if maxHedges > len(order)-1 {
-		maxHedges = len(order) - 1
-	}
-	oreq := r.tp.observe(ctx, r.cfg.Observer, r.traced)
-	o, name, req, rtc := oreq.o, oreq.name, oreq.req, oreq.rtc
-	ctx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-
-	results := make(chan attemptResult[O], len(order))
-	launched, pending := 0, 0
-	// Per-attempt lineage, maintained by the Execute goroutine only (the
-	// attempt goroutines report through the results channel), so the
-	// records can be emitted before the request span closes.
-	var (
-		lineage  []obs.RPCAttempt
-		launches []time.Time
-		settled  []bool
-	)
+	v        *epSet
+	order    []int
+	input    I
+	oreq     observedRequest
+	launched int
+	lastErr  error
+	// Per-attempt lineage, kept only with an observer, so the records
+	// can be emitted before the request span closes.
+	lineage  []obs.RPCAttempt
+	launches []time.Time
+	settled  []bool
 	// Per-attempt ejector bookkeeping, independent of the observer: a
 	// completed attempt feeds its measured latency, and when another
 	// attempt wins the race, the abandoned losers feed their elapsed
 	// time as censored (at-least-this-slow) samples.
-	ej := r.cfg.Ejector
-	var (
-		ejEndpoints []string
-		ejLaunches  []time.Time
-		ejSettled   []bool
-	)
+	ejEndpoints []string
+	ejLaunches  []time.Time
+	ejSettled   []bool
+}
+
+func (r *Remote[I, O]) newFanout(ctx context.Context, input I) fanout[I, O] {
+	v := r.tp.view()
+	return fanout[I, O]{
+		r: r, v: v, order: r.ordered(v), input: input,
+		oreq: r.tp.observe(ctx, r.cfg.Observer, r.traced),
+	}
+}
+
+// sequential tries the endpoints in ranked order, one at a time, until
+// one answers: failure-triggered failover with nothing to race.
+func (f *fanout[I, O]) sequential(ctx context.Context) (O, error) {
+	for f.launched < len(f.order) {
+		a, err := f.launch()
+		res := attemptResult[O]{err: err, attempt: a.n, ep: a.ep}
+		if err == nil {
+			res = f.run(ctx, a)
+		}
+		if f.settle(res) {
+			return res.value, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return f.fail(err)
+		}
+	}
+	return f.exhausted()
+}
+
+// hedged races attempts: the hedge timer launches the next endpoint
+// when the in-flight ones are slow, a failure with nothing else in
+// flight launches it at once, and the first success cancels the rest.
+func (f *fanout[I, O]) hedged(ctx context.Context, hedgeAfter time.Duration) (O, error) {
+	maxHedges := f.r.cfg.MaxHedges
+	if maxHedges > len(f.order)-1 {
+		maxHedges = len(f.order) - 1
+	}
+	ctx, cancelAll := context.WithCancel(ctx)
+	defer cancelAll()
+
+	// Sized to the number of sends: one per endpoint at most.
+	results := make(chan attemptResult[O], len(f.order))
+	pending := 0
 	// launchNext starts the next attempt in ranked order. Breaker-open
 	// endpoints complete instantly as failed attempts (without dialing),
 	// so the loop below immediately moves past them.
 	launchNext := func() {
-		if launched >= len(order) {
+		if f.launched >= len(f.order) {
 			return
 		}
-		ep := order[launched]
-		launched++
-		attempt := launched
-		var atc obs.TraceContext
-		if rtc.Valid() {
-			atc = rtc.Child()
-		}
-		if o != nil {
-			lineage = append(lineage, obs.RPCAttempt{
-				Endpoint: v.endpoints[ep].Name, Span: atc, Attempt: attempt,
-			})
-			launches = append(launches, time.Now())
-			settled = append(settled, false)
-		}
-		if ej != nil {
-			ejEndpoints = append(ejEndpoints, v.endpoints[ep].Name)
-			ejLaunches = append(ejLaunches, time.Now())
-			ejSettled = append(ejSettled, false)
-		}
-		var (
-			brk *resilience.Breaker
-			tok resilience.Token
-		)
-		if r.cfg.Breakers != nil {
-			brk = r.cfg.Breakers.For(v.endpoints[ep].Name)
-			var err error
-			if tok, err = brk.Allow(); err != nil {
-				pending++
-				results <- attemptResult[O]{err: err, attempt: attempt, ep: ep}
-				return
-			}
-		}
-		if attempt > 1 && o != nil {
-			obs.Emit(o, obs.HedgeLaunched(name, v.endpoints[ep].Name, req, attempt))
-		}
+		a, err := f.launch()
 		pending++
-		go func() {
-			start := time.Now()
-			value, err := roundTrip[I, O](ctx, r.tp, v, ep, atc, input)
-			latency := time.Since(start)
-			if o != nil {
-				obs.Emit(o, obs.RPCCompleted(name, v.endpoints[ep].Name, req, latency, err))
-			}
-			if brk != nil {
-				brk.Record(tok, err)
-			}
-			results <- attemptResult[O]{value: value, err: err, attempt: attempt, ep: ep, latency: latency}
-		}()
-	}
-	// finish closes the observed request; winner is the 1-based attempt
-	// whose result is returned, 0 for none.
-	finish := func(winner int, err error) {
-		if o != nil && winner > 0 {
-			lineage[winner-1].Won = true
+		if err != nil {
+			results <- attemptResult[O]{err: err, attempt: a.n, ep: a.ep}
+			return
 		}
-		oreq.finish(lineage, launches, settled, err)
+		go func() { results <- f.run(ctx, a) }()
 	}
 	launchNext()
 
-	// The hedge timer launches the next attempt when the in-flight ones
-	// are slow; it is armed only while hedging is enabled and spare
-	// endpoints and hedge budget remain.
-	var (
-		timer   *time.Timer
-		timerC  <-chan time.Time
-		hedges  int
-		lastErr error
-	)
-	if hedgeAfter > 0 {
-		timer = time.NewTimer(hedgeAfter)
-		timerC = timer.C
-		defer timer.Stop()
-	}
+	// The timer is armed only while spare endpoints and hedge budget
+	// remain.
+	timer := time.NewTimer(hedgeAfter)
+	defer timer.Stop()
+	timerC, hedges := timer.C, 0
 	for pending > 0 {
 		select {
 		case <-timerC:
-			if hedges < maxHedges && launched < len(order) {
+			if hedges < maxHedges && f.launched < len(f.order) {
 				hedges++
 				launchNext()
 			}
-			if hedges < maxHedges && launched < len(order) {
+			if hedges < maxHedges && f.launched < len(f.order) {
 				timer.Reset(hedgeAfter)
 			} else {
 				timerC = nil
 			}
 		case res := <-results:
 			pending--
-			if o != nil {
-				lineage[res.attempt-1].Latency = res.latency
-				lineage[res.attempt-1].Err = res.err
-				settled[res.attempt-1] = true
-			}
-			if ej != nil {
-				ejSettled[res.attempt-1] = true
-				if res.err == nil {
-					ej.Observe(ejEndpoints[res.attempt-1], res.latency)
-				}
-			}
-			if res.err == nil {
-				if o != nil {
-					obs.Emit(o, obs.HedgeWon(name, v.endpoints[res.ep].Name, req, res.attempt))
-				}
-				if ej != nil {
-					for i := range ejSettled {
-						if !ejSettled[i] {
-							ej.ObserveCensored(ejEndpoints[i], time.Since(ejLaunches[i]))
-						}
-					}
-				}
-				finish(res.attempt, nil)
+			if f.settle(res) {
 				cancelAll()
 				return res.value, nil
 			}
-			lastErr = res.err
-			if pending == 0 {
-				if launched < len(order) && ctx.Err() == nil {
-					launchNext() // failure-triggered failover, uncapped
-				}
+			if pending == 0 && ctx.Err() == nil {
+				launchNext() // failure-triggered failover, uncapped
 			}
 		case <-ctx.Done():
-			finish(0, ctx.Err())
-			return zero, ctx.Err()
+			return f.fail(ctx.Err())
 		}
 	}
-	err := fmt.Errorf("remote %s: %w: %w", name, core.ErrAllVariantsFailed, lastErr)
-	finish(0, err)
+	return f.exhausted()
+}
+
+// launch claims the next endpoint in ranked order and records the
+// attempt. A non-nil error is the endpoint's breaker refusing it: the
+// attempt is already over, failed, without dialing.
+func (f *fanout[I, O]) launch() (attempt, error) {
+	ep := f.order[f.launched]
+	f.launched++
+	a := attempt{n: f.launched, ep: ep}
+	endpoint := f.v.endpoints[ep].Name
+	if f.oreq.rtc.Valid() {
+		a.tc = f.oreq.rtc.Child()
+	}
+	if f.oreq.o != nil {
+		f.lineage = append(f.lineage, obs.RPCAttempt{Endpoint: endpoint, Span: a.tc, Attempt: a.n})
+		f.launches = append(f.launches, time.Now())
+		f.settled = append(f.settled, false)
+	}
+	if f.r.cfg.Ejector != nil {
+		f.ejEndpoints = append(f.ejEndpoints, endpoint)
+		f.ejLaunches = append(f.ejLaunches, time.Now())
+		f.ejSettled = append(f.ejSettled, false)
+	}
+	if f.r.cfg.Breakers != nil {
+		a.brk = f.r.cfg.Breakers.For(endpoint)
+		var err error
+		if a.tok, err = a.brk.Allow(); err != nil {
+			return a, err
+		}
+	}
+	if a.n > 1 && f.oreq.o != nil {
+		obs.Emit(f.oreq.o, obs.HedgeLaunched(f.oreq.name, endpoint, f.oreq.req, a.n))
+	}
+	return a, nil
+}
+
+// run performs a launched attempt's round trip and reports its outcome
+// to the observer and the endpoint's breaker. It reads but never writes
+// the fanout, so hedged attempts may run it concurrently.
+func (f *fanout[I, O]) run(ctx context.Context, a attempt) attemptResult[O] {
+	start := time.Now()
+	value, err := roundTrip[I, O](ctx, f.r.tp, f.v, a.ep, a.tc, f.input)
+	latency := time.Since(start)
+	if o := f.oreq.o; o != nil {
+		obs.Emit(o, obs.RPCCompleted(f.oreq.name, f.v.endpoints[a.ep].Name, f.oreq.req, latency, err))
+	}
+	if a.brk != nil {
+		a.brk.Record(a.tok, err)
+	}
+	return attemptResult[O]{value: value, err: err, attempt: a.n, ep: a.ep, latency: latency}
+}
+
+// settle records a finished attempt and reports whether it won; a
+// winner closes the observed request, and its value is the answer.
+func (f *fanout[I, O]) settle(res attemptResult[O]) bool {
+	o, ej, i := f.oreq.o, f.r.cfg.Ejector, res.attempt-1
+	if o != nil {
+		f.lineage[i].Latency = res.latency
+		f.lineage[i].Err = res.err
+		f.settled[i] = true
+	}
+	if ej != nil {
+		f.ejSettled[i] = true
+		if res.err == nil {
+			ej.Observe(f.ejEndpoints[i], res.latency)
+		}
+	}
+	if res.err != nil {
+		f.lastErr = res.err
+		return false
+	}
+	if o != nil {
+		obs.Emit(o, obs.HedgeWon(f.oreq.name, f.v.endpoints[res.ep].Name, f.oreq.req, res.attempt))
+		f.lineage[i].Won = true
+	}
+	if ej != nil {
+		for j := range f.ejSettled {
+			if !f.ejSettled[j] {
+				ej.ObserveCensored(f.ejEndpoints[j], time.Since(f.ejLaunches[j]))
+			}
+		}
+	}
+	f.oreq.finish(f.lineage, f.launches, f.settled, nil)
+	return true
+}
+
+// fail closes the observed request with no winner.
+func (f *fanout[I, O]) fail(err error) (O, error) {
+	var zero O
+	f.oreq.finish(f.lineage, f.launches, f.settled, err)
 	return zero, err
+}
+
+// exhausted is fail for a request that ran out of endpoints.
+func (f *fanout[I, O]) exhausted() (O, error) {
+	return f.fail(fmt.Errorf("remote %s: %w: %w", f.oreq.name, core.ErrAllVariantsFailed, f.lastErr))
 }
 
 // ordered returns endpoint indexes (into the captured view) ranked for
@@ -366,16 +437,14 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 // one of them a trickle probe, which is promoted to primary — and
 // finally picks the primary among the leading equal-class endpoints by
 // power of two choices over the latency EWMAs. Without a detector or
-// ejector the configured order stands.
+// ejector the configured order stands, and the view's shared slice is
+// returned: callers only read the result.
 func (r *Remote[I, O]) ordered(v *epSet) []int {
-	order := make([]int, len(v.endpoints))
-	for i := range order {
-		order[i] = i
-	}
 	det, ej := r.cfg.Detector, r.cfg.Ejector
 	if det == nil && ej == nil {
-		return order
+		return v.configured
 	}
+	order := append([]int(nil), v.configured...)
 	class := make([]int, len(order))
 	if det != nil {
 		for i := range order {

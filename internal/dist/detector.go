@@ -302,30 +302,23 @@ func (d *Detector) Poll(ctx context.Context) {
 func (d *Detector) ping(ctx context.Context, dial DialFunc) error {
 	ctx, cancel := context.WithTimeout(ctx, d.cfg.Timeout)
 	defer cancel()
-	conn, err := dial(ctx)
+	raw, err := dial(ctx)
 	if err != nil {
 		return err
 	}
+	conn := newWireConn(raw)
 	defer conn.Close()
+	if deadline, ok := ctx.Deadline(); ok {
+		conn.SetDeadline(deadline)
+	}
 	stop := context.AfterFunc(ctx, func() {
 		conn.SetDeadline(time.Unix(1, 0))
 	})
 	defer stop()
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-	}
-	frame, err := encodeEnvelope(&envelope{Kind: kindPing})
-	if err != nil {
+	if err := conn.send(&envelope{Kind: kindPing}); err != nil {
 		return err
 	}
-	if err := writeFrame(conn, frame); err != nil {
-		return err
-	}
-	payload, err := readFrame(conn)
-	if err != nil {
-		return err
-	}
-	reply, err := decodeEnvelope(payload)
+	reply, err := conn.recv()
 	if err != nil {
 		return err
 	}

@@ -44,29 +44,31 @@ func double() core.Variant[int, int] {
 	})
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("the payload survives framing")
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatalf("writeFrame: %v", err)
+// frameOf builds one sealed frame around body.
+func frameOf(t testing.TB, body []byte) []byte {
+	t.Helper()
+	frame := append(make([]byte, frameHeaderSize), body...)
+	if err := sealFrame(frame); err != nil {
+		t.Fatalf("sealFrame: %v", err)
 	}
-	got, err := readFrame(&buf)
+	return frame
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	body := []byte("the body survives framing")
+	got, err := readFrame(bytes.NewReader(frameOf(t, body)), nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("frame round trip: got %q want %q", got, payload)
+	if !bytes.Equal(got, body) {
+		t.Fatalf("frame round trip: got %q want %q", got, body)
 	}
 }
 
 func TestFrameDetectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("about to be corrupted")); err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	raw := buf.Bytes()
-	raw[len(raw)-1] ^= 0xFF // flip a payload bit; the CRC must notice
-	if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadFrame) {
+	raw := frameOf(t, []byte("about to be corrupted"))
+	raw[len(raw)-1] ^= 0xFF // flip a body bit; the CRC must notice
+	if _, err := readFrame(bytes.NewReader(raw), nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("corrupt frame: got %v, want ErrBadFrame", err)
 	}
 }
@@ -75,50 +77,54 @@ func TestFrameRejectsOversizedLength(t *testing.T) {
 	var hdr [frameHeaderSize]byte
 	hdr[0] = frameVersion
 	binary.BigEndian.PutUint32(hdr[1:5], MaxFrameSize+1)
-	if _, err := readFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrame(bytes.NewReader(hdr[:]), nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameRejectsVersionMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("future payload")); err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	raw := buf.Bytes()
+	raw := frameOf(t, []byte("future payload"))
 	for _, v := range []byte{frameVersion + 1, frameVersion - 1, 0} {
 		raw[0] = v
-		_, err := readFrame(bytes.NewReader(raw))
+		_, err := readFrame(bytes.NewReader(raw), nil)
 		if !errors.Is(err, ErrVersionMismatch) {
 			t.Fatalf("version %d: got %v, want ErrVersionMismatch", v, err)
 		}
 	}
 	raw[0] = frameVersion
-	if _, err := readFrame(bytes.NewReader(raw)); err != nil {
+	if _, err := readFrame(bytes.NewReader(raw), nil); err != nil {
 		t.Fatalf("matching version rejected: %v", err)
+	}
+}
+
+func TestFrameReusesBuffer(t *testing.T) {
+	stream := append(frameOf(t, []byte("first, and the longer one")), frameOf(t, []byte("second"))...)
+	r := bytes.NewReader(stream)
+	first, err := readFrame(r, nil)
+	if err != nil {
+		t.Fatalf("readFrame: %v", err)
+	}
+	second, err := readFrame(r, first)
+	if err != nil || string(second) != "second" {
+		t.Fatalf("second frame: %q, %v", second, err)
+	}
+	if &second[0] != &first[0] {
+		t.Fatal("a frame that fits the buffer it was handed was read elsewhere")
 	}
 }
 
 func TestEnvelopeTraceFieldsRoundTrip(t *testing.T) {
 	in := &envelope{ID: 7, Kind: kindCall, Payload: []byte("x"), TraceID: 0xABCD, SpanID: 0x1234}
-	data, err := encodeEnvelope(in)
-	if err != nil {
-		t.Fatalf("encodeEnvelope: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, data); err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	payload, err := readFrame(&buf)
+	body, err := readFrame(bytes.NewReader(frameOf(t, appendEnvelope(nil, in))), nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	out, err := decodeEnvelope(payload)
+	out, err := parseEnvelope(body)
 	if err != nil {
-		t.Fatalf("decodeEnvelope: %v", err)
+		t.Fatalf("parseEnvelope: %v", err)
 	}
-	if out.TraceID != in.TraceID || out.SpanID != in.SpanID || out.ID != in.ID {
-		t.Fatalf("trace fields lost in transit: got %+v want %+v", out, in)
+	if out.TraceID != in.TraceID || out.SpanID != in.SpanID || out.ID != in.ID || out.Kind != in.Kind || string(out.Payload) != "x" {
+		t.Fatalf("envelope fields lost in transit: got %+v want %+v", out, in)
 	}
 }
 

@@ -14,8 +14,9 @@
 // partitions (internal/faultmodel's NetworkCampaign injects exactly
 // those), so the redundancy mechanisms are exercised against the failure
 // modes that motivate them. The transport is deliberately minimal — one
-// request per connection round trip over pooled connections — so its
-// behavior under fault injection stays analyzable.
+// request per connection round trip over pooled connections, each
+// connection carrying its own codec state (wire.go) — so its behavior
+// under fault injection stays analyzable.
 package dist
 
 import (
@@ -27,30 +28,31 @@ import (
 )
 
 // Frame layout: a fixed 9-byte header — 1-byte wire version, 4-byte
-// big-endian payload length, 4-byte IEEE CRC32 of the payload —
-// followed by the payload. The CRC turns injected corruption (and torn
-// or reordered byte streams) into a detected connection-level failure
-// instead of a silently wrong result, the same discipline as the
-// checkpoint WAL's record framing. The version byte rejects peers
-// speaking an incompatible envelope schema (version 2 added in-band
-// trace propagation) with a typed error instead of a gob decode error
-// deep in the payload.
+// big-endian body length, 4-byte IEEE CRC32 of the body — followed by
+// the body, which is one binary envelope (wire.go). The CRC turns
+// injected corruption (and torn or reordered byte streams) into a
+// detected connection-level failure instead of a silently wrong result,
+// the same discipline as the checkpoint WAL's record framing. The
+// version byte rejects peers speaking an incompatible envelope schema
+// with a typed error instead of a parse error deep in the body.
 const frameHeaderSize = 9
 
 // frameVersion is the current wire version. History:
 //
 //	1 — unversioned 8-byte header (length + CRC only)
-//	2 — version byte added; envelope carries TraceID/SpanID
-const frameVersion = 2
+//	2 — version byte added; gob envelope carries TraceID/SpanID
+//	3 — binary envelope, per-connection value streams
+const frameVersion = 3
 
-// MaxFrameSize bounds one frame's payload so a corrupt or hostile length
+// MaxFrameSize bounds one frame's body so a corrupt or hostile length
 // prefix cannot make a reader allocate without bound.
 const MaxFrameSize = 16 << 20
 
 // Sentinel errors of the transport layer.
 var (
-	// ErrBadFrame reports a frame whose CRC or length prefix is invalid:
-	// the byte stream is corrupt and the connection must be abandoned.
+	// ErrBadFrame reports a frame whose CRC, length prefix or envelope
+	// is invalid: the byte stream is corrupt and the connection must be
+	// abandoned.
 	ErrBadFrame = errors.New("dist: corrupt frame")
 	// ErrFrameTooLarge reports a frame exceeding MaxFrameSize.
 	ErrFrameTooLarge = errors.New("dist: frame exceeds size limit")
@@ -60,30 +62,35 @@ var (
 	ErrVersionMismatch = errors.New("dist: frame version mismatch")
 )
 
-// writeFrame writes one CRC-framed payload. A short write leaves the
-// stream unusable; callers abandon the connection on any error.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+// sealFrame fills in the header of a frame built in place: frame is
+// frameHeaderSize reserved bytes followed by the body. Building header
+// and body in one buffer is what lets the sender issue one Write call
+// per frame: the fault injector's per-write loss, duplication and
+// reordering then operate on whole frames, which is what makes CRC
+// detection (rather than resynchronization) the right recovery.
+func sealFrame(frame []byte) error {
+	body := frame[frameHeaderSize:]
+	if len(body) > MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
 	}
-	hdr := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
-	hdr[0] = frameVersion
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	// One Write call per frame: the fault injector's per-write loss,
-	// duplication and reordering then operate on whole frames, which is
-	// what makes CRC detection (rather than resynchronization) the right
-	// recovery.
-	_, err := w.Write(append(hdr, payload...))
-	return err
+	frame[0] = frameVersion
+	binary.BigEndian.PutUint32(frame[1:5], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[5:9], crc32.ChecksumIEEE(body))
+	return nil
 }
 
-// readFrame reads one CRC-framed payload, validating version, length
-// and checksum. It returns ErrVersionMismatch or ErrBadFrame (wrapped)
-// on incompatible or corrupt frames; io errors pass through for the
-// caller to classify.
-func readFrame(r io.Reader) ([]byte, error) {
-	hdr := make([]byte, frameHeaderSize)
+// readFrame reads one frame and returns its body, validating version,
+// length and checksum. The body is read into buf's storage when that is
+// large enough (the caller keeps the returned slice as the next call's
+// buf), so it is valid only until the next readFrame on the same
+// buffer. It returns ErrVersionMismatch, ErrFrameTooLarge or
+// ErrBadFrame (wrapped) on incompatible or corrupt frames; io errors
+// pass through for the caller to classify.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, frameHeaderSize)
+	}
+	hdr := buf[:frameHeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
@@ -91,15 +98,19 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersionMismatch, hdr[0], frameVersion)
 	}
 	n := binary.BigEndian.Uint32(hdr[1:5])
+	sum := binary.BigEndian.Uint32(hdr[5:9])
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
+	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[5:9]) {
+	if crc32.ChecksumIEEE(body) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
 	}
-	return payload, nil
+	return body, nil
 }

@@ -1,18 +1,18 @@
 package dist
 
-// FuzzDecodeFrame hammers the v2 wire path's decode side: readFrame
-// (version byte, length prefix, CRC) and decodeEnvelope (gob payload
-// carrying the trace words). The workload and checkpoint layers have
-// had fuzz targets since their PRs; the frame codec is the third
-// parser of untrusted bytes in the repo — every replica server reads
-// frames straight off a network a fault injector deliberately
-// corrupts — and the contract under corruption is: a typed error
-// (ErrBadFrame, ErrFrameTooLarge, ErrVersionMismatch) or an io error,
-// never a panic, never an allocation or read beyond the declared
-// bounds.
+// FuzzDecodeFrame hammers the v3 wire path's decode side: readFrame
+// (version byte, length prefix, CRC) and parseEnvelope (the fixed
+// binary layout under it). The workload and checkpoint layers have had
+// fuzz targets since their PRs; the frame codec is the third parser of
+// untrusted bytes in the repo — every replica server reads frames
+// straight off a network a fault injector deliberately corrupts — and
+// the contract under corruption is: a typed error (ErrBadFrame,
+// ErrFrameTooLarge, ErrVersionMismatch) or an io error, never a panic,
+// never an allocation or read beyond the declared bounds.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -20,36 +20,36 @@ import (
 
 func FuzzDecodeFrame(f *testing.F) {
 	// Seed with valid frames so mutations explore the near-valid space
-	// where parser bugs live: a ping envelope, a trace-carrying call
-	// envelope, a raw payload, and the empty frame.
-	seed := func(payload []byte) []byte {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
-			f.Fatalf("seed writeFrame: %v", err)
-		}
-		return buf.Bytes()
-	}
-	ping, err := encodeEnvelope(&envelope{ID: 1, Kind: kindPing})
-	if err != nil {
-		f.Fatal(err)
-	}
-	traced, err := encodeEnvelope(&envelope{
+	// where parser bugs live, and with one frame per envelope defect so
+	// each rejection is exercised even without -fuzz.
+	seed := func(e *envelope) []byte { return frameOf(f, appendEnvelope(nil, e)) }
+	traced := &envelope{
 		ID: 7, Kind: kindCall, Payload: []byte("input"),
 		TraceID: 0xdeadbeefcafe, SpanID: 0x1234,
-	})
-	if err != nil {
-		f.Fatal(err)
 	}
-	f.Add(seed(ping))
+	f.Add(seed(&envelope{ID: 1, Kind: kindPing}))
 	f.Add(seed(traced))
-	f.Add(seed([]byte("hello")))
-	f.Add(seed(nil))
+	f.Add(seed(&envelope{ID: 7, Kind: kindReply, Err: "variant failed"}))
+	f.Add(seed(&envelope{ID: 8, Kind: kindAbort, Err: "no such type"}))
+	f.Add(frameOf(f, []byte("hello"))) // shorter than the fixed envelope header
+	f.Add(frameOf(f, nil))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})             // old wire version 1
-	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // hostile length
+	f.Add([]byte{3, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // hostile length
+	v2 := seed(traced)
+	v2[0] = 2
+	f.Add(v2)
+	unknownKind := appendEnvelope(nil, traced)
+	unknownKind[0] = kindAbort + 1
+	f.Add(frameOf(f, unknownKind))
+	longErr := appendEnvelope(nil, &envelope{ID: 9, Kind: kindReply, Err: "short"})
+	binary.BigEndian.PutUint32(longErr[envelopeFixedSize-4:], 1<<20) // error length beyond the frame
+	f.Add(frameOf(f, longErr))
+	f.Add(frameOf(f, appendEnvelope(nil, traced)[:envelopeFixedSize-1])) // truncated fixed header
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := readFrame(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		body, err := readFrame(r, nil)
 		if err != nil {
 			// Corruption must classify as a typed frame error or an io
 			// error (truncated stream) — anything else is an escape.
@@ -62,34 +62,48 @@ func FuzzDecodeFrame(f *testing.F) {
 			default:
 				t.Fatalf("readFrame(%d bytes): untyped error %v", len(data), err)
 			}
+			// A whole header of another version (a v2 peer's) is named as
+			// such before its length or CRC is trusted.
+			if len(data) >= frameHeaderSize && data[0] != frameVersion && !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("version byte %d: got %v, want ErrVersionMismatch", data[0], err)
+			}
 			return
 		}
-		// No over-read: the payload cannot exceed what the stream held
-		// past the header, nor the declared size cap.
-		if len(payload) > len(data)-frameHeaderSize {
-			t.Fatalf("readFrame returned %d payload bytes from a %d-byte stream", len(payload), len(data))
+		// No over-read: exactly the header and the declared length were
+		// consumed, within the size cap.
+		declared := int(binary.BigEndian.Uint32(data[1:5]))
+		if len(body) != declared || len(data)-r.Len() != frameHeaderSize+declared {
+			t.Fatalf("declared %d body bytes: readFrame returned %d and consumed %d of the stream",
+				declared, len(body), len(data)-r.Len())
 		}
-		if len(payload) > MaxFrameSize {
-			t.Fatalf("readFrame returned %d bytes, above MaxFrameSize", len(payload))
+		if len(body) > MaxFrameSize {
+			t.Fatalf("readFrame returned %d bytes, above MaxFrameSize", len(body))
 		}
 		// A frame that round-trips must re-encode byte-identically —
 		// the replay property campaigns rely on.
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, payload); err != nil {
-			t.Fatalf("re-encode of accepted payload failed: %v", err)
+		if again := frameOf(t, body); !bytes.Equal(again, data[:len(again)]) {
+			t.Fatal("accepted frame did not re-encode byte-identically")
 		}
-		back, err := readFrame(&buf)
-		if err != nil || !bytes.Equal(back, payload) {
-			t.Fatalf("accepted frame did not round-trip: %v", err)
-		}
-		// The envelope layer under the frame: corrupt gob (including
-		// mutated trace words) must yield ErrBadFrame, never panic.
-		if env, err := decodeEnvelope(payload); err != nil {
+		// The envelope layer under the frame: a malformed body (truncated
+		// fixed header, unknown kind, error length beyond the frame) must
+		// yield ErrBadFrame, never panic; an accepted one stays inside the
+		// body and re-encodes to it.
+		env, err := parseEnvelope(body)
+		if err != nil {
 			if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("decodeEnvelope: untyped error %v", err)
+				t.Fatalf("parseEnvelope: untyped error %v", err)
 			}
-		} else if env == nil {
-			t.Fatal("decodeEnvelope returned nil envelope and nil error")
+			return
+		}
+		if len(body) < envelopeFixedSize || env.Kind < kindCall || env.Kind > kindAbort {
+			t.Fatalf("parseEnvelope accepted a %d-byte body of kind %d", len(body), env.Kind)
+		}
+		if envelopeFixedSize+len(env.Err)+len(env.Payload) != len(body) {
+			t.Fatalf("envelope of a %d-byte body holds %d error and %d payload bytes",
+				len(body), len(env.Err), len(env.Payload))
+		}
+		if again := appendEnvelope(nil, &env); !bytes.Equal(again, body) {
+			t.Fatal("accepted envelope did not re-encode byte-identically")
 		}
 	})
 }

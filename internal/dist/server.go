@@ -38,11 +38,18 @@ const defaultServerCallTimeout = 30 * time.Second
 //
 // Connections are handled serially — one in-flight request per
 // connection — matching the client's pooled one-round-trip-at-a-time
-// discipline; concurrency comes from concurrent connections.
+// discipline; concurrency comes from concurrent connections. Each
+// handler keeps the mirror image of the client's per-connection codec
+// state (wireConn), and abandons the connection whenever its value
+// streams may have fallen out of step with the client's.
 type Server[I, O any] struct {
 	variant core.Variant[I, O]
-	ln      net.Listener
-	cfg     ServerConfig
+	// guarded is core.Guard(variant) and executor "replica:<name>",
+	// both built once rather than on every call.
+	guarded  core.Variant[I, O]
+	executor string
+	ln       net.Listener
+	cfg      ServerConfig
 	// traced caches obs.WantsTrace(cfg.Observer): server-side spans join
 	// the wire trace only when an attached observer records traces.
 	traced bool
@@ -63,11 +70,13 @@ func NewServer[I, O any](variant core.Variant[I, O], ln net.Listener, cfg Server
 		cfg.CallTimeout = defaultServerCallTimeout
 	}
 	return &Server[I, O]{
-		variant: variant,
-		ln:      ln,
-		cfg:     cfg,
-		traced:  obs.WantsTrace(cfg.Observer),
-		conns:   make(map[net.Conn]struct{}),
+		variant:  variant,
+		guarded:  core.Guard(variant),
+		executor: "replica:" + cfg.Name,
+		ln:       ln,
+		cfg:      cfg,
+		traced:   obs.WantsTrace(cfg.Observer),
+		conns:    make(map[net.Conn]struct{}),
 	}
 }
 
@@ -195,39 +204,37 @@ func (s *Server[I, O]) untrack(c net.Conn) {
 }
 
 // handle serves one connection: framed envelopes in, framed envelopes
-// out, until the peer hangs up or the stream corrupts.
+// out, until the peer hangs up, the stream corrupts, or the
+// connection's value streams are poisoned.
 func (s *Server[I, O]) handle(ctx context.Context, conn net.Conn) {
+	wc := newWireConn(conn)
 	for {
-		payload, err := readFrame(conn)
+		env, err := wc.recv()
 		if err != nil {
 			return // EOF, closed, or corrupt stream: abandon the connection
 		}
-		env, err := decodeEnvelope(payload)
-		if err != nil {
-			return
-		}
-		var reply envelope
 		switch env.Kind {
 		case kindPing:
-			reply = envelope{ID: env.ID, Kind: kindPong}
+			if wc.send(&envelope{Kind: kindPong, ID: env.ID}) != nil {
+				return
+			}
 		case kindCall:
-			reply = s.call(ctx, env)
+			if !s.call(ctx, wc, &env) {
+				return
+			}
 		default:
 			return // protocol violation
-		}
-		out, err := encodeEnvelope(&reply)
-		if err != nil {
-			return
-		}
-		if err := writeFrame(conn, out); err != nil {
-			return
 		}
 	}
 }
 
-// call executes the variant for one request envelope. Failures —
-// decode errors, variant errors, contained panics — travel back as the
-// error string of the reply; the server connection survives them.
+// call executes the variant for one request envelope and sends the
+// reply; false means the connection must be abandoned. Variant errors
+// and contained panics travel back as the error string of the reply,
+// and the connection survives them. A value that does not decode or
+// encode also travels back as an error string, but as the last message
+// on the connection (kindAbort): the failed codec may have consumed or
+// emitted type state the client has not.
 //
 // With an observer attached each served call is one observed request
 // under "replica:<name>" — request span, variant span, adjudication —
@@ -235,16 +242,18 @@ func (s *Server[I, O]) handle(ctx context.Context, conn net.Conn) {
 // trace carried by the envelope (its parent is the client attempt span
 // that sent the call), so the per-process trace exports assemble into
 // one causal tree.
-func (s *Server[I, O]) call(ctx context.Context, env *envelope) envelope {
-	reply := envelope{ID: env.ID, Kind: kindReply}
+func (s *Server[I, O]) call(ctx context.Context, wc *wireConn, env *envelope) bool {
+	abort := func(err error) bool {
+		wc.send(&envelope{Kind: kindAbort, ID: env.ID, Err: err.Error()}) // closing anyway
+		return false
+	}
 	var input I
-	if err := decodeValue(env.Payload, &input); err != nil {
-		reply.Err = err.Error()
-		return reply
+	if err := wc.decode(env.Payload, &input); err != nil {
+		return abort(err)
 	}
 	callCtx, cancel := context.WithTimeout(ctx, s.cfg.CallTimeout)
 	defer cancel()
-	executor := "replica:" + s.cfg.Name
+	executor := s.executor
 	o := s.cfg.Observer
 	var req uint64
 	if o != nil {
@@ -258,7 +267,7 @@ func (s *Server[I, O]) call(ctx context.Context, env *envelope) envelope {
 		o.VariantStart(executor, s.variant.Name(), req)
 	}
 	start := time.Now()
-	value, err := core.Guard(s.variant).Execute(callCtx, input)
+	value, err := s.guarded.Execute(callCtx, input)
 	if o != nil {
 		latency := time.Since(start)
 		o.VariantEnd(executor, s.variant.Name(), req, latency, err)
@@ -269,15 +278,16 @@ func (s *Server[I, O]) call(ctx context.Context, env *envelope) envelope {
 		}
 		o.RequestEnd(executor, req, latency, outcome)
 	}
+	reply := envelope{Kind: kindReply, ID: env.ID}
 	if err != nil {
 		reply.Err = err.Error()
-		return reply
+		return wc.send(&reply) == nil
 	}
-	payload, err := encodeValue(value)
-	if err != nil {
-		reply.Err = err.Error()
-		return reply
+	if err := wc.sendValue(&reply, value); err != nil {
+		if errors.Is(err, errValueCodec) {
+			return abort(err)
+		}
+		return false
 	}
-	reply.Payload = payload
-	return reply
+	return true
 }

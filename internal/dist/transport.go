@@ -19,7 +19,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +33,19 @@ import (
 type epSet struct {
 	endpoints []Endpoint
 	pools     []*connPool
+	// configured is the identity permutation 0..n-1: the routing order
+	// of a request no detector or ejector re-ranks. Shared and read-only.
+	configured []int
+}
+
+// newEpSet publishes a snapshot over parallel endpoint and pool slices
+// it takes ownership of.
+func newEpSet(endpoints []Endpoint, pools []*connPool) *epSet {
+	s := &epSet{endpoints: endpoints, pools: pools, configured: make([]int, len(endpoints))}
+	for i := range s.configured {
+		s.configured[i] = i
+	}
+	return s
 }
 
 // index returns the position of the named endpoint, or -1.
@@ -86,16 +98,12 @@ func newTransport(kind, name string, callTimeout time.Duration, endpoints []Endp
 	if callTimeout <= 0 {
 		callTimeout = defaultCallTimeout
 	}
-	set := &epSet{
-		endpoints: make([]Endpoint, len(endpoints)),
-		pools:     make([]*connPool, len(endpoints)),
-	}
-	copy(set.endpoints, endpoints)
-	for i := range set.pools {
-		set.pools[i] = newConnPool()
+	pools := make([]*connPool, len(endpoints))
+	for i := range pools {
+		pools[i] = newConnPool()
 	}
 	t := &transport{name: name, kind: kind, callTimeout: callTimeout}
-	t.eps.Store(set)
+	t.eps.Store(newEpSet(append([]Endpoint(nil), endpoints...), pools))
 	return t, nil
 }
 
@@ -118,11 +126,10 @@ func (t *transport) add(ep Endpoint) error {
 	if cur.index(ep.Name) >= 0 {
 		return fmt.Errorf("dist: %s %q: duplicate endpoint %q", t.kind, t.name, ep.Name)
 	}
-	next := &epSet{
-		endpoints: append(append([]Endpoint(nil), cur.endpoints...), ep),
-		pools:     append(append([]*connPool(nil), cur.pools...), newConnPool()),
-	}
-	t.eps.Store(next)
+	t.eps.Store(newEpSet(
+		append(append([]Endpoint(nil), cur.endpoints...), ep),
+		append(append([]*connPool(nil), cur.pools...), newConnPool()),
+	))
 	return nil
 }
 
@@ -147,13 +154,10 @@ func (t *transport) remove(name string, minLeft int) error {
 		return fmt.Errorf("dist: %s %q: removing %q would leave %d endpoints, need at least %d",
 			t.kind, t.name, name, len(cur.endpoints)-1, minLeft)
 	}
-	next := &epSet{
-		endpoints: make([]Endpoint, 0, len(cur.endpoints)-1),
-		pools:     make([]*connPool, 0, len(cur.pools)-1),
-	}
-	next.endpoints = append(append(next.endpoints, cur.endpoints[:i]...), cur.endpoints[i+1:]...)
-	next.pools = append(append(next.pools, cur.pools[:i]...), cur.pools[i+1:]...)
-	t.eps.Store(next)
+	t.eps.Store(newEpSet(
+		append(append([]Endpoint(nil), cur.endpoints[:i]...), cur.endpoints[i+1:]...),
+		append(append([]*connPool(nil), cur.pools[:i]...), cur.pools[i+1:]...),
+	))
 	removed := cur.pools[i]
 	t.mu.Unlock()
 	removed.close()
@@ -253,63 +257,58 @@ func (r *observedRequest) finish(lineage []obs.RPCAttempt, launches []time.Time,
 // replica continues the trace. Context cancellation — a winner
 // canceling losers or stragglers, or the caller giving up — smashes
 // the connection deadline so a blocked read returns promptly.
+//
+// The connection goes back to the pool only after a clean exchange
+// (a value decoded, or an in-band variant failure); on every other
+// path its value streams may be out of step with the replica's, and it
+// is dropped.
 func roundTrip[I, O any](ctx context.Context, t *transport, v *epSet, ep int, tc obs.TraceContext, input I) (out O, err error) {
 	ctx, cancel := context.WithTimeout(ctx, t.callTimeout)
 	defer cancel()
-	conn, err := v.pools[ep].get(ctx, v.endpoints[ep].Dial)
+	pool, name := v.pools[ep], v.endpoints[ep].Name
+	conn, err := pool.get(ctx, v.endpoints[ep].Dial)
 	if err != nil {
 		return out, err
+	}
+	// The deadline goes on before the canceler is registered, so a
+	// context cancelled in between smashes it rather than being
+	// overwritten by it.
+	if d, ok := ctx.Deadline(); ok {
+		conn.SetDeadline(d)
 	}
 	stop := context.AfterFunc(ctx, func() {
 		conn.SetDeadline(time.Unix(1, 0)) // the distant past: unblock I/O now
 	})
 	reusable := false
 	defer func() {
-		if !stop() {
-			// The canceler ran (or is running): the deadline may be
-			// smashed, so the connection cannot be trusted for reuse.
-			v.pools[ep].drop(conn)
-			return
-		}
-		if reusable {
+		// If the canceler ran (or is running) the deadline may be
+		// smashed mid-exchange: the connection cannot be trusted.
+		if stop() && reusable {
 			conn.SetDeadline(time.Time{})
-			v.pools[ep].put(conn)
+			pool.put(conn)
 		} else {
-			v.pools[ep].drop(conn)
+			pool.drop(conn)
 		}
 	}()
-	if d, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(d)
+	call := envelope{Kind: kindCall, ID: t.ids.Add(1), TraceID: tc.TraceID, SpanID: tc.SpanID}
+	if err := conn.sendValue(&call, input); err != nil {
+		return out, fmt.Errorf("dist: %s: send: %w", name, err)
 	}
-	env := &envelope{ID: t.ids.Add(1), Kind: kindCall, TraceID: tc.TraceID, SpanID: tc.SpanID}
-	if env.Payload, err = encodeValue(input); err != nil {
-		return out, err
-	}
-	frame, err := encodeEnvelope(env)
+	reply, err := conn.recv()
 	if err != nil {
-		return out, err
+		return out, fmt.Errorf("dist: %s: recv: %w", name, err)
 	}
-	if err := writeFrame(conn, frame); err != nil {
-		return out, fmt.Errorf("dist: %s: send: %w", v.endpoints[ep].Name, err)
-	}
-	payload, err := readFrame(conn)
-	if err != nil {
-		return out, fmt.Errorf("dist: %s: recv: %w", v.endpoints[ep].Name, err)
-	}
-	reply, err := decodeEnvelope(payload)
-	if err != nil {
-		return out, err
-	}
-	if reply.Kind != kindReply || reply.ID != env.ID {
+	if reply.ID != call.ID || (reply.Kind != kindReply && reply.Kind != kindAbort) {
 		return out, fmt.Errorf("%w: unexpected reply kind %d id %d", ErrBadFrame, reply.Kind, reply.ID)
 	}
-	if reply.Err != "" {
+	if reply.Err != "" || reply.Kind == kindAbort {
 		// An in-band failure: the variant on the far side failed, but the
-		// connection itself completed a clean round trip and stays usable.
-		reusable = true
-		return out, fmt.Errorf("dist: %s: %w: %s", v.endpoints[ep].Name, ErrRemote, reply.Err)
+		// connection itself completed a clean round trip and stays usable
+		// — unless the replica is abandoning it (kindAbort).
+		reusable = reply.Kind == kindReply
+		return out, fmt.Errorf("dist: %s: %w: %s", name, ErrRemote, reply.Err)
 	}
-	if err := decodeValue(reply.Payload, &out); err != nil {
+	if err := conn.decode(reply.Payload, &out); err != nil {
 		return out, err
 	}
 	reusable = true
@@ -321,17 +320,23 @@ func roundTrip[I, O any](ctx context.Context, t *transport, v *epSet, ep int, tc
 // the pool unblocks calls stuck on a partitioned network.
 type connPool struct {
 	mu     sync.Mutex
-	free   []net.Conn
-	all    map[net.Conn]struct{}
+	free   []*wireConn
+	all    map[*wireConn]struct{}
 	closed bool
 }
 
 func newConnPool() *connPool {
-	return &connPool{all: make(map[net.Conn]struct{})}
+	return &connPool{all: make(map[*wireConn]struct{})}
 }
 
-// get pops an idle connection or dials a fresh one.
-func (p *connPool) get(ctx context.Context, dial DialFunc) (net.Conn, error) {
+// get pops an idle connection or dials a fresh one. An attempt whose
+// context is already done — a quorum straggler launched after the
+// verdict — gets neither: it would only take a healthy connection to
+// drop it.
+func (p *connPool) get(ctx context.Context, dial DialFunc) (*wireConn, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -344,10 +349,11 @@ func (p *connPool) get(ctx context.Context, dial DialFunc) (net.Conn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	c, err := dial(ctx)
+	raw, err := dial(ctx)
 	if err != nil {
 		return nil, err
 	}
+	c := newWireConn(raw)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -361,7 +367,7 @@ func (p *connPool) get(ctx context.Context, dial DialFunc) (net.Conn, error) {
 
 // put returns a healthy connection to the idle list (or closes it when
 // the pool is full or closed).
-func (p *connPool) put(c net.Conn) {
+func (p *connPool) put(c *wireConn) {
 	p.mu.Lock()
 	if p.closed || len(p.free) >= maxIdleConns {
 		delete(p.all, c)
@@ -373,8 +379,10 @@ func (p *connPool) put(c net.Conn) {
 	p.mu.Unlock()
 }
 
-// drop discards a connection that must not be reused.
-func (p *connPool) drop(c net.Conn) {
+// drop discards a connection that must not be reused. Clearing the
+// deadline first stops its timers: a closed pipe's pending deadline
+// timer would otherwise pin the connection until it fires.
+func (p *connPool) drop(c *wireConn) {
 	p.mu.Lock()
 	delete(p.all, c)
 	for i, f := range p.free {
@@ -384,6 +392,7 @@ func (p *connPool) drop(c net.Conn) {
 		}
 	}
 	p.mu.Unlock()
+	c.SetDeadline(time.Time{})
 	c.Close()
 }
 
@@ -391,11 +400,11 @@ func (p *connPool) drop(c net.Conn) {
 func (p *connPool) close() {
 	p.mu.Lock()
 	p.closed = true
-	conns := make([]net.Conn, 0, len(p.all))
+	conns := make([]*wireConn, 0, len(p.all))
 	for c := range p.all {
 		conns = append(conns, c)
 	}
-	p.all = make(map[net.Conn]struct{})
+	p.all = make(map[*wireConn]struct{})
 	p.free = nil
 	p.mu.Unlock()
 	for _, c := range conns {

@@ -1,10 +1,13 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"net"
 )
 
 // Message kinds carried in the envelope.
@@ -13,26 +16,43 @@ const (
 	kindReply
 	kindPing
 	kindPong
+	// kindAbort is a reply from a server that could not decode the
+	// call's input or encode its output: it carries the reason in Err,
+	// and the server closes the connection after sending it, because its
+	// value streams may no longer match the client's.
+	kindAbort
 )
 
-// envelope is the one message type of the protocol, gob-encoded inside a
-// CRC frame. Calls carry the gob-encoded input in Payload; replies carry
-// the gob-encoded output, or a non-empty Err. Pings and pongs carry
-// nothing but the ID.
+// envelope is the one message type of the protocol: the body of a CRC
+// frame, in a fixed binary layout —
 //
-// TraceID and SpanID (wire version 2) propagate the causal trace
-// in-band on calls: TraceID names the client's distributed trace and
-// SpanID the client attempt span that carried this call, so the
-// server-side request span continues the trace as that attempt's
-// child. Both are zero on untraced calls and on replies.
+//	1 byte   Kind
+//	8 bytes  ID       (big-endian, as every integer here)
+//	8 bytes  TraceID
+//	8 bytes  SpanID
+//	4 bytes  len(Err)
+//	         Err
+//	         Payload  (the rest of the frame)
+//
+// Calls carry the encoded input in Payload; replies carry the encoded
+// output, or a non-empty Err. Pings and pongs carry nothing but the ID.
+//
+// TraceID and SpanID propagate the causal trace in-band on calls:
+// TraceID names the client's distributed trace and SpanID the client
+// attempt span that carried this call, so the server-side request span
+// continues the trace as that attempt's child. Both are zero on
+// untraced calls and on replies.
 type envelope struct {
+	Kind    uint8
 	ID      uint64
-	Kind    int
-	Payload []byte
-	Err     string
 	TraceID uint64
 	SpanID  uint64
+	Err     string
+	Payload []byte
 }
+
+// envelopeFixedSize is the size of the envelope's fixed-layout prefix.
+const envelopeFixedSize = 1 + 8 + 8 + 8 + 4
 
 // ErrRemote marks a failure reported by the replica server: the variant
 // on the far side executed and failed (or panicked — the server contains
@@ -40,39 +60,147 @@ type envelope struct {
 // wire; only its message does.
 var ErrRemote = errors.New("dist: remote variant failed")
 
-// encodeEnvelope serializes an envelope for framing.
-func encodeEnvelope(e *envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("dist: encode envelope: %w", err)
-	}
-	return buf.Bytes(), nil
+// appendEnvelope appends e's wire form to b.
+func appendEnvelope(b []byte, e *envelope) []byte {
+	b = append(b, e.Kind)
+	b = binary.BigEndian.AppendUint64(b, e.ID)
+	b = binary.BigEndian.AppendUint64(b, e.TraceID)
+	b = binary.BigEndian.AppendUint64(b, e.SpanID)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(e.Err)))
+	b = append(b, e.Err...)
+	return append(b, e.Payload...)
 }
 
-// decodeEnvelope deserializes a framed envelope. A payload that does not
-// decode is a corrupt frame for classification purposes.
-func decodeEnvelope(data []byte) (*envelope, error) {
-	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("%w: envelope: %v", ErrBadFrame, err)
+// parseEnvelope decodes a frame body. The returned Payload aliases
+// body; Err is copied out. A body that does not parse is a corrupt
+// frame for classification purposes.
+func parseEnvelope(body []byte) (envelope, error) {
+	if len(body) < envelopeFixedSize {
+		return envelope{}, fmt.Errorf("%w: envelope: %d bytes, fixed header needs %d", ErrBadFrame, len(body), envelopeFixedSize)
 	}
-	return &e, nil
+	e := envelope{
+		Kind:    body[0],
+		ID:      binary.BigEndian.Uint64(body[1:9]),
+		TraceID: binary.BigEndian.Uint64(body[9:17]),
+		SpanID:  binary.BigEndian.Uint64(body[17:25]),
+	}
+	if e.Kind < kindCall || e.Kind > kindAbort {
+		return envelope{}, fmt.Errorf("%w: envelope: unknown kind %d", ErrBadFrame, e.Kind)
+	}
+	errLen := binary.BigEndian.Uint32(body[25:29])
+	rest := body[envelopeFixedSize:]
+	if uint64(errLen) > uint64(len(rest)) {
+		return envelope{}, fmt.Errorf("%w: envelope: error length %d exceeds the %d bytes left in the frame", ErrBadFrame, errLen, len(rest))
+	}
+	e.Err = string(rest[:errLen])
+	e.Payload = rest[errLen:]
+	return e, nil
 }
 
-// encodeValue gob-encodes one RPC input or output value.
-func encodeValue(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, fmt.Errorf("dist: encode value: %w", err)
-	}
-	return b.Bytes(), nil
+// errValueCodec marks a send that failed encoding its value, before
+// anything was written: the connection still frames correctly, but its
+// outbound value stream has advanced past what the peer has seen.
+var errValueCodec = errors.New("dist: encode value")
+
+// wireConn is one connection with its codec state: a buffered reader and
+// a reused frame buffer on the way in, one scratch buffer in which each
+// outgoing frame is built on the way out, and a persistent gob stream
+// per direction for the RPC values, so a value type's descriptor
+// crosses the wire once per connection rather than once per call.
+//
+// The gob streams make the connection stateful beyond its bytes: the
+// peers' encoder and decoder must have seen the same sequence of
+// values. Any event that may have put them out of step — an encode or
+// decode error, a reply whose ID does not match the call, an attempt
+// cancelled or timed out mid-flight — poisons the stream, and a
+// poisoned connection is closed, never pooled or read again.
+//
+// A wireConn is used by one goroutine at a time (the pool hands it out
+// exclusively; a server handler owns its own); only the net.Conn
+// methods may be called concurrently, as cancellation does.
+type wireConn struct {
+	net.Conn
+	br   *bufio.Reader
+	rbuf []byte       // body of the last frame read
+	wbuf bytes.Buffer // the frame being sent
+	in   bytes.Reader // the payload being decoded
+	enc  *gob.Encoder // appends to wbuf
+	dec  *gob.Decoder // reads from in
 }
 
-// decodeValue gob-decodes one RPC input or output value into out (a
-// pointer).
-func decodeValue(data []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
+func newWireConn(c net.Conn) *wireConn {
+	return &wireConn{Conn: c, br: bufio.NewReader(c)}
+}
+
+// frameHeaderSpace reserves a frame's header in the scratch buffer.
+var frameHeaderSpace [frameHeaderSize]byte
+
+// send writes one frame — header and envelope, e.Payload included — in
+// one Write call. After any error the connection must be abandoned.
+func (c *wireConn) send(e *envelope) error {
+	c.begin(e)
+	return c.flush()
+}
+
+// sendValue is send with value, encoded through the connection's
+// outbound stream, as the payload (e.Payload must be empty). An error
+// wrapping errValueCodec means nothing was written.
+func (c *wireConn) sendValue(e *envelope, value any) error {
+	c.begin(e)
+	if c.enc == nil {
+		c.enc = gob.NewEncoder(&c.wbuf)
+	}
+	if err := c.enc.Encode(value); err != nil {
+		return fmt.Errorf("%w: %v", errValueCodec, err)
+	}
+	return c.flush()
+}
+
+// begin starts a frame in the scratch buffer: reserved header, then
+// the envelope.
+func (c *wireConn) begin(e *envelope) {
+	c.wbuf.Reset()
+	c.wbuf.Write(frameHeaderSpace[:])
+	c.wbuf.Write(appendEnvelope(c.wbuf.AvailableBuffer(), e))
+}
+
+// flush seals the frame built in the scratch buffer and writes it.
+func (c *wireConn) flush() error {
+	frame := c.wbuf.Bytes()
+	if err := sealFrame(frame); err != nil {
+		return err
+	}
+	_, err := c.Conn.Write(frame)
+	return err
+}
+
+// recv reads one frame and parses its envelope. The envelope's Payload
+// lives in the connection's read buffer: it is valid until the next
+// recv, and decode copies out of it.
+func (c *wireConn) recv() (envelope, error) {
+	body, err := readFrame(c.br, c.rbuf)
+	if err != nil {
+		return envelope{}, err
+	}
+	c.rbuf = body
+	return parseEnvelope(body)
+}
+
+// decode reads one value from payload through the connection's inbound
+// stream into out (a pointer). A payload that does not decode to
+// exactly one value is a corrupt frame for classification purposes, and
+// the connection must be abandoned. gob copies what it decodes, so out
+// keeps no reference to payload.
+func (c *wireConn) decode(payload []byte, out any) error {
+	c.in.Reset(payload)
+	if c.dec == nil {
+		c.dec = gob.NewDecoder(&c.in)
+	}
+	if err := c.dec.Decode(out); err != nil {
 		return fmt.Errorf("%w: value: %v", ErrBadFrame, err)
+	}
+	if n := c.in.Len(); n != 0 {
+		return fmt.Errorf("%w: value: %d trailing bytes", ErrBadFrame, n)
 	}
 	return nil
 }

@@ -1,0 +1,319 @@
+package dist
+
+// Tests of the per-connection codec state (wire.go) and of the rule
+// that keeps it sound: a connection whose value streams may differ
+// between the peers is closed, never pooled. Run with -race -count=10.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/vote"
+)
+
+// tap is a dial shim that counts dials and records the size of every
+// client-side Write.
+type tap struct {
+	mu     sync.Mutex
+	dials  int
+	writes []int
+}
+
+type tappedConn struct {
+	net.Conn
+	t *tap
+}
+
+func (t *tap) wrap(dial DialFunc) DialFunc {
+	return func(ctx context.Context) (net.Conn, error) {
+		c, err := dial(ctx)
+		if err != nil {
+			return nil, err
+		}
+		t.mu.Lock()
+		t.dials++
+		t.mu.Unlock()
+		return &tappedConn{Conn: c, t: t}, nil
+	}
+}
+
+func (c *tappedConn) Write(p []byte) (int, error) {
+	c.t.mu.Lock()
+	c.t.writes = append(c.t.writes, len(p))
+	c.t.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (t *tap) snapshot() (dials int, writes []int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dials, append([]int(nil), t.writes...)
+}
+
+// idle returns how many connections the remote's pool for its first
+// endpoint holds.
+func idle[I, O any](r *Remote[I, O]) int {
+	p := r.tp.view().pools[0]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free)
+}
+
+// serve is startReplica for any value types.
+func serve[I, O any](t *testing.T, network *PipeNetwork, name string, fn func(I) (O, error)) {
+	t.Helper()
+	ln, err := network.Listen(name)
+	if err != nil {
+		t.Fatalf("Listen(%q): %v", name, err)
+	}
+	srv := NewServer(core.NewVariant(name, func(_ context.Context, in I) (O, error) { return fn(in) }), ln, ServerConfig{Name: name})
+	go srv.Serve(context.Background())
+	t.Cleanup(func() { srv.Close() })
+}
+
+// point is a struct-typed RPC value: unlike an int, gob describes its
+// type on the wire before the first value.
+type point struct{ X, Y int }
+
+func mirror(p point) (point, error) { return point{X: p.Y, Y: p.X}, nil }
+
+func TestValueTypeCrossesOncePerConnection(t *testing.T) {
+	network := NewPipeNetwork()
+	serve(t, network, "r1", mirror)
+	var tp tap
+	remote, err := NewRemote[point, point]("mirror", RemoteConfig{}, Endpoint{Name: "r1", Dial: tp.wrap(network.Dial("r1"))})
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	defer remote.Close()
+	for i := 1; i <= 2; i++ {
+		got, err := remote.Execute(context.Background(), point{X: i, Y: -i})
+		if err != nil || got != (point{X: -i, Y: i}) {
+			t.Fatalf("call %d = %+v, %v", i, got, err)
+		}
+	}
+	dials, writes := tp.snapshot()
+	if dials != 1 || len(writes) != 2 {
+		t.Fatalf("two calls made %d dials and %d writes, want 1 and 2 (one Write per frame)", dials, len(writes))
+	}
+	if writes[1] >= writes[0] {
+		t.Fatalf("second call sent %d bytes, first %d: the type descriptor crossed again", writes[1], writes[0])
+	}
+}
+
+// picky is a value that travels fine but refuses to decode as 13, so a
+// test can fail one value codec on one side of one call.
+type picky struct{ N int }
+
+var errPicky = errors.New("picky: will not decode 13")
+
+func (p picky) GobEncode() ([]byte, error) { return []byte{byte(p.N)}, nil }
+
+func (p *picky) GobDecode(b []byte) error {
+	if len(b) != 1 || b[0] == 13 {
+		return errPicky
+	}
+	p.N = int(b[0])
+	return nil
+}
+
+func TestValueCodecFailureClosesConnection(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  int // the input whose call fails
+		fn   func(picky) (picky, error)
+	}{
+		// 13 fails to decode at the server, which aborts the connection.
+		{"server-side", 13, func(p picky) (picky, error) { return p, nil }},
+		// 12 becomes a 13 that fails to decode at the client.
+		{"client-side", 12, func(p picky) (picky, error) { return picky{N: p.N + 1}, nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			network := NewPipeNetwork()
+			serve(t, network, "r1", tc.fn)
+			var tp tap
+			remote, err := NewRemote[picky, picky]("picky", RemoteConfig{}, Endpoint{Name: "r1", Dial: tp.wrap(network.Dial("r1"))})
+			if err != nil {
+				t.Fatalf("NewRemote: %v", err)
+			}
+			defer remote.Close()
+			ctx := context.Background()
+			if _, err := remote.Execute(ctx, picky{N: 1}); err != nil {
+				t.Fatalf("warm-up call: %v", err)
+			}
+			if got, err := remote.Execute(ctx, picky{N: tc.bad}); err == nil {
+				t.Fatalf("undecodable value: got %+v, want an error", got)
+			}
+			if n := idle(remote); n != 0 {
+				t.Fatalf("%d connections pooled after a value codec failure, want 0", n)
+			}
+			want, _ := tc.fn(picky{N: 2})
+			if got, err := remote.Execute(ctx, picky{N: 2}); err != nil || got != want {
+				t.Fatalf("call after the failure = %+v, %v; want %+v", got, err, want)
+			}
+			if dials, _ := tp.snapshot(); dials != 2 {
+				t.Fatalf("%d dials, want 2: the poisoned connection replaced by exactly one fresh one", dials)
+			}
+		})
+	}
+}
+
+func TestCancelledAttemptCostsNothing(t *testing.T) {
+	network := NewPipeNetwork()
+	startReplica(t, network, "r1", double())
+	var tp tap
+	remote, err := NewRemote[int, int]("doubler", RemoteConfig{}, Endpoint{Name: "r1", Dial: tp.wrap(network.Dial("r1"))})
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	defer remote.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	check := func(stage string, wantDials, wantIdle int) {
+		t.Helper()
+		if _, err := remote.Execute(cancelled, 1); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Execute on a cancelled context = %v, want context.Canceled", stage, err)
+		}
+		dials, writes := tp.snapshot()
+		if dials != wantDials || idle(remote) != wantIdle || len(writes) != wantDials {
+			t.Fatalf("%s: %d dials, %d idle, %d writes; want %d, %d, %d",
+				stage, dials, idle(remote), len(writes), wantDials, wantIdle, wantDials)
+		}
+	}
+	check("cold pool", 0, 0)
+	if got, err := remote.Execute(context.Background(), 21); err != nil || got != 42 {
+		t.Fatalf("Execute = %d, %v", got, err)
+	}
+	check("warm pool", 1, 1)
+}
+
+// TestDuplicatedAndReorderedFrames drives calls through the fault
+// injector's connection. A duplicated or held-back frame leaves the
+// peers' streams out of step; the call that notices must fail and drop
+// its connection, and no call may ever return a wrong value.
+func TestDuplicatedAndReorderedFrames(t *testing.T) {
+	for _, phase := range []faultmodel.NetworkPhase{
+		{Name: "duplicate", Duplicate: 0.5},
+		{Name: "reorder", Reorder: 0.5},
+	} {
+		t.Run(phase.Name, func(t *testing.T) {
+			network := NewPipeNetwork()
+			serve(t, network, "r1", mirror)
+			phase.Duration = faultmodel.Duration(time.Hour)
+			campaign := &faultmodel.NetworkCampaign{Name: phase.Name, Seed: 7, Phases: []faultmodel.NetworkPhase{phase}}
+			var tp tap
+			// The tap sits inside the injector, so it sees what reaches
+			// the pipe. The deadline is short because on a synchronous
+			// pipe a disturbed exchange ends in both peers blocked.
+			remote, err := NewRemote[point, point]("mirror", RemoteConfig{CallTimeout: 50 * time.Millisecond},
+				Endpoint{Name: "r1", Dial: campaign.Wrap("r1", tp.wrap(network.Dial("r1")))})
+			if err != nil {
+				t.Fatalf("NewRemote: %v", err)
+			}
+			defer remote.Close()
+			campaign.Start()
+			failures, lastFailed := 0, false
+			for i := 1; i <= 24; i++ {
+				got, err := remote.Execute(context.Background(), point{X: i, Y: -i})
+				lastFailed = err != nil
+				if err != nil {
+					failures++
+					if n := idle(remote); n != 0 {
+						t.Fatalf("call %d failed (%v) and left %d connections pooled", i, err, n)
+					}
+				} else if got != (point{X: -i, Y: i}) {
+					t.Fatalf("call %d returned the wrong value %+v", i, got)
+				}
+			}
+			if failures == 0 || failures == 24 {
+				t.Fatalf("%d of 24 calls failed; the schedule should disturb some and spare some", failures)
+			}
+			want := 1 + failures
+			if lastFailed {
+				want-- // nothing redialed after it
+			}
+			if dials, _ := tp.snapshot(); dials != want {
+				t.Fatalf("%d dials for %d failures, want %d: one fresh connection per dropped one", dials, failures, want)
+			}
+		})
+	}
+}
+
+func TestConcurrentExecuteOverSharedPools(t *testing.T) {
+	network := NewPipeNetwork()
+	var endpoints []Endpoint
+	for _, name := range []string{"r1", "r2", "r3"} {
+		serve(t, network, name, mirror)
+		endpoints = append(endpoints, Endpoint{Name: name, Dial: network.Dial(name)})
+	}
+	eq := func(a, b point) bool { return a == b }
+	sequential, err := NewRemote[point, point]("sequential", RemoteConfig{}, endpoints...)
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	defer sequential.Close()
+	hedged, err := NewRemote[point, point]("hedged", RemoteConfig{HedgeAfter: 20 * time.Microsecond}, endpoints...)
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	defer hedged.Close()
+	quorum, err := NewQuorum[point, point]("quorum", QuorumConfig{Faults: 1}, vote.Majority(eq), eq, endpoints...)
+	if err != nil {
+		t.Fatalf("NewQuorum: %v", err)
+	}
+	defer quorum.Close()
+	for _, client := range []core.Variant[point, point]{sequential, hedged, quorum} {
+		t.Run(client.Name(), func(t *testing.T) {
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 40; i++ {
+						in := point{X: g, Y: i}
+						got, err := client.Execute(context.Background(), in)
+						if err != nil || got != (point{X: i, Y: g}) {
+							t.Errorf("%s: Execute(%+v) = %+v, %v", client.Name(), in, got, err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestRoundTripAllocBudget is the ratchet on the wire path's
+// allocations: one warmed, unobserved, unhedged call over a pipe —
+// client and server side together, since AllocsPerRun counts the whole
+// process. What is left is per-attempt context, timer and deadline
+// plumbing plus gob's per-message buffers; raising the budget needs a
+// reason in the commit that does it.
+func TestRoundTripAllocBudget(t *testing.T) {
+	const budget = 24
+	network := NewPipeNetwork()
+	startReplica(t, network, "r1", double())
+	remote, err := NewRemote[int, int]("budget", RemoteConfig{}, Endpoint{Name: "r1", Dial: network.Dial("r1")})
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	defer remote.Close()
+	ctx := context.Background()
+	call := func() {
+		if got, err := remote.Execute(ctx, 21); err != nil || got != 42 {
+			panic(fmt.Sprintf("Execute = %d, %v", got, err))
+		}
+	}
+	call() // dial, and let both gob streams compile their codecs
+	if allocs := testing.AllocsPerRun(200, call); allocs > budget {
+		t.Fatalf("%.0f allocs per round trip, budget %d", allocs, budget)
+	}
+}

@@ -61,7 +61,11 @@ BEGIN { print "[" }
     else if (mode == "net") keep = net
     else keep = !res && !rec && !net
     if (!keep) next
-    bench = (pkg != "") ? pkg "/" $1 : $1
+    # go test appends -GOMAXPROCS to the name unless it is 1; drop it so
+    # results from machines with different CPU counts join in bench-diff.
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    bench = (pkg != "") ? pkg "/" name : name
     row(bench, "ns_per_op", $3, "ns/op")
     for (i = 4; i <= NF; i++) {
         if ($i == "B/op") row(bench, "bytes_per_op", $(i - 1), "B/op")
