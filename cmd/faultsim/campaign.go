@@ -74,43 +74,28 @@ func resolvedChaosConfig(patternName string, n, bohr int, camp *faultmodel.Campa
 	}
 }
 
-// resolvedNetConfig builds the config block for a -net / -net-chaos run,
-// including the transport policies runNet hard-codes.
-func resolvedNetConfig(seed uint64, camp *redundancy.NetworkCampaign, requests int) campaign.Config {
-	cfg := campaign.Config{
-		Mode:     "net",
-		Pattern:  "selection",
-		Variants: 3,
-		Seed:     seed,
-		Requests: requests,
-		Network:  camp,
-		Executor: campaign.ExecutorConfig{
-			BreakerConsecutiveFailures: 8,
-			BreakerOpenFor:             faultmodel.Duration(250 * time.Millisecond),
-			CallTimeout:                faultmodel.Duration(150 * time.Millisecond),
-			HedgeAfter:                 faultmodel.Duration(25 * time.Millisecond),
-			MaxHedges:                  2,
-		},
+// echo writes cfg to -config-out, when set.
+func (s recorderSettings) echo(cfg campaign.Config) error {
+	if s.configOut == "" {
+		return nil
 	}
-	if camp != nil {
-		cfg.Trials = 0 // the campaign's wall-clock schedule governs
-	} else {
-		cfg.Trials = requests
-	}
-	return cfg
-}
-
-// writeConfigOut echoes the resolved config as JSON to path.
-func writeConfigOut(path string, cfg campaign.Config) error {
 	data, err := json.MarshalIndent(cfg, "", " ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(s.configOut, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote resolved config to %s\n", path)
+	fmt.Printf("wrote resolved config to %s\n", s.configOut)
 	return nil
+}
+
+// recorder returns a recorder for -campaign-out, nil without it.
+func (s recorderSettings) recorder(seed uint64) *runRecorder {
+	if s.storeDir == "" {
+		return nil
+	}
+	return &runRecorder{seed: seed, rows: map[int]*campaign.Trial{}, started: time.Now()}
 }
 
 // runRecorder accumulates per-trial rows from any of faultsim's
@@ -122,12 +107,7 @@ type runRecorder struct {
 	seed    uint64
 	rows    map[int]*campaign.Trial
 	current int // request index for paths without a context index
-	actions map[string]int
 	started time.Time
-}
-
-func newRunRecorder(seed uint64) *runRecorder {
-	return &runRecorder{seed: seed, rows: map[int]*campaign.Trial{}, started: time.Now()}
 }
 
 // begin marks the start of request i for variant spies that cannot read
@@ -167,14 +147,6 @@ func (r *runRecorder) noteFailure(i int) {
 	r.mu.Unlock()
 }
 
-// noteWrong marks request i as served a wrong answer the redundancy
-// machinery accepted — the Byzantine failure a quorum exists to prevent.
-func (r *runRecorder) noteWrong(i int) {
-	r.mu.Lock()
-	r.row(i).Wrong = true
-	r.mu.Unlock()
-}
-
 // noteServed attributes the accepted answer of request i to a variant.
 func (r *runRecorder) noteServed(i int, name string) {
 	r.mu.Lock()
@@ -210,35 +182,6 @@ func (r *runRecorder) noteFault(i int, label string) {
 		row.Fault += "+" + label
 	}
 	r.mu.Unlock()
-}
-
-// noteActionHere books a controller action against the request in
-// flight and against the per-kind run totals. Controller actions are
-// wall-clock-scheduled, so like latency they annotate rather than
-// define a trial's deterministic identity.
-func (r *runRecorder) noteActionHere(kind string) {
-	r.mu.Lock()
-	r.row(r.current).Actions++
-	if r.actions == nil {
-		r.actions = map[string]int{}
-	}
-	r.actions[kind]++
-	r.mu.Unlock()
-}
-
-// actionTotals returns the per-kind controller-action totals, nil when
-// no controller acted (so static runs carry no actions block at all).
-func (r *runRecorder) actionTotals() map[string]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.actions) == 0 {
-		return nil
-	}
-	out := make(map[string]int, len(r.actions))
-	for k, v := range r.actions {
-		out[k] = v
-	}
-	return out
 }
 
 // finish completes request i's row with its outcome and latency.
@@ -301,15 +244,14 @@ func (v spyVariant) Execute(ctx context.Context, x int) (int, error) {
 	return out, err
 }
 
-// saveRecordedRun computes aggregates, packages the rows as a
-// single-point run, and persists it to the -campaign-out store.
-func saveRecordedRun(set recorderSettings, cfg campaign.Config, rec *runRecorder, observed []redundancy.ExecutorObservation, slo []redundancy.SLOStatus) error {
-	trials := rec.trials()
-	seed := campaign.NewSeedResult(cfg.Seed, trials, time.Since(rec.started), observed, slo)
-	// Controller runs carry their per-kind action totals; actionTotals
-	// is nil for every mode without a live controller, so the metrics —
-	// and the diff gates reading them — only exist where they apply.
-	seed.Aggregates.Actions = rec.actionTotals()
+// seedResult derives the recorded rows' aggregates.
+func (r *runRecorder) seedResult(observed []redundancy.ExecutorObservation) campaign.SeedResult {
+	return campaign.NewSeedResult(r.seed, r.trials(), time.Since(r.started), observed, nil)
+}
+
+// saveRecordedRun packages one seed's result as a single-point run and
+// persists it to the -campaign-out store.
+func saveRecordedRun(set recorderSettings, cfg campaign.Config, seed campaign.SeedResult) error {
 	name := set.name
 	if name == "" {
 		name = "faultsim-" + cfg.Mode
@@ -327,7 +269,15 @@ func saveRecordedRun(set recorderSettings, cfg campaign.Config, rec *runRecorder
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded run %s in %s (%d trials, availability %.4f)\n",
-		id, set.storeDir, doc.TotalTrials(), doc.Availability())
+	// Replica-level detection quality, for the modes that score it.
+	var extra string
+	if c := seed.Aggregates.Conviction; c != nil {
+		extra += fmt.Sprintf(", conviction tpr %.2f fpr %.2f", c.TPR, c.FPR)
+	}
+	if e := seed.Aggregates.Ejection; e != nil {
+		extra += fmt.Sprintf(", tail amplification %.1f, ejection tpr %.2f fpr %.2f", e.TailAmplification, e.TPR, e.FPR)
+	}
+	fmt.Printf("recorded run %s in %s (%d trials, availability %.4f%s)\n",
+		id, set.storeDir, doc.TotalTrials(), doc.Availability(), extra)
 	return nil
 }

@@ -110,6 +110,7 @@ import (
 	"github.com/softwarefaults/redundancy/internal/campaign"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
 	"github.com/softwarefaults/redundancy/internal/nvp"
+	"github.com/softwarefaults/redundancy/internal/scenario"
 	"github.com/softwarefaults/redundancy/internal/stats"
 	"github.com/softwarefaults/redundancy/internal/xrand"
 )
@@ -212,71 +213,31 @@ func run(args []string) error {
 		return runCrash(*seed, *walDir, observer)
 	}
 
-	if *adversary != "" {
-		strategy, liarCount, err := redundancy.ParseAdversarySpec(*adversary)
-		if err != nil {
+	// The distributed fleet modes: validate, resolve the Config, run.
+	var fleet *campaign.Config
+	switch {
+	case *adversary != "":
+		if _, _, err := redundancy.ParseAdversarySpec(*adversary); err != nil {
 			return err
 		}
 		if *replicas < 3 {
 			return fmt.Errorf("invalid -replicas %d: a quorum needs at least 3", *replicas)
 		}
-		if *netRequests < 1 {
-			return fmt.Errorf("invalid -net-requests %d", *netRequests)
-		}
-		quorumCfg := resolvedQuorumConfig(*seed, *replicas, *adversary, *netRequests)
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, quorumCfg); err != nil {
-				return err
-			}
-		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(quorumCfg.Seed)
-		}
-		return runQuorum(*seed, *replicas, strategy, liarCount, *netRequests, observer, rec, set, quorumCfg)
-	}
-
-	if *control != "" {
+		cfg := scenario.QuorumConfig(*seed, *replicas, *adversary, *netRequests)
+		fleet = &cfg
+	case *control != "":
 		if *control != "on" && *control != "off" {
 			return fmt.Errorf("invalid -control %q: want on or off", *control)
 		}
-		if *netRequests < 1 {
-			return fmt.Errorf("invalid -net-requests %d", *netRequests)
-		}
-		controlCfg := resolvedControlConfig(*seed, *netRequests, *control == "on")
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, controlCfg); err != nil {
-				return err
-			}
-		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(controlCfg.Seed)
-		}
-		return runControl(*seed, *netRequests, *control == "on", observer, rec, set, controlCfg)
-	}
-
-	if *gray != "" {
+		cfg := scenario.ControlConfig(*seed, *netRequests, *control == "on")
+		fleet = &cfg
+	case *gray != "":
 		if *gray != "on" && *gray != "off" {
 			return fmt.Errorf("invalid -gray %q: want on or off", *gray)
 		}
-		if *netRequests < 1 {
-			return fmt.Errorf("invalid -net-requests %d", *netRequests)
-		}
-		grayCfg := resolvedGrayConfig(*seed, *netRequests, *gray == "on", *graySpec)
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, grayCfg); err != nil {
-				return err
-			}
-		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(grayCfg.Seed)
-		}
-		return runGray(*seed, *netRequests, *gray == "on", *graySpec, observer, rec, set, grayCfg)
-	}
-
-	if *netMode || *netChaos {
+		cfg := scenario.GrayConfig(*seed, *netRequests, *gray == "on", *graySpec)
+		fleet = &cfg
+	case *netMode || *netChaos:
 		var camp *redundancy.NetworkCampaign
 		if *netChaos {
 			if *netSpec != "" {
@@ -288,23 +249,17 @@ func run(args []string) error {
 					return err
 				}
 			} else {
-				camp = redundancy.DefaultNetworkCampaign(*seed, netVictim)
+				camp = redundancy.DefaultNetworkCampaign(*seed, scenario.NetVictim)
 			}
 		}
+		cfg := scenario.NetConfig(*seed, camp, *netRequests)
+		fleet = &cfg
+	}
+	if fleet != nil {
 		if *netRequests < 1 {
 			return fmt.Errorf("invalid -net-requests %d", *netRequests)
 		}
-		netCfg := resolvedNetConfig(*seed, camp, *netRequests)
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, netCfg); err != nil {
-				return err
-			}
-		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(netCfg.Seed)
-		}
-		return runNet(*seed, camp, *netRequests, observer, *traceOut, rec, set, netCfg)
+		return runFleet(*fleet, observer, *traceOut, set)
 	}
 
 	if *chaos {
@@ -321,28 +276,18 @@ func run(args []string) error {
 			camp = faultmodel.DefaultCampaign(*seed)
 		}
 		chaosCfg := resolvedChaosConfig(*patternName, *n, *bohr, camp)
-		if *configOut != "" {
-			if err := writeConfigOut(*configOut, chaosCfg); err != nil {
-				return err
-			}
+		if err := set.echo(chaosCfg); err != nil {
+			return err
 		}
-		var rec *runRecorder
-		if *campaignOut != "" {
-			rec = newRunRecorder(chaosCfg.Seed)
-		}
+		rec := set.recorder(chaosCfg.Seed)
 		return runChaos(*patternName, *n, *bohr, camp, *chaosOut, observer, rec, set, chaosCfg)
 	}
 
 	simCfg := resolvedSimConfig(*patternName, *n, *p, *rho, *trials, *seed, *bohr)
-	if *configOut != "" {
-		if err := writeConfigOut(*configOut, simCfg); err != nil {
-			return err
-		}
+	if err := set.echo(simCfg); err != nil {
+		return err
 	}
-	var rec *runRecorder
-	if *campaignOut != "" {
-		rec = newRunRecorder(simCfg.Seed)
-	}
+	rec := set.recorder(simCfg.Seed)
 
 	tbl := stats.NewTable(
 		fmt.Sprintf("Reliability of %s (n=%d, p=%.3f, rho=%.2f, %d trials)",
@@ -404,7 +349,7 @@ func run(args []string) error {
 	}
 	fmt.Println(tbl)
 	if rec != nil {
-		return saveRecordedRun(set, simCfg, rec, nil, nil)
+		return saveRecordedRun(set, simCfg, rec.seedResult(nil))
 	}
 	return nil
 }
@@ -439,40 +384,12 @@ func simulateDetected(patternName string, n int, p float64, trials int, seed uin
 		}
 		return v
 	}
-	accept := func(_ int, _ int) error { return nil }
-	var (
-		m    redundancy.Metrics
-		exec redundancy.Executor[int, int]
-	)
+	var m redundancy.Metrics
 	opts := []redundancy.PatternOption{redundancy.WithMetrics(&m)}
 	if observer != nil {
 		opts = append(opts, redundancy.WithObserver(observer))
 	}
-	switch patternName {
-	case "single":
-		exec, err = redundancy.NewSingle(mk(1), opts...)
-	case "sequential":
-		vs := make([]redundancy.Variant[int, int], n)
-		for i := range vs {
-			vs[i] = mk(i + 1)
-		}
-		exec, err = redundancy.NewSequentialAlternatives(vs, accept, nil, opts...)
-	case "selection":
-		vs := make([]redundancy.Variant[int, int], n)
-		tests := make([]redundancy.AcceptanceTest[int, int], n)
-		for i := range vs {
-			vs[i] = mk(i + 1)
-			tests[i] = accept
-		}
-		var ps *redundancy.ParallelSelection[int, int]
-		ps, err = redundancy.NewParallelSelection(vs, tests, opts...)
-		if err == nil {
-			exec = redundancy.ExecutorFunc[int, int](func(ctx context.Context, x int) (int, error) {
-				defer ps.Reset() // failures are transient in this model
-				return ps.Execute(ctx, x)
-			})
-		}
-	}
+	exec, err := detectedPattern(patternName, n, mk, opts)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -491,6 +408,37 @@ func simulateDetected(patternName string, n int, p float64, trials int, seed uin
 		}
 	}
 	return ok, m.Snapshot().ExecutionsPerRequest(), nil
+}
+
+// detectedPattern builds the named detected-failure pattern (single,
+// sequential, or selection) over variants mk(1)..mk(n), each of which
+// accepts any answer.
+func detectedPattern(patternName string, n int, mk func(int) redundancy.Variant[int, int], opts []redundancy.PatternOption) (redundancy.Executor[int, int], error) {
+	accept := func(_ int, _ int) error { return nil }
+	vs := make([]redundancy.Variant[int, int], n)
+	tests := make([]redundancy.AcceptanceTest[int, int], n)
+	switch patternName {
+	case "single":
+		return redundancy.NewSingle(mk(1), opts...)
+	case "sequential":
+		for i := range vs {
+			vs[i] = mk(i + 1)
+		}
+		return redundancy.NewSequentialAlternatives(vs, accept, nil, opts...)
+	case "selection":
+		for i := range vs {
+			vs[i], tests[i] = mk(i+1), accept
+		}
+		ps, err := redundancy.NewParallelSelection(vs, tests, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return redundancy.ExecutorFunc[int, int](func(ctx context.Context, x int) (int, error) {
+			defer ps.Reset() // failures are transient in this model
+			return ps.Execute(ctx, x)
+		}), nil
+	}
+	return nil, fmt.Errorf("pattern %q: want single, sequential, or selection", patternName)
 }
 
 // runChaos drives a resilience-hardened executor through the campaign.
@@ -541,38 +489,7 @@ func runChaos(patternName string, n, bohr int, camp *faultmodel.Campaign, outPat
 		redundancy.WithFallback(ladder),
 	}
 
-	accept := func(_ int, _ int) error { return nil }
-	var (
-		exec redundancy.Executor[int, int]
-		err  error
-	)
-	switch patternName {
-	case "single":
-		exec, err = redundancy.NewSingle(mk(1), opts...)
-	case "sequential":
-		vs := make([]redundancy.Variant[int, int], n)
-		for i := range vs {
-			vs[i] = mk(i + 1)
-		}
-		exec, err = redundancy.NewSequentialAlternatives(vs, accept, nil, opts...)
-	case "selection":
-		vs := make([]redundancy.Variant[int, int], n)
-		tests := make([]redundancy.AcceptanceTest[int, int], n)
-		for i := range vs {
-			vs[i] = mk(i + 1)
-			tests[i] = accept
-		}
-		var ps *redundancy.ParallelSelection[int, int]
-		ps, err = redundancy.NewParallelSelection(vs, tests, opts...)
-		if err == nil {
-			exec = redundancy.ExecutorFunc[int, int](func(ctx context.Context, x int) (int, error) {
-				defer ps.Reset() // failures are transient in this model
-				return ps.Execute(ctx, x)
-			})
-		}
-	default:
-		return fmt.Errorf("-chaos supports patterns single, sequential, selection (got %q)", patternName)
-	}
+	exec, err := detectedPattern(patternName, n, mk, opts)
 	if err != nil {
 		return err
 	}
@@ -616,7 +533,7 @@ func runChaos(patternName string, n, bohr int, camp *faultmodel.Campaign, outPat
 		fmt.Printf("wrote campaign report to %s\n", outPath)
 	}
 	if rec != nil {
-		return saveRecordedRun(set, cfg, rec, collector.Snapshot(), nil)
+		return saveRecordedRun(set, cfg, rec.seedResult(collector.Snapshot()))
 	}
 	return nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/softwarefaults/redundancy/internal/obs/health"
@@ -172,4 +175,76 @@ func TestRunNetInvalid(t *testing.T) {
 	if err := run([]string{"-net-chaos", "-net-spec", path}); err == nil {
 		t.Error("empty-phase network campaign accepted")
 	}
+}
+
+// TestFleetTranscriptRows pins the stats-table rows the CI jobs gate
+// with awk: each label must start a line, in this order, and where awk
+// reads a number, the field it reads must hold one.
+func TestFleetTranscriptRows(t *testing.T) {
+	// The field awk reads per numeric row: -1 is $NF, 2 is $3.
+	field := map[string]int{
+		"availability": -1, "wrong answers accepted": -1, "wrong answers": -1,
+		"tail amplification": -1, "ejection TPR": 2, "ejection FPR": 2, "reinstatements": -1,
+	}
+	cases := []struct {
+		args []string
+		rows []string
+	}{
+		{[]string{"-adversary", "always:1"}, []string{"availability", "wrong answers accepted", "final membership"}},
+		{[]string{"-control", "on"}, []string{"availability", "controller actions", "replacement MTTR", "final membership"}},
+		{[]string{"-control", "off"}, []string{"availability", "controller actions", "replacement MTTR", "final membership"}},
+		{[]string{"-gray", "on"}, []string{"availability", "wrong answers", "tail amplification",
+			"ejection TPR", "ejection FPR", "reinstatements", "final membership"}},
+		{[]string{"-gray", "off"}, []string{"availability", "wrong answers", "tail amplification", "final membership"}},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, "_"), func(t *testing.T) {
+			out := captureStdout(t, func() error {
+				return run(append(tc.args, "-seed", "1", "-net-requests", "40"))
+			})
+			lines := strings.Split(out, "\n")
+			at := 0
+			for _, row := range tc.rows {
+				for at < len(lines) && !strings.HasPrefix(lines[at], row) {
+					at++
+				}
+				if at == len(lines) {
+					t.Fatalf("row %q missing or out of order in:\n%s", row, out)
+				}
+				if i, ok := field[row]; ok {
+					fields := strings.Fields(lines[at])
+					if i < 0 {
+						i = len(fields) - 1
+					}
+					if _, err := strconv.ParseFloat(strings.TrimSuffix(fields[i], "×"), 64); err != nil {
+						t.Errorf("%q: awk reads %q, not a number", lines[at], fields[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// captureStdout returns what fn printed to stdout.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- string(data)
+	}()
+	runErr := fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	if runErr != nil {
+		t.Fatalf("run: %v\n%s", runErr, out)
+	}
+	return out
 }

@@ -9,19 +9,15 @@ package redundancy_test
 // the dead replica (MTTR measured), rejuvenates the aging one,
 // substitutes the buggy one, takes a bounded number of actions (no
 // flapping), and holds availability at or above 99%. Nothing leaks a
-// goroutine.
+// goroutine. The fleet is the one `faultsim -control` runs.
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	redundancy "github.com/softwarefaults/redundancy"
+	"github.com/softwarefaults/redundancy/internal/scenario"
 )
 
 func TestE28AutonomicControlPlane(t *testing.T) {
@@ -29,401 +25,52 @@ func TestE28AutonomicControlPlane(t *testing.T) {
 		t.Skip("the control-plane arms run for a few wall-clock seconds")
 	}
 	before := runtime.NumGoroutine()
-
-	static := runE28Arm(t, false)
-	controlled := runE28Arm(t, true)
+	run := func(on bool) *scenario.Result {
+		res, err := scenario.Run(context.Background(), scenario.ControlConfig(1, 1500, on), scenario.Options{})
+		if err != nil {
+			t.Fatalf("scenario.Run(control=%v): %v", on, err)
+		}
+		return res
+	}
+	availability := func(res *scenario.Result) float64 { return float64(res.Served) / float64(len(res.Trials)) }
+	static, controlled := run(false), run(true)
 
 	// The static arm proves the faults are real: with the controller
 	// frozen the accumulated failures push availability far below the
 	// objective.
-	if static.availability >= 0.95 {
-		t.Errorf("static arm availability = %.4f, want < 0.95 (the fault schedule should collapse an unmanaged fleet)", static.availability)
+	if a := availability(static); a >= 0.95 {
+		t.Errorf("static arm availability = %.4f, want < 0.95 (the fault schedule should collapse an unmanaged fleet)", a)
 	}
-	if len(static.actions) != 0 {
-		t.Errorf("static arm took actions %v despite the kill switch", static.actions)
+	if len(static.Actions) != 0 {
+		t.Errorf("static arm took actions %v despite the kill switch", static.Actions)
 	}
 
 	// The controlled arm survives the same schedule.
-	if controlled.availability < 0.99 {
-		t.Errorf("controlled arm availability = %.4f, want >= 0.99", controlled.availability)
+	if a := availability(controlled); a < 0.99 {
+		t.Errorf("controlled arm availability = %.4f, want >= 0.99", a)
 	}
-	if controlled.actions["replace"] < 1 {
-		t.Errorf("controlled arm actions = %v, want at least one replace", controlled.actions)
+	if controlled.Actions["replace"] < 1 {
+		t.Errorf("controlled arm actions = %v, want at least one replace", controlled.Actions)
 	}
-	if controlled.actions["rejuvenate"] < 1 {
-		t.Errorf("controlled arm actions = %v, want at least one rejuvenate", controlled.actions)
+	if controlled.Actions["rejuvenate"] < 1 {
+		t.Errorf("controlled arm actions = %v, want at least one rejuvenate", controlled.Actions)
 	}
-	if controlled.actions["substitute"] != 1 {
-		t.Errorf("controlled arm actions = %v, want exactly one substitute (it is terminal)", controlled.actions)
+	if controlled.Actions["substitute"] != 1 {
+		t.Errorf("controlled arm actions = %v, want exactly one substitute (it is terminal)", controlled.Actions)
 	}
-	if controlled.mttr <= 0 {
+	if controlled.MTTR <= 0 {
 		t.Errorf("controlled arm reported no replacement MTTR")
-	} else if controlled.mttr > 3*time.Second {
-		t.Errorf("replacement MTTR = %v, want well under the run length", controlled.mttr)
+	} else if controlled.MTTR > 3*time.Second {
+		t.Errorf("replacement MTTR = %v, want well under the run length", controlled.MTTR)
 	}
 	// Bounded intervention: hysteresis and the rate limit keep the loop
 	// from flapping — a budget far below one action per tick.
 	total := 0
-	for _, n := range controlled.actions {
+	for _, n := range controlled.Actions {
 		total += n
 	}
 	if total > 12 {
-		t.Errorf("controlled arm took %d actions (%v), want a bounded handful", total, controlled.actions)
+		t.Errorf("controlled arm took %d actions (%v), want a bounded handful", total, controlled.Actions)
 	}
-
-	// Everything is shut down; demand the goroutine count recovered.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	t.Errorf("goroutines leaked across the control-plane arms: %d before, %d after\n%s",
-		before, runtime.NumGoroutine(), buf[:n])
-}
-
-// e28Result is one arm's outcome.
-type e28Result struct {
-	availability float64
-	actions      map[string]int
-	mttr         time.Duration
-}
-
-// e28Proc is one replica's simulated process: wear-out aging plus an
-// optional deterministic bug, with a substitution hook.
-type e28Proc struct {
-	name  string
-	limit int64
-	bugAt int64
-
-	served     atomic.Int64
-	substitute atomic.Pointer[redundancy.ServiceProxy]
-}
-
-func (p *e28Proc) execute(ctx context.Context, x int) (int, error) {
-	if p.bugAt > 0 && int64(x) >= p.bugAt {
-		if proxy := p.substitute.Load(); proxy != nil {
-			return proxy.Invoke(ctx, "double", x)
-		}
-		return 0, fmt.Errorf("%s: deterministic fault on input %d", p.name, x)
-	}
-	if p.limit > 0 && p.served.Load() >= p.limit {
-		return 0, fmt.Errorf("%s: worn out", p.name)
-	}
-	p.served.Add(1)
-	return 2 * x, nil
-}
-
-// runE28Arm stands up the fleet with the controller either live or
-// frozen and drives the workload. Time constants are compressed
-// relative to cmd/faultsim -control to keep the test fast.
-func runE28Arm(t *testing.T, controlOn bool) e28Result {
-	t.Helper()
-	const (
-		requests   = 900
-		agingLimit = 180
-		killAt     = 300
-		bugAt      = 540
-		objective  = 20 * time.Millisecond
-	)
-	collector := redundancy.NewCollector()
-	engine := redundancy.NewHealthEngine(redundancy.HealthConfig{})
-	slo := redundancy.NewSLOTracker(redundancy.SLOConfig{
-		Default:    redundancy.SLObjective{Target: 0.999, Latency: objective},
-		FastWindow: 300 * time.Millisecond,
-		SlowWindow: 2 * time.Second,
-	})
-	observer := redundancy.CombineObservers(collector, engine, slo)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	network := redundancy.NewPipeNetwork()
-	var mu sync.Mutex
-	procs := map[string]*e28Proc{
-		"r1": {name: "r1", limit: agingLimit},
-		"r2": {name: "r2"},
-		"r3": {name: "r3", bugAt: bugAt},
-	}
-	servers := map[string]*redundancy.ReplicaServer[int, int]{}
-	nextReplica := 4
-	var killedAt time.Time
-	var mttr time.Duration
-
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{
-		Name:     "e28-fleet",
-		Observer: observer,
-	})
-	startReplica := func(name string, proc *e28Proc, dynamic bool) error {
-		ln, err := network.Listen(name)
-		if err != nil {
-			return err
-		}
-		v := redundancy.NewVariant("proc", proc.execute)
-		srv := redundancy.NewReplicaServer(v, ln, redundancy.ReplicaServerConfig{
-			Name:     name,
-			Observer: observer,
-		})
-		mu.Lock()
-		procs[name] = proc
-		servers[name] = srv
-		mu.Unlock()
-		if dynamic {
-			return supervisor.StartChild(srv.AsChild())
-		}
-		return supervisor.Add(srv.AsChild())
-	}
-	names := []string{"r1", "r2", "r3"}
-	for _, name := range names {
-		if err := startReplica(name, procs[name], false); err != nil {
-			t.Fatalf("startReplica(%s): %v", name, err)
-		}
-	}
-	defer func() {
-		mu.Lock()
-		all := make([]*redundancy.ReplicaServer[int, int], 0, len(servers))
-		for _, s := range servers {
-			all = append(all, s)
-		}
-		mu.Unlock()
-		for _, s := range all {
-			s.Close()
-		}
-	}()
-
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Name:         "e28-detector",
-		Interval:     40 * time.Millisecond,
-		Timeout:      30 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    5,
-		Observer:     observer,
-	})
-	for _, name := range names {
-		detector.Watch(name, network.Dial(name))
-	}
-	if err := supervisor.Add(detector.AsChild()); err != nil {
-		t.Fatalf("add detector: %v", err)
-	}
-
-	breakers := redundancy.NewBreakers(redundancy.BreakerConfig{
-		ConsecutiveFailures: 8,
-		OpenFor:             120 * time.Millisecond,
-	})
-	endpoints := make([]redundancy.ReplicaEndpoint, 0, len(names))
-	for _, name := range names {
-		endpoints = append(endpoints, redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)})
-	}
-	remote, err := redundancy.NewRemoteVariant[int, int]("fleet", redundancy.RemoteConfig{
-		CallTimeout: 150 * time.Millisecond,
-		HedgeAfter:  25 * time.Millisecond,
-		MaxHedges:   2,
-		Breakers:    breakers,
-		Detector:    detector,
-		Observer:    observer,
-	}, endpoints...)
-	if err != nil {
-		t.Fatalf("NewRemoteVariant: %v", err)
-	}
-	defer remote.Close()
-	budget := redundancy.NewRetryBudget(50, 0.1)
-	client, err := redundancy.NewSingle[int, int](remote,
-		redundancy.WithObserver(observer),
-		redundancy.WithRetryPolicy(redundancy.RetryPolicy{
-			MaxAttempts: 2,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-			Jitter:      0.5,
-			Seed:        1,
-			Budget:      budget,
-		}))
-	if err != nil {
-		t.Fatalf("NewSingle: %v", err)
-	}
-
-	registry := redundancy.NewServiceRegistry()
-	calcSig := redundancy.ServiceSignature{Name: "calc", Ops: []string{"double"}}
-	substituteSvc, err := redundancy.NewSimService("calc-v2", calcSig,
-		map[string]func(int) (int, error){"double": func(x int) (int, error) { return 2 * x, nil }})
-	if err != nil {
-		t.Fatalf("NewSimService: %v", err)
-	}
-	if err := registry.Register(substituteSvc, nil); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-
-	resolve := func(target string) (*e28Proc, string) {
-		executor, _, _ := strings.Cut(target, "/")
-		name := strings.TrimPrefix(executor, "replica:")
-		mu.Lock()
-		defer mu.Unlock()
-		return procs[name], executor
-	}
-	// probe verifies a repair by sending the current workload input
-	// straight at the repaired replica. Without it the relapse evidence
-	// waits on the load balancer wandering back to the replica, which
-	// under a slow scheduler may never happen before the run ends; the
-	// probe's outcome flows through the replica server's observer, so
-	// the health engine sees whether the repair took.
-	var lastInput atomic.Int64
-	probe := func(ctx context.Context, name string) {
-		pr, err := redundancy.NewRemoteVariant[int, int](name+"-probe", redundancy.RemoteConfig{
-			CallTimeout: 150 * time.Millisecond,
-		}, redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)})
-		if err != nil {
-			return
-		}
-		defer pr.Close()
-		_, _ = pr.Execute(ctx, int(lastInput.Load())) // failure is evidence, not an error
-	}
-	actuators := map[string]redundancy.ControlActuator{
-		redundancy.ControlActionReplace: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			mu.Lock()
-			name := fmt.Sprintf("r%d", nextReplica)
-			nextReplica++
-			killed := killedAt
-			mu.Unlock()
-			if err := startReplica(name, &e28Proc{name: name, limit: agingLimit}, true); err != nil {
-				return a, err
-			}
-			if err := remote.AddEndpoint(redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)}); err != nil {
-				return a, err
-			}
-			detector.Watch(name, network.Dial(name))
-			if err := remote.RemoveEndpoint(a.Target); err != nil {
-				return a, err
-			}
-			detector.Forget(a.Target)
-			if !killed.IsZero() {
-				mu.Lock()
-				mttr = time.Since(killed)
-				mu.Unlock()
-			}
-			a.New = name
-			return a, nil
-		},
-		redundancy.ControlActionHedgeTune: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			d, err := a.HedgeTarget()
-			if err != nil {
-				return a, err
-			}
-			remote.SetHedgeAfter(d)
-			return a, nil
-		},
-		redundancy.ControlActionDepositTune: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			rate, err := a.DepositTarget()
-			if err != nil {
-				return a, err
-			}
-			budget.SetDepositPerRequest(rate)
-			return a, nil
-		},
-		redundancy.ControlActionRejuvenate: func(ctx context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			proc, executor := resolve(a.Target)
-			if proc == nil {
-				return a, fmt.Errorf("unknown target %q", a.Target)
-			}
-			proc.served.Store(0)
-			observer.Rollback(executor, 0)
-			breakers.Reset(strings.TrimPrefix(executor, "replica:"))
-			probe(ctx, strings.TrimPrefix(executor, "replica:"))
-			return a, nil
-		},
-		redundancy.ControlActionSubstitute: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-			proc, executor := resolve(a.Target)
-			if proc == nil {
-				return a, fmt.Errorf("unknown target %q", a.Target)
-			}
-			proxy, err := redundancy.NewServiceProxy(registry, calcSig, 0.5)
-			if err != nil {
-				return a, err
-			}
-			proc.substitute.Store(proxy)
-			breakers.Reset(strings.TrimPrefix(executor, "replica:"))
-			a.New = proxy.Bound()
-			return a, nil
-		},
-	}
-
-	watched := make([]string, 0, 9)
-	for i := 1; i <= 9; i++ {
-		watched = append(watched, fmt.Sprintf("replica:r%d", i))
-	}
-	controller := redundancy.NewController(redundancy.ControllerConfig{
-		Name:              "controller",
-		Tick:              50 * time.Millisecond,
-		MaxActionsPerKind: 4,
-		RateWindow:        time.Second,
-		Sources: redundancy.ControlSources{
-			Observed: collector.Snapshot,
-			SLO:      slo.Snapshot,
-			Detector: detector.States,
-			Evidence: detector.Evidence,
-			Health:   engine.Snapshot,
-			FastBurn: slo.FastBurn,
-			P99: func(executor string) time.Duration {
-				if h := collector.ExecutorLatency(executor); h != nil {
-					return h.P99()
-				}
-				return 0
-			},
-		},
-		Policies: []redundancy.ControlPolicy{
-			&redundancy.ReplacementPolicy{DeadAfter: 5, AccuseDeadAfter: 8},
-			redundancy.NewTailPolicy(redundancy.TailPolicyConfig{
-				Client:     "fleet",
-				Objective:  objective,
-				MinHedge:   5 * time.Millisecond,
-				MaxHedge:   50 * time.Millisecond,
-				HedgeAfter: remote.HedgeAfter,
-				Deposit:    budget.DepositPerRequest,
-			}),
-			redundancy.NewDiagnosisPolicy(redundancy.DiagnosisPolicyConfig{
-				FailStreakThreshold:     8,
-				RelapseLimit:            1,
-				RejuvenateCooldownTicks: 5,
-				Executors:               watched,
-			}),
-		},
-		Actuators: actuators,
-		Observer:  observer,
-	})
-	controller.SetEnabled(controlOn)
-	if err := supervisor.Add(controller.AsChild()); err != nil {
-		t.Fatalf("add controller: %v", err)
-	}
-
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-
-	ok := 0
-	for i := 1; i <= requests; i++ {
-		if i == killAt {
-			mu.Lock()
-			srv := servers["r2"]
-			killedAt = time.Now()
-			mu.Unlock()
-			srv.Close()
-		}
-		lastInput.Store(int64(i))
-		got, err := client.Execute(ctx, i)
-		if err == nil && got == 2*i {
-			ok++
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	cancel()
-	<-supDone
-
-	mu.Lock()
-	gotMTTR := mttr
-	mu.Unlock()
-	return e28Result{
-		availability: float64(ok) / float64(requests),
-		actions:      controller.Counts(),
-		mttr:         gotMTTR,
-	}
+	expectNoLeak(t, before, "the control-plane arms")
 }

@@ -6,16 +6,17 @@ package redundancy_test
 // resets — while a parallel-selection executor keeps availability at or
 // above 99%, the heartbeat failure detector convicts the partitioned
 // replica within its heartbeat window, hedged requests win during the
-// rough phases, and nothing leaks a goroutine.
+// rough phases, and nothing leaks a goroutine. The fleet is the one
+// `faultsim -net-chaos` runs, built by internal/scenario.
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	redundancy "github.com/softwarefaults/redundancy"
+	"github.com/softwarefaults/redundancy/internal/scenario"
 )
 
 func TestE24DistributedReplicaFleet(t *testing.T) {
@@ -23,147 +24,30 @@ func TestE24DistributedReplicaFleet(t *testing.T) {
 		t.Skip("network campaign runs for a few wall-clock seconds")
 	}
 	before := runtime.NumGoroutine()
-	runE24Fleet(t)
-	// Everything — servers, detector, remotes, supervisor — is shut down;
-	// give exiting goroutines a moment, then demand the count recovered.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	t.Errorf("goroutines leaked across the fleet run: %d before, %d after\n%s",
-		before, runtime.NumGoroutine(), buf[:n])
-}
-
-func runE24Fleet(t *testing.T) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	collector := redundancy.NewCollector()
-	network := redundancy.NewPipeNetwork()
-	const victim = "r2"
+	const victim = scenario.NetVictim
 	campaign := redundancy.DefaultNetworkCampaign(1, victim)
-	names := []string{"r1", "r2", "r3"}
-
-	// The replica fleet: three servers of the same variant, their accept
-	// loops supervised like any other child.
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{Name: "fleet"})
-	for _, name := range names {
-		ln, err := network.Listen(name)
-		if err != nil {
-			t.Fatalf("Listen(%q): %v", name, err)
-		}
-		v := redundancy.NewVariant("double", func(_ context.Context, x int) (int, error) {
-			return 2 * x, nil
-		})
-		srv := redundancy.NewReplicaServer(v, ln, redundancy.ReplicaServerConfig{Name: name, Observer: collector})
-		if err := supervisor.Add(srv.AsChild()); err != nil {
-			t.Fatalf("supervise %s: %v", name, err)
-		}
-		defer srv.Close()
-	}
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-
-	// Every dial goes through the campaign, heartbeats included: the
-	// detector sees the same partition the clients do.
-	faulty := func(name string) redundancy.DialFunc {
-		return campaign.Wrap(name, network.Dial(name))
-	}
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Interval:     100 * time.Millisecond,
-		Timeout:      80 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Observer:     collector,
-	})
-	for _, name := range names {
-		detector.Watch(name, faulty(name))
-	}
-	detDone := make(chan error, 1)
-	go func() { detDone <- detector.Run(ctx) }()
-
-	// Three remote variants, each preferring a different primary but able
-	// to fail over (and hedge) across the whole fleet.
-	var variants []redundancy.Variant[int, int]
-	for i := range names {
-		var endpoints []redundancy.ReplicaEndpoint
-		for j := 0; j < len(names); j++ {
-			name := names[(i+j)%len(names)]
-			endpoints = append(endpoints, redundancy.ReplicaEndpoint{Name: name, Dial: faulty(name)})
-		}
-		remote, err := redundancy.NewRemoteVariant[int, int]("via-"+names[i], redundancy.RemoteConfig{
-			CallTimeout: 150 * time.Millisecond,
-			HedgeAfter:  25 * time.Millisecond,
-			MaxHedges:   2,
-			Detector:    detector,
-			Observer:    collector,
-		}, endpoints...)
-		if err != nil {
-			t.Fatalf("NewRemoteVariant: %v", err)
-		}
-		defer remote.Close()
-		variants = append(variants, remote)
-	}
-	accept := func(in, out int) error {
-		if out != 2*in {
-			return fmt.Errorf("got %d want %d", out, 2*in)
-		}
-		return nil
-	}
-	sel, err := redundancy.NewParallelSelection(variants,
-		[]redundancy.AcceptanceTest[int, int]{accept, accept, accept},
-		redundancy.WithObserver(collector))
+	res, err := scenario.Run(context.Background(), scenario.NetConfig(1, campaign, 0), scenario.Options{})
 	if err != nil {
-		t.Fatalf("NewParallelSelection: %v", err)
+		t.Fatalf("scenario.Run: %v", err)
 	}
 
-	// Drive the workload for the campaign's whole schedule, watching for
-	// the detector to convict the partitioned replica.
-	campaign.Start()
-	var (
-		total, ok     int
-		partitionSeen time.Time
-		suspectedAt   time.Time
-		suspectWindow = 2*100*time.Millisecond + 80*time.Millisecond + 300*time.Millisecond
-		inPartition   bool
-	)
-	for !campaign.Done() {
-		_, phase := campaign.PhaseNow()
-		inPartition = phase != nil && phase.Name == "partition"
-		if inPartition && partitionSeen.IsZero() {
-			partitionSeen = time.Now()
-		}
-		if !partitionSeen.IsZero() && suspectedAt.IsZero() &&
-			detector.State(victim) != redundancy.ReplicaAlive {
-			suspectedAt = time.Now()
-		}
-		total++
-		if got, err := sel.Execute(ctx, total); err == nil && got == 2*total {
-			ok++
-		}
-		sel.Reset() // re-enable variants rejected during rough phases
-	}
-
+	total := len(res.Trials)
 	if total < 20 {
 		t.Fatalf("campaign finished after only %d requests; schedule too short to judge", total)
 	}
-	availability := float64(ok) / float64(total)
+	availability := float64(res.Served) / float64(total)
 	t.Logf("E24: %d/%d requests served (availability %.2f%%) across %v of network chaos",
-		ok, total, 100*availability, campaign.Total())
+		res.Served, total, 100*availability, campaign.Total())
 	if availability < 0.99 {
 		t.Errorf("availability %.4f under network chaos, want >= 0.99", availability)
 	}
-	if partitionSeen.IsZero() {
+	if phase(res, "partition") == nil {
 		t.Fatal("campaign never entered its partition phase")
 	}
-	if suspectedAt.IsZero() {
+	suspectWindow := 2*100*time.Millisecond + 80*time.Millisecond + 300*time.Millisecond
+	if convicted, ok := res.TimeToSuspect[victim]; !ok {
 		t.Errorf("detector never convicted the partitioned replica %s", victim)
-	} else if convicted := suspectedAt.Sub(partitionSeen); convicted > suspectWindow {
+	} else if convicted > suspectWindow {
 		t.Errorf("detector took %v to suspect %s, want within %v", convicted, victim, suspectWindow)
 	} else {
 		t.Logf("E24: detector convicted %s %v after the partition began", victim, convicted)
@@ -171,7 +55,7 @@ func runE24Fleet(t *testing.T) {
 
 	// Hedges fired and won somewhere in the rough phases.
 	var hedges, wins, suspects int64
-	for _, snap := range collector.Snapshot() {
+	for _, snap := range res.Observed {
 		hedges += snap.Hedges
 		wins += snap.HedgeWins
 		suspects += snap.ReplicaSuspects
@@ -186,13 +70,33 @@ func runE24Fleet(t *testing.T) {
 		t.Error("no replica suspicion recorded by the observation layer")
 	}
 	t.Logf("E24: %d hedges launched, %d won; %d suspicion transitions", hedges, wins, suspects)
+	expectNoLeak(t, before, "the fleet run")
+}
 
-	// Orderly teardown before the leak check.
-	cancel()
-	if err := <-detDone; err != nil {
-		t.Errorf("detector Run: %v", err)
+// phase returns the named network-campaign phase the run saw, or nil.
+func phase(res *scenario.Result, name string) *scenario.Phase {
+	for i := range res.Phases {
+		if res.Phases[i].Name == name {
+			return &res.Phases[i]
+		}
 	}
-	if err := <-supDone; err != nil && ctx.Err() == nil {
-		t.Errorf("supervisor Serve: %v", err)
+	return nil
+}
+
+// expectNoLeak fails t unless the goroutine count returns to before:
+// every server, detector, client, and supervisor of the runs must have
+// shut down. Exiting goroutines get a moment first.
+func expectNoLeak(t *testing.T, before int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= before+2 {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	t.Errorf("goroutines leaked across %s: %d before, %d after\n%s",
+		what, before, runtime.NumGoroutine(), buf[:n])
 }

@@ -12,341 +12,112 @@ package redundancy_test
 // precisely (TPR 1, FPR 0), the tail holds near baseline, the ejection
 // floor never drops the rotation below two endpoints, and the cured
 // limper is reinstated before the run ends. Nothing leaks a goroutine.
+// The fleet is the one `faultsim -gray` runs.
 
 import (
 	"context"
+	"fmt"
 	"runtime"
-	"sync/atomic"
+	"strings"
+	"sync"
 	"testing"
-	"time"
 
-	redundancy "github.com/softwarefaults/redundancy"
+	"github.com/softwarefaults/redundancy/internal/obs"
+	"github.com/softwarefaults/redundancy/internal/scenario"
 )
+
+// ejections records every ReplicaEjected verdict with the EWMA and
+// fleet median it was taken on.
+type ejections struct {
+	obs.Nop
+	mu       sync.Mutex
+	verdicts []string
+}
+
+func (e *ejections) Event(ev obs.Event) {
+	if ev.Kind == obs.KindReplicaEjected {
+		e.mu.Lock()
+		e.verdicts = append(e.verdicts, fmt.Sprintf("%s ewma=%v median=%v", ev.Subject, ev.Latency, ev.Median))
+		e.mu.Unlock()
+	}
+}
 
 func TestE29GrayFailureResilience(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the gray-failure arms run for several wall-clock seconds")
 	}
 	before := runtime.NumGoroutine()
-
-	unmitigated := runE29Arm(t, false)
-	mitigated := runE29Arm(t, true)
+	// The unmitigated arm spends its limp window at 20× the service
+	// time, so it runs fewer requests; the mitigated arm runs more, so
+	// its p99 is not decided by the handful of hedged requests that
+	// detecting the limper costs.
+	run := func(on bool, requests int, o obs.Observer) *scenario.Result {
+		res, err := scenario.Run(context.Background(), scenario.GrayConfig(7, requests, on, "constant:20"), scenario.Options{Observer: o})
+		if err != nil {
+			t.Fatalf("scenario.Run(gray=%v): %v", on, err)
+		}
+		return res
+	}
+	verdicts := &ejections{}
+	unmitigated, mitigated := run(false, 500, nil), run(true, 700, verdicts)
 
 	// Both arms stay perfectly available and correct: a gray failure is
 	// not an outage, which is exactly why only the latency profile can
 	// catch it.
-	for arm, r := range map[string]e29Result{"unmitigated": unmitigated, "mitigated": mitigated} {
-		if r.served != r.requests || r.wrong != 0 {
-			t.Errorf("%s arm served %d/%d with %d wrong answers, want all correct", arm, r.served, r.requests, r.wrong)
+	for arm, r := range map[string]*scenario.Result{"unmitigated": unmitigated, "mitigated": mitigated} {
+		if r.Served != len(r.Trials) || r.Wrong != 0 {
+			t.Errorf("%s arm served %d/%d with %d wrong answers, want all correct", arm, r.Served, len(r.Trials), r.Wrong)
 		}
 		// Individual heartbeats may blip under scheduler noise, but a
 		// limper that acks and answers must never accumulate into an
 		// accusation on the liveness track.
-		if r.accusations != 0 {
-			t.Errorf("%s arm: detector filed %d accusations (%d misses) against a limper that acks and answers", arm, r.accusations, r.misses)
+		misses, accusations := 0, 0
+		for _, m := range r.Members {
+			misses += m.Misses
+			accusations += m.Accusations
+		}
+		if accusations != 0 {
+			t.Errorf("%s arm: detector filed %d accusations (%d misses) against a limper that acks and answers", arm, accusations, misses)
 		}
 	}
 
 	// The unmitigated arm proves the fault is real and invisible: the
 	// tail inflates by an order of magnitude while the detector holds
 	// every replica alive.
-	if unmitigated.amplification < 10 {
+	if amp := unmitigated.Ejection.TailAmplification; amp < 10 {
 		t.Errorf("unmitigated tail amplification = %.1f (p99 %v over baseline %v), want >= 10",
-			unmitigated.amplification, unmitigated.runP99, unmitigated.baselineP99)
+			amp, unmitigated.P99, unmitigated.BaselineP99)
+	}
+	if n := unmitigated.Actions["rejuvenate"]; n != 0 {
+		t.Fatalf("unmitigated arm rejuvenated %d times with no controller", n)
 	}
 
 	// The mitigated arm contains it: near-baseline tail, exact ejection.
-	if mitigated.amplification > 2 {
+	e := mitigated.Ejection
+	if e.TailAmplification > 2 {
 		t.Errorf("mitigated tail amplification = %.1f (p99 %v over baseline %v), want <= 2",
-			mitigated.amplification, mitigated.runP99, mitigated.baselineP99)
+			e.TailAmplification, mitigated.P99, mitigated.BaselineP99)
 	}
-	if !mitigated.limperEjected {
+	if e.EjectedLimpers == 0 {
 		t.Errorf("mitigated arm never ejected the limper (TPR 0, want >= 0.9)")
 	}
-	if mitigated.falseEjections != 0 {
-		t.Errorf("mitigated arm ejected %d healthy replicas (FPR %.2f, want <= 0.05)",
-			mitigated.falseEjections, float64(mitigated.falseEjections)/2)
+	if e.EjectedHealthy != 0 {
+		t.Errorf("mitigated arm ejected %d healthy replicas (FPR %.2f, want <= 0.05); verdicts: %s",
+			e.EjectedHealthy, e.FPR, strings.Join(verdicts.verdicts, "; "))
 	}
-	if mitigated.floorViolations != 0 {
-		t.Errorf("ejection dropped the rotation below MinKeep on %d routing decisions", mitigated.floorViolations)
+	if mitigated.FloorViolations != 0 {
+		t.Errorf("ejection dropped the rotation below MinKeep on %d routing decisions", mitigated.FloorViolations)
 	}
-	if mitigated.rejuvenations < 1 {
+	if mitigated.Actions["rejuvenate"] < 1 {
 		t.Errorf("the gray-failure policy never rejuvenated the limper")
 	}
-	if mitigated.reinstatements < 1 {
+	if e.Reinstated < 1 {
 		t.Errorf("the cured limper was never reinstated")
 	}
-	if mitigated.limperEjectedAtEnd {
-		t.Errorf("the limper is still ejected at run end despite recovering")
-	}
-
-	// Everything is shut down; demand the goroutine count recovered.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	t.Errorf("goroutines leaked across the gray-failure arms: %d before, %d after\n%s",
-		before, runtime.NumGoroutine(), buf[:n])
-}
-
-// e29Result is one arm's outcome.
-type e29Result struct {
-	requests, served, wrong int
-	baselineP99, runP99     time.Duration
-	amplification           float64
-	misses, accusations     int
-	limperEjected           bool
-	limperEjectedAtEnd      bool
-	falseEjections          int
-	floorViolations         int
-	reinstatements          int
-	rejuvenations           int
-}
-
-// runE29Arm stands up the fleet with the gray-failure mitigation stack
-// either live or absent and drives the workload. Time constants are
-// compressed relative to cmd/faultsim -gray to keep the test fast.
-func runE29Arm(t *testing.T, grayOn bool) e29Result {
-	t.Helper()
-	// The 5ms base keeps scheduler and race-detector noise (an additive
-	// multi-millisecond p99 tail) proportionally small, so the 20× limp
-	// clears the 10× amplification bar under -race too.
-	const (
-		requests    = 700
-		limpFrom    = 150
-		limpUntil   = 350
-		baseLatency = 5 * time.Millisecond
-		// The hedge trigger sits well above the healthy hiccup tail so
-		// only genuine limping produces censored (hedged-away) samples.
-		hedgeAfter = 12 * time.Millisecond
-		limpFactor = 20
-	)
-	collector := redundancy.NewCollector()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// The fault gate reads the fleet request counter, not the limper's
-	// own call count: ejection starves the limper of traffic, and it
-	// must still recover on the schedule's clock.
-	var fleetReq atomic.Int64
-	gate := func() bool {
-		i := fleetReq.Load()
-		return i >= limpFrom && i < limpUntil
-	}
-	serve := func(name string) redundancy.Variant[int, int] {
-		return redundancy.NewVariant(name, func(ctx context.Context, x int) (int, error) {
-			timer := time.NewTimer(baseLatency)
-			defer timer.Stop()
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-			return 2 * x, nil
-		})
-	}
-	limper := &redundancy.FailSlowVariant[int, int]{
-		Base:        serve("r1"),
-		Profile:     redundancy.SlowConstant,
-		Factor:      limpFactor,
-		BaseLatency: baseLatency,
-		Seed:        7,
-		Replica:     "r1",
-		Gate:        gate,
-	}
-	variants := map[string]redundancy.Variant[int, int]{
-		"r1": limper, // the configured primary limps — the worst case for static routing
-		"r2": serve("r2"),
-		"r3": serve("r3"),
-	}
-
-	network := redundancy.NewPipeNetwork()
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{Name: "e29-fleet"})
-	names := []string{"r1", "r2", "r3"}
-	for _, name := range names {
-		ln, err := network.Listen(name)
-		if err != nil {
-			t.Fatalf("listen %s: %v", name, err)
-		}
-		srv := redundancy.NewReplicaServer(variants[name], ln, redundancy.ReplicaServerConfig{Name: name})
-		defer srv.Close()
-		if err := supervisor.Add(srv.AsChild()); err != nil {
-			t.Fatalf("add %s: %v", name, err)
+	for _, ep := range mitigated.Latency {
+		if ep.Endpoint == "r1" && ep.Ejected {
+			t.Errorf("the limper is still ejected at run end despite recovering")
 		}
 	}
-
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Name:         "e29-detector",
-		Interval:     50 * time.Millisecond,
-		Timeout:      80 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Seed:         7,
-	})
-	for _, name := range names {
-		detector.Watch(name, network.Dial(name))
-	}
-	if err := supervisor.Add(detector.AsChild()); err != nil {
-		t.Fatalf("add detector: %v", err)
-	}
-
-	remoteCfg := redundancy.RemoteConfig{
-		CallTimeout: 150 * time.Millisecond,
-		Detector:    detector,
-		Observer:    collector,
-	}
-	var ejector *redundancy.LatencyEjector
-	if grayOn {
-		ejector = redundancy.NewLatencyEjector(redundancy.LatencyEjectorConfig{
-			Name:           "e29-ejector",
-			Alpha:          0.5,
-			Threshold:      2.5,
-			MinSamples:     3,
-			MinKeep:        2,
-			ProbeEvery:     48,
-			ReinstateAfter: 3,
-			Seed:           7,
-			Detector:       detector,
-			Observer:       collector,
-		})
-		remoteCfg.HedgeAfter = hedgeAfter
-		remoteCfg.MaxHedges = 2
-		remoteCfg.Ejector = ejector
-	}
-	endpoints := make([]redundancy.ReplicaEndpoint, 0, len(names))
-	for _, name := range names {
-		endpoints = append(endpoints, redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)})
-	}
-	remote, err := redundancy.NewRemoteVariant[int, int]("fleet", remoteCfg, endpoints...)
-	if err != nil {
-		t.Fatalf("NewRemoteVariant: %v", err)
-	}
-	defer remote.Close()
-
-	var rejuvenations atomic.Int64
-	if grayOn {
-		controller := redundancy.NewController(redundancy.ControllerConfig{
-			Name:              "e29-controller",
-			Tick:              40 * time.Millisecond,
-			MaxActionsPerKind: 4,
-			RateWindow:        2 * time.Second,
-			Sources: redundancy.ControlSources{
-				Detector: detector.States,
-				Evidence: detector.Evidence,
-			},
-			Policies: []redundancy.ControlPolicy{
-				redundancy.NewGrayFailurePolicy(redundancy.GrayFailurePolicyConfig{
-					SlownessThreshold: 2,
-					SettleTicks:       2,
-					CooldownTicks:     25,
-				}),
-			},
-			Actuators: map[string]redundancy.ControlActuator{
-				redundancy.ControlActionRejuvenate: func(_ context.Context, a redundancy.ControlAction) (redundancy.ControlAction, error) {
-					if a.Target == "r1" {
-						limper.Rejuvenate()
-					}
-					rejuvenations.Add(1)
-					return a, nil
-				},
-			},
-		})
-		if err := supervisor.Add(controller.AsChild()); err != nil {
-			t.Fatalf("add controller: %v", err)
-		}
-	}
-
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-
-	res := e29Result{requests: requests}
-	latencies := make([]time.Duration, 0, requests)
-	for i := 0; i < requests; i++ {
-		fleetReq.Store(int64(i))
-		start := time.Now()
-		got, err := remote.Execute(ctx, i)
-		latencies = append(latencies, time.Since(start))
-		switch {
-		case err != nil:
-		case got != 2*i:
-			res.wrong++
-		default:
-			res.served++
-		}
-		if ejector != nil {
-			// The floor invariant, checked on the live run: ejection may
-			// never leave fewer than MinKeep endpoints in rotation.
-			ejected := 0
-			for _, ep := range ejector.Snapshot() {
-				if ep.Ejected {
-					ejected++
-				}
-			}
-			if len(names)-ejected < 2 {
-				res.floorViolations++
-			}
-		}
-	}
-
-	cancel()
-	<-supDone
-
-	// Baseline over every gate-closed request (warmup and tail): a p99
-	// order statistic over a few hundred samples is far more stable
-	// against isolated scheduler hiccups than one over the short warmup
-	// phase alone.
-	healthy := make([]time.Duration, 0, requests-(limpUntil-limpFrom))
-	for i, d := range latencies {
-		if i < limpFrom || i >= limpUntil {
-			healthy = append(healthy, d)
-		}
-	}
-	res.baselineP99 = e29P99(healthy)
-	res.runP99 = e29P99(latencies)
-	if res.baselineP99 > 0 {
-		res.amplification = float64(res.runP99) / float64(res.baselineP99)
-	}
-	for _, name := range names {
-		misses, accusations, _ := detector.Evidence(name)
-		res.misses += misses
-		res.accusations += accusations
-	}
-	if ejector != nil {
-		for _, ep := range ejector.Snapshot() {
-			switch {
-			case ep.Endpoint == "r1" && ep.Ejections > 0:
-				res.limperEjected = true
-			case ep.Endpoint != "r1" && ep.Ejections > 0:
-				res.falseEjections++
-			}
-			if ep.Endpoint == "r1" && ep.Ejected {
-				res.limperEjectedAtEnd = true
-			}
-		}
-		res.reinstatements = ejector.Reinstatements()
-	}
-	res.rejuvenations = int(rejuvenations.Load())
-	if !grayOn && res.rejuvenations != 0 {
-		t.Fatalf("unmitigated arm rejuvenated %d times with no controller", res.rejuvenations)
-	}
-	return res
-}
-
-// e29P99 returns the 99th-percentile latency of one phase's samples.
-func e29P99(lats []time.Duration) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lats...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	return sorted[len(sorted)*99/100]
+	expectNoLeak(t, before, "the gray-failure arms")
 }

@@ -271,34 +271,45 @@ type Conviction struct {
 
 // rates derives the TPR/FPR fields from the tallies.
 func (c *Conviction) rates() {
-	c.TPR, c.FPR = 0, 0
-	if c.Liars > 0 {
-		c.TPR = float64(c.ConvictedLiars) / float64(c.Liars)
-	}
-	if c.Honest > 0 {
-		c.FPR = float64(c.ConvictedHonest) / float64(c.Honest)
-	}
+	c.TPR, c.FPR = rate(c.ConvictedLiars, c.Liars), rate(c.ConvictedHonest, c.Honest)
 }
 
 // NewConviction tallies detector verdicts (replica name → convicted)
 // against the ground-truth liar set.
 func NewConviction(liars map[string]bool, convicted map[string]bool) *Conviction {
 	c := &Conviction{}
-	for name, lies := range liars {
-		if lies {
-			c.Liars++
-			if convicted[name] {
-				c.ConvictedLiars++
+	c.Liars, c.ConvictedLiars, c.Honest, c.ConvictedHonest = tally(liars, convicted)
+	c.rates()
+	return c
+}
+
+// tally scores per-replica verdicts against ground truth: how many
+// replicas are faulty and how many of those were flagged, and likewise
+// for the healthy ones.
+func tally(faulty, flagged map[string]bool) (bad, badFlagged, good, goodFlagged int) {
+	for name, isFaulty := range faulty {
+		switch {
+		case isFaulty:
+			bad++
+			if flagged[name] {
+				badFlagged++
 			}
-		} else {
-			c.Honest++
-			if convicted[name] {
-				c.ConvictedHonest++
+		default:
+			good++
+			if flagged[name] {
+				goodFlagged++
 			}
 		}
 	}
-	c.rates()
-	return c
+	return bad, badFlagged, good, goodFlagged
+}
+
+// rate is n/of, or 0 when of is 0.
+func rate(n, of int) float64 {
+	if of == 0 {
+		return 0
+	}
+	return float64(n) / float64(of)
 }
 
 // Ejection scores the latency ejector's verdicts against the fail-slow
@@ -320,32 +331,14 @@ type Ejection struct {
 
 // rates derives the TPR/FPR fields from the tallies.
 func (e *Ejection) rates() {
-	e.TPR, e.FPR = 0, 0
-	if e.Limpers > 0 {
-		e.TPR = float64(e.EjectedLimpers) / float64(e.Limpers)
-	}
-	if e.Healthy > 0 {
-		e.FPR = float64(e.EjectedHealthy) / float64(e.Healthy)
-	}
+	e.TPR, e.FPR = rate(e.EjectedLimpers, e.Limpers), rate(e.EjectedHealthy, e.Healthy)
 }
 
 // NewEjection tallies ejector verdicts (replica name → ever ejected)
 // against the ground-truth limper set.
 func NewEjection(limpers map[string]bool, ejected map[string]bool) *Ejection {
 	e := &Ejection{}
-	for name, limps := range limpers {
-		if limps {
-			e.Limpers++
-			if ejected[name] {
-				e.EjectedLimpers++
-			}
-		} else {
-			e.Healthy++
-			if ejected[name] {
-				e.EjectedHealthy++
-			}
-		}
-	}
+	e.Limpers, e.EjectedLimpers, e.Healthy, e.EjectedHealthy = tally(limpers, ejected)
 	e.rates()
 	return e
 }

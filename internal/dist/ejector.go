@@ -121,6 +121,7 @@ type epLatency struct {
 	ewma       float64 // smoothed attempt latency, nanoseconds
 	samples    int
 	ejected    bool
+	over       int // consecutive samples above the ejection bar
 	ejections  int // lifetime ejection count (ground-truth scoring)
 	goodProbes int // consecutive fast probes this probation
 	probeTick  int // routing decisions skipped while ejected
@@ -241,7 +242,7 @@ func (e *Ejector) Observe(endpoint string, latency time.Duration) {
 		}
 		return
 	}
-	e.maybeEject(endpoint, p)
+	e.maybeEject(endpoint, p, float64(latency))
 }
 
 // ObserveCensored feeds an abandoned attempt: the request was settled
@@ -254,14 +255,16 @@ func (e *Ejector) Observe(endpoint string, latency time.Duration) {
 func (e *Ejector) ObserveCensored(endpoint string, elapsed time.Duration) {
 	e.mu.Lock()
 	p := e.ep(endpoint)
-	if float64(elapsed) <= p.ewma && p.samples > 0 {
-		// A quickly-canceled attempt says nothing: it was abandoned
-		// before it could prove itself slow or fast.
-		e.mu.Unlock()
-		return
+	// Below the EWMA a censored sample cannot push it up, so it only
+	// updates when it is above.
+	above := p.samples == 0 || float64(elapsed) > p.ewma
+	if above {
+		e.update(p, float64(elapsed))
 	}
-	e.update(p, float64(elapsed))
 	if p.ejected {
+		// A probe is routed first, so it is only abandoned when a hedge
+		// beat it: still slow, however it compares with the EWMA its
+		// earlier probes raised.
 		p.goodProbes = 0
 		e.mu.Unlock()
 		if e.cfg.Detector != nil {
@@ -269,18 +272,36 @@ func (e *Ejector) ObserveCensored(endpoint string, elapsed time.Duration) {
 		}
 		return
 	}
-	e.maybeEject(endpoint, p)
-}
-
-// maybeEject applies the ejection rule to one endpoint. Caller holds
-// mu; the lock is released before detector/observer callbacks.
-func (e *Ejector) maybeEject(endpoint string, p *epLatency) {
-	if p.samples < e.cfg.MinSamples {
+	if !above {
+		// A quickly-canceled attempt says nothing: it was abandoned
+		// before it could prove itself slow or fast.
 		e.mu.Unlock()
 		return
 	}
+	e.maybeEject(endpoint, p, float64(elapsed))
+}
+
+// ejectStreak is how many consecutive samples must each exceed the
+// ejection bar before an endpoint is ejected. The EWMA alone is not
+// enough: one scheduler stall many times the fleet median can lift it
+// over the bar for an update or two, and a single outlier sample is an
+// anecdote, not a gray failure. A limper produces a streak; a stall
+// does not.
+const ejectStreak = 3
+
+// maybeEject applies the ejection rule to one endpoint after its
+// sample x: the EWMA and the last ejectStreak samples must all exceed
+// Threshold× the fleet median. Caller holds mu; the lock is released
+// before detector/observer callbacks.
+func (e *Ejector) maybeEject(endpoint string, p *epLatency, x float64) {
 	med := e.medianLocked()
-	if med <= 0 || p.ewma <= e.cfg.Threshold*med {
+	bar := e.cfg.Threshold * med
+	if med > 0 && x > bar {
+		p.over++
+	} else {
+		p.over = 0
+	}
+	if p.samples < e.cfg.MinSamples || p.over < ejectStreak || med <= 0 || p.ewma <= bar {
 		e.mu.Unlock()
 		return
 	}
@@ -297,6 +318,7 @@ func (e *Ejector) maybeEject(endpoint string, p *epLatency) {
 		return
 	}
 	p.ejected = true
+	p.over = 0
 	p.ejections++
 	p.goodProbes = 0
 	p.probeTick = 0

@@ -62,6 +62,37 @@ func TestEjectorNeedsMinSamples(t *testing.T) {
 	}
 }
 
+func TestEjectorSingleOutlierNeverEjects(t *testing.T) {
+	// The E29 configuration: a responsive EWMA (Alpha 0.5) and a low bar
+	// (2.5×), where one stall used to lift the EWMA over the bar on its
+	// own. A lone outlier — however large — must never eject while the
+	// fleet is in full rotation.
+	cfg := EjectorConfig{Alpha: 0.5, Threshold: 2.5, MinSamples: 3, MinKeep: 2}
+	fleet := map[string]time.Duration{"r1": time.Millisecond, "r2": time.Millisecond, "r3": time.Millisecond}
+	for _, stall := range []time.Duration{4 * time.Millisecond, 20 * time.Millisecond, time.Second} {
+		e := NewEjector(cfg)
+		feedFleet(e, 10, fleet)
+		e.Observe("r2", stall)
+		feedFleet(e, 10, fleet)
+		if e.Ejections() != 0 {
+			t.Fatalf("one %v sample ejected an endpoint: %+v", stall, e.Snapshot())
+		}
+	}
+
+	// A sustained outlier still goes.
+	e := NewEjector(cfg)
+	feedFleet(e, 10, fleet)
+	for i := 0; i < ejectStreak; i++ {
+		if e.Ejected("r2") {
+			t.Fatalf("ejected after %d slow samples, want %d", i, ejectStreak)
+		}
+		e.Observe("r2", 20*time.Millisecond)
+	}
+	if !e.Ejected("r2") {
+		t.Fatalf("%d consecutive 20× samples did not eject: %+v", ejectStreak, e.Snapshot())
+	}
+}
+
 func TestEjectorFloorHoldsRotation(t *testing.T) {
 	// Two endpoints, floor of 2: however slow r2 gets, ejecting it
 	// would leave one endpoint in rotation — below the floor.
@@ -116,6 +147,7 @@ func TestEjectorProbationAndReinstatement(t *testing.T) {
 	// ProbeEvery-th decision grants it a probe at the front.
 	names := []string{"r1", "r2", "r3"}
 	name := func(i int) string { return names[i] }
+	_, _, slowBefore := det.Evidence("r2")
 	probes := 0
 	for i := 0; i < 16; i++ {
 		class := make([]int, 3)
@@ -132,6 +164,12 @@ func TestEjectorProbationAndReinstatement(t *testing.T) {
 	}
 	if probes != 4 {
 		t.Fatalf("probes granted = %d over 16 decisions with ProbeEvery=4, want 4", probes)
+	}
+	// Every censored probe is slowness evidence, even below the EWMA
+	// (25ms against ~30ms here) — else the limp never reaches the
+	// control plane.
+	if _, _, slow := det.Evidence("r2"); slow != slowBefore+probes {
+		t.Fatalf("%d censored probes filed %d slowness reports, want %d", probes, slow-slowBefore, probes)
 	}
 	if !e.Ejected("r2") {
 		t.Fatal("slow probes reinstated the endpoint")

@@ -10,200 +10,56 @@ package redundancy_test
 // honest replicas (FPR <= 0.05). The converse matters as much: the same
 // colluding pair that loses every vote at n=5 wins them at n=3, because
 // 2 > k=1 — the paper's 2k+1 sizing bound demonstrated from both sides.
+// The fleet is the one `faultsim -adversary` runs.
 
 import (
 	"context"
-	"fmt"
 	"runtime"
+	"strings"
 	"testing"
-	"time"
 
-	redundancy "github.com/softwarefaults/redundancy"
+	"github.com/softwarefaults/redundancy/internal/scenario"
 )
 
 func TestE27ByzantineQuorum(t *testing.T) {
 	before := runtime.NumGoroutine()
-
-	cases := []struct {
-		strategy redundancy.AdversaryStrategy
-		liars    int
-	}{
-		{redundancy.AdversaryAlways, 1},
-		{redundancy.AdversaryIntermittent, 2},
-		{redundancy.AdversaryCollude, 2},
+	run := func(t *testing.T, n int, adversary string) *scenario.Result {
+		t.Helper()
+		res, err := scenario.Run(context.Background(), scenario.QuorumConfig(7, n, adversary, 400), scenario.Options{})
+		if err != nil {
+			t.Fatalf("scenario.Run: %v", err)
+		}
+		return res
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(fmt.Sprintf("%s_%d_of_5", tc.strategy, tc.liars), func(t *testing.T) {
-			res := runE27Fleet(t, 5, tc.strategy, tc.liars, 400)
-			if res.wrong != 0 {
-				t.Errorf("%d wrong answers accepted; a quorum of 5 must outvote %d %s liars",
-					res.wrong, tc.liars, tc.strategy)
+
+	for _, adversary := range []string{"always:1", "intermittent:2", "collude:2"} {
+		t.Run(strings.Replace(adversary, ":", "_", 1)+"_of_5", func(t *testing.T) {
+			res := run(t, 5, adversary)
+			if res.Wrong != 0 {
+				t.Errorf("%d wrong answers accepted; a quorum of 5 must outvote %s liars", res.Wrong, adversary)
 			}
-			avail := float64(res.ok) / float64(res.total)
+			avail := float64(res.Served) / float64(len(res.Trials))
 			if avail < 0.99 {
-				t.Errorf("availability %.4f < 0.99 (%d/%d served)", avail, res.ok, res.total)
+				t.Errorf("availability %.4f < 0.99 (%d/%d served)", avail, res.Served, len(res.Trials))
 			}
-			if res.tpr < 0.9 {
-				t.Errorf("conviction TPR %.2f < 0.9: liars escaped (membership %v)", res.tpr, res.states)
+			if c := res.Conviction; c.TPR < 0.9 {
+				t.Errorf("conviction TPR %.2f < 0.9: liars escaped (membership %v)", c.TPR, res.Members)
 			}
-			if res.fpr > 0.05 {
-				t.Errorf("conviction FPR %.2f > 0.05: honest replicas framed (membership %v)", res.fpr, res.states)
+			if c := res.Conviction; c.FPR > 0.05 {
+				t.Errorf("conviction FPR %.2f > 0.05: honest replicas framed (membership %v)", c.FPR, res.Members)
 			}
 		})
 	}
 
 	t.Run("collude_2_of_3_breaks_the_quorum", func(t *testing.T) {
 		// The same cartel of 2, now a majority: n=3 tolerates only k=1.
-		res := runE27Fleet(t, 3, redundancy.AdversaryCollude, 2, 400)
-		if res.wrong == 0 {
+		res := run(t, 3, "collude:2")
+		if res.Wrong == 0 {
 			t.Errorf("colluding majority served no wrong answers at n=3 — the 2k+1 bound should be violated here")
 		}
-		if res.attacked == 0 {
+		if res.Attacked == 0 {
 			t.Fatalf("adversary never attacked; test is vacuous")
 		}
 	})
-
-	// Everything shut down per subtest; demand the goroutine count
-	// recovered before declaring no leaks.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	t.Errorf("goroutines leaked across the quorum runs: %d before, %d after\n%s",
-		before, runtime.NumGoroutine(), buf[:n])
-}
-
-// e27Result is what one fleet run measures.
-type e27Result struct {
-	total, ok, wrong, attacked int
-	tpr, fpr                   float64
-	states                     map[string]redundancy.ReplicaState
-}
-
-// runE27Fleet drives `requests` calls through a quorum of n replicas
-// whose first `liarCount` members lie with the given strategy, and
-// returns the availability, wrong-answer, and conviction measurements.
-func runE27Fleet(t *testing.T, n int, strategy redundancy.AdversaryStrategy, liarCount, requests int) e27Result {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const seed = 7
-	collector := redundancy.NewCollector()
-	network := redundancy.NewPipeNetwork()
-
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("r%d", i+1)
-	}
-	liars := make(map[string]bool, n)
-	var adversaries []*redundancy.ByzantineAdversary[int, int]
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{Name: "byzantine-fleet"})
-	for i, name := range names {
-		ln, err := network.Listen(name)
-		if err != nil {
-			t.Fatalf("Listen(%q): %v", name, err)
-		}
-		var v redundancy.Variant[int, int] = redundancy.NewVariant("double",
-			func(_ context.Context, x int) (int, error) { return 2 * x, nil })
-		liars[name] = i < liarCount
-		if liars[name] {
-			adv := &redundancy.ByzantineAdversary[int, int]{
-				Base:     v,
-				Strategy: strategy,
-				Seed:     seed,
-				Replica:  name,
-				Lie:      func(_, correct int) int { return correct + 2 },
-				Key:      func(x int) uint64 { return uint64(x) * 0x9e3779b97f4a7c15 },
-			}
-			adversaries = append(adversaries, adv)
-			v = adv
-		}
-		srv := redundancy.NewReplicaServer(v, ln, redundancy.ReplicaServerConfig{Name: name, Observer: collector})
-		if err := supervisor.Add(srv.AsChild()); err != nil {
-			t.Fatalf("supervise %s: %v", name, err)
-		}
-		defer srv.Close()
-	}
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-	defer func() { cancel(); <-supDone }()
-
-	// The heartbeat detector: liars ack promptly, so only the quorum's
-	// vote-disagreement accusations can convict them.
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Interval:     50 * time.Millisecond,
-		Timeout:      40 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Observer:     collector,
-	})
-	endpoints := make([]redundancy.ReplicaEndpoint, n)
-	for i, name := range names {
-		endpoints[i] = redundancy.ReplicaEndpoint{Name: name, Dial: network.Dial(name)}
-		detector.Watch(name, network.Dial(name))
-	}
-	detDone := make(chan error, 1)
-	go func() { detDone <- detector.Run(ctx) }()
-	defer func() { cancel(); <-detDone }()
-
-	quorum, err := redundancy.NewQuorumVariant[int, int]("quorum", redundancy.QuorumConfig{
-		CallTimeout: 500 * time.Millisecond,
-		Faults:      redundancy.TolerableFaults(n),
-		Detector:    detector,
-		Observer:    collector,
-	}, redundancy.Majority(redundancy.EqualOf[int]()), redundancy.EqualOf[int](), endpoints...)
-	if err != nil {
-		t.Fatalf("NewQuorumVariant: %v", err)
-	}
-	defer quorum.Close()
-
-	var res e27Result
-	for i := 0; i < requests; i++ {
-		res.total++
-		attackedHere := false
-		for _, adv := range adversaries {
-			if adv.Lies(i) {
-				attackedHere = true
-			}
-		}
-		if attackedHere {
-			res.attacked++
-		}
-		got, err := quorum.Execute(ctx, i)
-		if err == nil && got == 2*i {
-			res.ok++
-		}
-		if err == nil && got != 2*i {
-			res.wrong++
-		}
-	}
-
-	// Conviction quality: the detector's verdicts against ground truth.
-	res.states = detector.States()
-	var convictedLiars, convictedHonest, honest int
-	for name, isLiar := range liars {
-		convicted := res.states[name] != redundancy.ReplicaAlive
-		switch {
-		case isLiar && convicted:
-			convictedLiars++
-		case !isLiar:
-			honest++
-			if convicted {
-				convictedHonest++
-			}
-		}
-	}
-	if liarCount > 0 {
-		res.tpr = float64(convictedLiars) / float64(liarCount)
-	}
-	if honest > 0 {
-		res.fpr = float64(convictedHonest) / float64(honest)
-	}
-	return res
+	expectNoLeak(t, before, "the quorum runs")
 }

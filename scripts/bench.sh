@@ -33,12 +33,22 @@ pkgs=". ./internal/obs/... ./internal/pattern ./internal/resilience ./internal/c
 raw="$(go test -bench=. -benchmem -run='^$' -benchtime="$benchtime" $pkgs)"
 printf '%s\n' "$raw"
 
-commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# Stamp the tree that was measured, not HEAD: the working tree is often
+# not committed yet when this runs. The tree is hashed through a
+# throwaway copy of the index, so the real one is not touched.
+commit="$(
+    tmp="$(mktemp -d)" && trap 'rm -rf "$tmp"' EXIT &&
+        { cp "$(git rev-parse --git-path index)" "$tmp/index" 2>/dev/null || true; } &&
+        GIT_INDEX_FILE="$tmp/index" git add -A 2>/dev/null &&
+        GIT_INDEX_FILE="$tmp/index" git write-tree 2>/dev/null | cut -c1-7
+)"
+[ -n "$commit" ] || commit=unknown
 
 # tojson converts `go test -bench` output to a JSON array in the
 # normalized schema the campaign tooling reads: one row per
 # (benchmark, metric), each {benchmark, metric, value, unit, commit,
-# seed}. Benchmarks are single-process microbenchmarks, so seed is 0.
+# seed}; commit is the measured tree's hash (`git cat-file -p` shows
+# it). Benchmarks are single-process microbenchmarks, so seed is 0.
 # $1 selects which results to keep: "resilience" takes the resilience
 # package and the chaos-campaign throughput benchmarks, "recovery"
 # takes the checkpoint/WAL package, "net" takes the distributed

@@ -1,11 +1,11 @@
 package redundancy_test
 
 // Experiment E25's acceptance test: causal trace propagation across the
-// distributed fleet. The same three-replica fleet as E24 runs the same
-// seeded network-chaos campaign, but now every process records its own
-// trace file — the client executors in one TraceRecorder, each replica
-// server in its own — and the trace context travels only in-band on the
-// RPC frames. Afterwards the assemble package must reconstruct the
+// distributed fleet. The E24 scenario runs the same seeded network-chaos
+// campaign, but now every process records its own trace file — the
+// client executors in one TraceRecorder, each replica server in its own
+// — and the trace context travels only in-band on the RPC frames.
+// Afterwards the assemble package must reconstruct the
 // client→wire→replica chain for at least 99% of accepted answers, the
 // hedge-win attribution derived from the assembled lineages must agree
 // with the collector's live counters, and the short-window SLO tracker
@@ -15,13 +15,13 @@ package redundancy_test
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	redundancy "github.com/softwarefaults/redundancy"
 	"github.com/softwarefaults/redundancy/internal/obs/assemble"
+	"github.com/softwarefaults/redundancy/internal/scenario"
 )
 
 func TestE25DistributedTracePropagation(t *testing.T) {
@@ -29,182 +29,49 @@ func TestE25DistributedTracePropagation(t *testing.T) {
 		t.Skip("network campaign runs for a few wall-clock seconds")
 	}
 	before := runtime.NumGoroutine()
-	runE25Fleet(t)
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<16)
-	n := runtime.Stack(buf, true)
-	t.Errorf("goroutines leaked across the traced fleet run: %d before, %d after\n%s",
-		before, runtime.NumGoroutine(), buf[:n])
-}
-
-func runE25Fleet(t *testing.T) {
-	t.Helper()
 	redundancy.SeedTraceIDs(25)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	collector := redundancy.NewCollector()
 	// The client process's own trace file; sized so the whole campaign
 	// fits without eviction (attribution is compared exactly below).
 	clientTraces := redundancy.NewTraceRecorder(1 << 17)
-	// Short SLO windows scaled to the campaign's sub-second phases; the
-	// latency objective sits below the 25ms hedge delay so hedged rescues
-	// during the partition burn the error budget.
-	const fastBurnThreshold = 14.4
-	slo := redundancy.NewSLOTracker(redundancy.SLOConfig{
-		Default:    redundancy.SLObjective{Target: 0.999, Latency: 20 * time.Millisecond},
-		FastWindow: 500 * time.Millisecond,
-		SlowWindow: 3 * time.Second,
+	// Each replica server records into its own recorder, exactly as a
+	// separate process would.
+	replicaTraces := map[string]*redundancy.TraceRecorder{}
+	cfg := scenario.NetConfig(1, redundancy.DefaultNetworkCampaign(1, scenario.NetVictim), 0)
+	res, err := scenario.Run(context.Background(), cfg, scenario.Options{
+		Observer: clientTraces,
+		ReplicaObserver: func(name string) redundancy.Observer {
+			replicaTraces[name] = redundancy.NewTraceRecorder(1 << 16)
+			return replicaTraces[name]
+		},
 	})
-	clientObs := redundancy.CombineObservers(collector, clientTraces, slo)
-
-	network := redundancy.NewPipeNetwork()
-	const victim = "r2"
-	campaign := redundancy.DefaultNetworkCampaign(1, victim)
-	names := []string{"r1", "r2", "r3"}
-
-	// The fleet: each replica server records spans into its own recorder,
-	// exactly as a separate process would — the only link between the
-	// per-process recordings is the trace context on the wire.
-	replicaTraces := make(map[string]*redundancy.TraceRecorder)
-	supervisor := redundancy.NewSupervisor(redundancy.SupervisorOptions{Name: "fleet"})
-	for _, name := range names {
-		ln, err := network.Listen(name)
-		if err != nil {
-			t.Fatalf("Listen(%q): %v", name, err)
-		}
-		v := redundancy.NewVariant("double", func(_ context.Context, x int) (int, error) {
-			return 2 * x, nil
-		})
-		rec := redundancy.NewTraceRecorder(1 << 16)
-		replicaTraces[name] = rec
-		srv := redundancy.NewReplicaServer(v, ln, redundancy.ReplicaServerConfig{
-			Name:     name,
-			Observer: redundancy.CombineObservers(collector, rec),
-		})
-		if err := supervisor.Add(srv.AsChild()); err != nil {
-			t.Fatalf("supervise %s: %v", name, err)
-		}
-		defer srv.Close()
-	}
-	supDone := make(chan error, 1)
-	go func() { supDone <- supervisor.Serve(ctx) }()
-
-	faulty := func(name string) redundancy.DialFunc {
-		return campaign.Wrap(name, network.Dial(name))
-	}
-	detector := redundancy.NewFailureDetector(redundancy.FailureDetectorConfig{
-		Interval:     100 * time.Millisecond,
-		Timeout:      80 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    6,
-		Observer:     collector,
-	})
-	for _, name := range names {
-		detector.Watch(name, faulty(name))
-	}
-	detDone := make(chan error, 1)
-	go func() { detDone <- detector.Run(ctx) }()
-
-	var variants []redundancy.Variant[int, int]
-	for i := range names {
-		var endpoints []redundancy.ReplicaEndpoint
-		for j := 0; j < len(names); j++ {
-			name := names[(i+j)%len(names)]
-			endpoints = append(endpoints, redundancy.ReplicaEndpoint{Name: name, Dial: faulty(name)})
-		}
-		remote, err := redundancy.NewRemoteVariant[int, int]("via-"+names[i], redundancy.RemoteConfig{
-			CallTimeout: 150 * time.Millisecond,
-			HedgeAfter:  25 * time.Millisecond,
-			MaxHedges:   2,
-			Detector:    detector,
-			Observer:    clientObs,
-		}, endpoints...)
-		if err != nil {
-			t.Fatalf("NewRemoteVariant: %v", err)
-		}
-		defer remote.Close()
-		variants = append(variants, remote)
-	}
-	accept := func(in, out int) error {
-		if out != 2*in {
-			return fmt.Errorf("got %d want %d", out, 2*in)
-		}
-		return nil
-	}
-	sel, err := redundancy.NewParallelSelection(variants,
-		[]redundancy.AcceptanceTest[int, int]{accept, accept, accept},
-		redundancy.WithObserver(clientObs))
 	if err != nil {
-		t.Fatalf("NewParallelSelection: %v", err)
+		t.Fatalf("scenario.Run: %v", err)
 	}
-
-	// Drive the workload through the whole campaign, sampling the fast
-	// burn rate of every client-side executor while the partition holds.
-	sloExecs := []string{"parallel-selection"}
-	for _, n := range names {
-		sloExecs = append(sloExecs, "via-"+n)
-	}
-	campaign.Start()
-	var (
-		total, ok          int
-		partitionPeakBurn  float64
-		partitionPeakExec  string
-		sawPartitionSample bool
-	)
-	for !campaign.Done() {
-		_, phase := campaign.PhaseNow()
-		total++
-		if got, err := sel.Execute(ctx, total); err == nil && got == 2*total {
-			ok++
-		}
-		if phase != nil && phase.Name == "partition" {
-			sawPartitionSample = true
-			for _, e := range sloExecs {
-				if burn := slo.FastBurn(e); burn > partitionPeakBurn {
-					partitionPeakBurn, partitionPeakExec = burn, e
-				}
-			}
-		}
-		sel.Reset() // re-enable variants rejected during rough phases
-	}
-	if total < 20 {
+	if total := len(res.Trials); total < 20 {
 		t.Fatalf("campaign finished after only %d requests; schedule too short to judge", total)
 	}
-	if !sawPartitionSample {
+	partition := phase(res, "partition")
+	if partition == nil {
 		t.Fatal("workload never sampled the partition phase")
 	}
 
-	// Orderly teardown before the offline analysis.
-	cancel()
-	if err := <-detDone; err != nil {
-		t.Errorf("detector Run: %v", err)
-	}
-	if err := <-supDone; err != nil && ctx.Err() == nil {
-		t.Errorf("supervisor Serve: %v", err)
-	}
-
 	// SLO: the fast window must have paged during the partition...
+	const fastBurnThreshold = 14.4
 	t.Logf("E25: fast burn peaked at %.1f on %s during the partition (threshold %.1f)",
-		partitionPeakBurn, partitionPeakExec, fastBurnThreshold)
-	if partitionPeakBurn <= fastBurnThreshold {
+		partition.PeakBurn, partition.PeakBurnOn, fastBurnThreshold)
+	if partition.PeakBurn <= fastBurnThreshold {
 		t.Errorf("fast burn rate never exceeded the page threshold during the partition: peak %.1f <= %.1f",
-			partitionPeakBurn, fastBurnThreshold)
+			partition.PeakBurn, fastBurnThreshold)
 	}
 	// ...and recovered afterwards: once the fast window has aged past the
 	// rough phases it must hold only recovery-phase traffic.
 	time.Sleep(350 * time.Millisecond)
-	for _, e := range sloExecs {
-		if burn := slo.FastBurn(e); burn > fastBurnThreshold {
+	for _, e := range []string{"parallel-selection", "via-r1", "via-r2", "via-r3"} {
+		if burn := res.SLO.FastBurn(e); burn > fastBurnThreshold {
 			t.Errorf("fast burn rate of %s still %.1f after recovery, want <= %.1f", e, burn, fastBurnThreshold)
 		}
 	}
-	if slo.Breaching() {
+	if res.SLO.Breaching() {
 		t.Error("SLO tracker still breaching after the campaign recovered")
 	}
 
@@ -212,7 +79,7 @@ func runE25Fleet(t *testing.T) {
 	// trace context alone and demand a complete client→replica chain for
 	// at least 99% of accepted answers.
 	sources := []assemble.Source{{Name: "client", Traces: clientTraces.Snapshot()}}
-	for _, name := range names {
+	for _, name := range res.Replicas {
 		sources = append(sources, assemble.Source{Name: name, Traces: replicaTraces[name].Snapshot()})
 	}
 	rep := assemble.Assemble(sources...)
@@ -229,7 +96,7 @@ func runE25Fleet(t *testing.T) {
 	// Attribution: the hedge wins reconstructed offline from the
 	// assembled lineages must agree with the collector's live counters.
 	var liveHedgeWins int64
-	for _, snap := range collector.Snapshot() {
+	for _, snap := range res.Observed {
 		liveHedgeWins += snap.HedgeWins
 	}
 	var assembledHedgeWins int64
@@ -244,4 +111,5 @@ func runE25Fleet(t *testing.T) {
 			assembledHedgeWins, liveHedgeWins)
 	}
 	t.Logf("E25: attribution %+v", rep.Attribution)
+	expectNoLeak(t, before, "the traced fleet run")
 }
