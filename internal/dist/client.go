@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,9 +82,19 @@ const maxIdleConns = 2
 // attempt falls through to the next endpoint, and with HedgeAfter set a
 // slow attempt is raced against the next endpoint (first acceptable
 // result wins, losers are canceled).
+//
+// The same launch/settle loop serves Quorum: there the verdict rule is a
+// vote over every endpoint's reply instead of the first acceptable one.
 type Remote[I, O any] struct {
-	tp  *transport
-	cfg RemoteConfig
+	name string
+	kind string // "remote", or "quorum" under a Quorum, for errors
+	cfg  RemoteConfig
+	ids  atomic.Uint64 // RPC envelope IDs
+	// eps is the live endpoint-set snapshot; mu serializes its
+	// copy-on-write mutations (see transport.go).
+	mu     sync.Mutex
+	eps    atomic.Pointer[epSet]
+	closed atomic.Bool
 	// hedgeAfter is the live hedge delay in nanoseconds. It starts as
 	// cfg.HedgeAfter and is retunable at runtime (SetHedgeAfter) by the
 	// autonomic controller; Execute loads it once per request, so a
@@ -94,43 +105,55 @@ type Remote[I, O any] struct {
 	// traces (the envelope still forwards an inherited trace regardless,
 	// so a traced caller's context reaches the replica server).
 	traced bool
+	// rule is the quorum verdict rule NewQuorum installs; nil means the
+	// first acceptable reply wins.
+	rule *quorumRule[O]
 }
 
 var _ core.Variant[int, int] = (*Remote[int, int])(nil)
 
 // NewRemote builds a remote variant over one or more endpoints.
 func NewRemote[I, O any](name string, cfg RemoteConfig, endpoints ...Endpoint) (*Remote[I, O], error) {
+	return newRemote[I, O]("remote", name, cfg, endpoints)
+}
+
+// newRemote builds the fan-out client under NewRemote and NewQuorum
+// after validating the endpoint set (every endpoint named and dialable,
+// names unique); kind ("remote", "quorum") names the flavor in errors.
+func newRemote[I, O any](kind, name string, cfg RemoteConfig, endpoints []Endpoint) (*Remote[I, O], error) {
 	if len(endpoints) == 0 {
-		return nil, fmt.Errorf("dist: remote %q: %w", name, core.ErrNoVariants)
+		return nil, fmt.Errorf("dist: %s %q: %w", kind, name, core.ErrNoVariants)
 	}
-	tp, err := newTransport("remote", name, cfg.CallTimeout, endpoints)
-	if err != nil {
-		return nil, err
+	r := &Remote[I, O]{name: name, kind: kind, traced: obs.WantsTrace(cfg.Observer)}
+	seen := make(map[string]bool, len(endpoints))
+	pools := make([]*connPool, len(endpoints))
+	for i, ep := range endpoints {
+		if err := r.validateEndpoint(ep); err != nil {
+			return nil, err
+		}
+		if seen[ep.Name] {
+			return nil, fmt.Errorf("dist: %s %q: duplicate endpoint %q", kind, name, ep.Name)
+		}
+		seen[ep.Name] = true
+		pools[i] = newConnPool()
 	}
-	cfg.CallTimeout = tp.callTimeout
+	r.eps.Store(newEpSet(append([]Endpoint(nil), endpoints...), pools))
+	if cfg.CallTimeout <= 0 {
+		cfg.CallTimeout = defaultCallTimeout
+	}
 	if cfg.MaxHedges <= 0 {
 		cfg.MaxHedges = len(endpoints) - 1
 	}
 	if cfg.Breakers != nil {
 		cfg.Breakers.Bind("remote:"+name, cfg.Observer)
 	}
-	r := &Remote[I, O]{
-		tp: tp, cfg: cfg,
-		traced: obs.WantsTrace(cfg.Observer),
-	}
+	r.cfg = cfg
 	r.hedgeAfter.Store(int64(cfg.HedgeAfter))
 	return r, nil
 }
 
 // Name implements core.Variant.
-func (r *Remote[I, O]) Name() string { return r.tp.name }
-
-// Close releases every pooled and in-flight connection; blocked calls
-// unblock with a connection error. Idempotent.
-func (r *Remote[I, O]) Close() error {
-	r.tp.close()
-	return nil
-}
+func (r *Remote[I, O]) Name() string { return r.name }
 
 // HedgeAfter returns the live hedge delay (zero when hedging is off).
 func (r *Remote[I, O]) HedgeAfter() time.Duration {
@@ -148,19 +171,14 @@ func (r *Remote[I, O]) SetHedgeAfter(d time.Duration) {
 	r.hedgeAfter.Store(int64(d))
 }
 
-// AddEndpoint splices a new endpoint into the live set. Requests
-// already fanned out keep the endpoint view they captured; the next
-// Execute sees the grown set.
-func (r *Remote[I, O]) AddEndpoint(ep Endpoint) error { return r.tp.add(ep) }
-
 // RemoveEndpoint takes an endpoint out of the live set and cancels any
 // straggler still blocked on it (its connection pool is closed). The
 // last endpoint cannot be removed — a Remote with no endpoints could
 // serve nothing.
-func (r *Remote[I, O]) RemoveEndpoint(name string) error { return r.tp.remove(name, 1) }
+func (r *Remote[I, O]) RemoveEndpoint(name string) error { return r.removeEndpoint(name, 1) }
 
 // Endpoints returns the current endpoint names in configured order.
-func (r *Remote[I, O]) Endpoints() []string { return r.tp.view().names() }
+func (r *Remote[I, O]) Endpoints() []string { return r.view().names() }
 
 // attempt is one claimed slot of a request's fan-out: the endpoint next
 // in ranked order, admitted by its breaker and about to be tried.
@@ -172,6 +190,14 @@ type attempt struct {
 	tok resilience.Token
 }
 
+// attemptRecord is one launched attempt's lineage as the observer will
+// receive it, plus when it was launched and whether it has settled.
+type attemptRecord struct {
+	obs.RPCAttempt
+	launched time.Time
+	settled  bool
+}
+
 // attemptResult is one finished (or breaker-rejected) attempt.
 type attemptResult[O any] struct {
 	value   O
@@ -181,44 +207,46 @@ type attemptResult[O any] struct {
 	latency time.Duration
 }
 
-// Execute implements core.Variant: the hedged, failure-detector-routed,
-// breaker-guarded RPC fan-out. The first acceptable result wins; every
-// other in-flight attempt is canceled promptly (its connection deadline
-// is smashed, so blocked reads return).
+// Execute implements core.Variant: the failure-detector-routed,
+// breaker-guarded RPC fan-out. Attempts are launched in ranked order and
+// settled one by one under the verdict rule — the first acceptable
+// result, or with a quorum rule the adjudicated vote — and once the
+// request is decided every other in-flight attempt is canceled promptly
+// (its connection deadline is smashed, so blocked reads return).
 //
-// With hedging off at most one attempt is ever in flight, so the
-// attempts run one after another on the caller's goroutine; only a
-// request that may race attempts pays for goroutines, a results channel
-// and a cancelable context.
+// With hedging off and no quorum at most one attempt is ever in flight,
+// so the attempts run one after another on the caller's goroutine; only
+// a request that may race attempts pays for goroutines, a results
+// channel and a cancelable context.
 //
 // With an observer attached the fan-out is one observed request: a
-// RequestStart/RequestEnd span under the Remote's name, an Adjudicated
-// verdict (a hedge or failover that masked an attempt failure counts as
-// a detected-and-masked fault), and — when the observer records traces —
-// a span bound via RequestTraced plus one RPCAttempted lineage record
-// per attempt, including losers and cancelled hedges. Each attempt's
-// envelope carries a per-attempt child span so the replica server's
-// request span joins the same causal trace.
+// RequestStart/RequestEnd span under the client's name, an Adjudicated
+// verdict (a settled attempt that failed or lost counts as a detected
+// and, on success, masked fault), and — when the observer records
+// traces — a span bound via RequestTraced plus one RPCAttempted lineage
+// record per attempt, including losers and cancelled stragglers. Each
+// attempt's envelope carries a per-attempt child span so the replica
+// server's request span joins the same causal trace.
 func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
-	if r.tp.closed.Load() {
+	if r.closed.Load() {
 		var zero O
 		return zero, ErrClientClosed
 	}
-	// Two fanout variables, because the hedged one is shared with attempt
+	// Two fanout variables, because the racing one is shared with attempt
 	// goroutines and so lives on the heap; the sequential one need not.
-	if hedgeAfter := time.Duration(r.hedgeAfter.Load()); hedgeAfter > 0 {
+	if hedgeAfter := time.Duration(r.hedgeAfter.Load()); hedgeAfter > 0 || r.rule != nil {
 		f := r.newFanout(ctx, input)
-		return f.hedged(ctx, hedgeAfter)
+		return f.race(ctx, hedgeAfter)
 	}
 	f := r.newFanout(ctx, input)
 	return f.sequential(ctx)
 }
 
 // fanout is the state of one Execute call: the captured endpoint view
-// and routing order, the observed request, and the per-attempt records.
-// Only the goroutine running Execute touches it; attempt goroutines of
-// a hedged request get their attempt by value and report through the
-// results channel.
+// and routing order, the observed request, the per-attempt records, and
+// under a quorum rule the ballot. Only the goroutine running Execute
+// touches it; attempt goroutines of a racing request get their attempt
+// by value and report through the results channel.
 type fanout[I, O any] struct {
 	r *Remote[I, O]
 	// One immutable endpoint view per request: a controller splicing
@@ -226,29 +254,52 @@ type fanout[I, O any] struct {
 	v        *epSet
 	order    []int
 	input    I
-	oreq     observedRequest
 	launched int
 	lastErr  error
-	// Per-attempt lineage, kept only with an observer, so the records
-	// can be emitted before the request span closes.
-	lineage  []obs.RPCAttempt
-	launches []time.Time
-	settled  []bool
-	// Per-attempt ejector bookkeeping, independent of the observer: a
-	// completed attempt feeds its measured latency, and when another
-	// attempt wins the race, the abandoned losers feed their elapsed
-	// time as censored (at-least-this-slow) samples.
-	ejEndpoints []string
-	ejLaunches  []time.Time
-	ejSettled   []bool
+	// The observed request: o is nil when unobserved (req and start are
+	// then zero). rtc is a fresh child span when this client records
+	// traces, or the inherited context passed through verbatim when only
+	// an upstream executor records them; each attempt derives its own
+	// child span of it for the wire.
+	o     obs.Observer
+	req   uint64
+	start time.Time
+	rtc   obs.TraceContext
+	// Per-attempt records in launch order (attempt i went to endpoint
+	// order[i]), kept when an observer (the lineage) or an ejector (the
+	// censored samples of abandoned losers) will read them.
+	records []attemptRecord
+	// The ballot under a quorum rule: one slate slot per endpoint, pending
+	// ones standing in as failures so the vote denominator is always n,
+	// and how many replies must settle before the first adjudication.
+	slate   []core.Result[O]
+	replies int
+	need    int
 }
 
 func (r *Remote[I, O]) newFanout(ctx context.Context, input I) fanout[I, O] {
-	v := r.tp.view()
-	return fanout[I, O]{
-		r: r, v: v, order: r.ordered(v), input: input,
-		oreq: r.tp.observe(ctx, r.cfg.Observer, r.traced),
+	v := r.view()
+	f := fanout[I, O]{r: r, v: v, order: r.ordered(v), input: input, o: r.cfg.Observer}
+	if f.o != nil {
+		f.req = obs.NextRequestID()
+		f.o.RequestStart(r.name, f.req)
+		f.start = time.Now()
 	}
+	parent, hasParent := obs.TraceContextFrom(ctx)
+	if r.traced {
+		if hasParent {
+			f.rtc = parent.Child()
+		} else {
+			f.rtc = obs.NewTraceContext()
+		}
+		obs.EmitRequestTraced(f.o, r.name, f.req, f.rtc)
+	} else if hasParent {
+		f.rtc = parent
+	}
+	if r.rule != nil {
+		f.openBallot()
+	}
+	return f
 }
 
 // sequential tries the endpoints in ranked order, one at a time, until
@@ -260,8 +311,8 @@ func (f *fanout[I, O]) sequential(ctx context.Context) (O, error) {
 		if err == nil {
 			res = f.run(ctx, a)
 		}
-		if f.settle(res) {
-			return res.value, nil
+		if value, done := f.settle(res); done {
+			return value, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return f.fail(err)
@@ -270,14 +321,12 @@ func (f *fanout[I, O]) sequential(ctx context.Context) (O, error) {
 	return f.exhausted()
 }
 
-// hedged races attempts: the hedge timer launches the next endpoint
-// when the in-flight ones are slow, a failure with nothing else in
-// flight launches it at once, and the first success cancels the rest.
-func (f *fanout[I, O]) hedged(ctx context.Context, hedgeAfter time.Duration) (O, error) {
-	maxHedges := f.r.cfg.MaxHedges
-	if maxHedges > len(f.order)-1 {
-		maxHedges = len(f.order) - 1
-	}
+// race runs attempts concurrently. A quorum launches every endpoint at
+// once; otherwise one attempt leads, the hedge timer launches the next
+// while the in-flight ones are slow, and a failure with nothing else in
+// flight launches it at once. Results settle as they arrive, and the one
+// that decides the request cancels the rest.
+func (f *fanout[I, O]) race(ctx context.Context, hedgeAfter time.Duration) (O, error) {
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
@@ -300,13 +349,21 @@ func (f *fanout[I, O]) hedged(ctx context.Context, hedgeAfter time.Duration) (O,
 		go func() { results <- f.run(ctx, a) }()
 	}
 	launchNext()
+	for f.r.rule != nil && f.launched < len(f.order) {
+		launchNext()
+	}
 
 	// The timer is armed only while spare endpoints and hedge budget
 	// remain.
-	timer := time.NewTimer(hedgeAfter)
-	defer timer.Stop()
-	timerC, hedges := timer.C, 0
-	for pending > 0 {
+	maxHedges := min(f.r.cfg.MaxHedges, len(f.order)-f.launched)
+	var timer *time.Timer
+	var timerC <-chan time.Time
+	if hedgeAfter > 0 && maxHedges > 0 {
+		timer = time.NewTimer(hedgeAfter)
+		defer timer.Stop()
+		timerC = timer.C
+	}
+	for hedges := 0; pending > 0; {
 		select {
 		case <-timerC:
 			if hedges < maxHedges && f.launched < len(f.order) {
@@ -320,9 +377,9 @@ func (f *fanout[I, O]) hedged(ctx context.Context, hedgeAfter time.Duration) (O,
 			}
 		case res := <-results:
 			pending--
-			if f.settle(res) {
+			if value, done := f.settle(res); done {
 				cancelAll()
-				return res.value, nil
+				return value, nil
 			}
 			if pending == 0 && ctx.Err() == nil {
 				launchNext() // failure-triggered failover, uncapped
@@ -342,18 +399,14 @@ func (f *fanout[I, O]) launch() (attempt, error) {
 	f.launched++
 	a := attempt{n: f.launched, ep: ep}
 	endpoint := f.v.endpoints[ep].Name
-	if f.oreq.rtc.Valid() {
-		a.tc = f.oreq.rtc.Child()
+	if f.rtc.Valid() {
+		a.tc = f.rtc.Child()
 	}
-	if f.oreq.o != nil {
-		f.lineage = append(f.lineage, obs.RPCAttempt{Endpoint: endpoint, Span: a.tc, Attempt: a.n})
-		f.launches = append(f.launches, time.Now())
-		f.settled = append(f.settled, false)
-	}
-	if f.r.cfg.Ejector != nil {
-		f.ejEndpoints = append(f.ejEndpoints, endpoint)
-		f.ejLaunches = append(f.ejLaunches, time.Now())
-		f.ejSettled = append(f.ejSettled, false)
+	if f.o != nil || f.r.cfg.Ejector != nil {
+		f.records = append(f.records, attemptRecord{
+			RPCAttempt: obs.RPCAttempt{Endpoint: endpoint, Span: a.tc, Attempt: a.n},
+			launched:   time.Now(),
+		})
 	}
 	if f.r.cfg.Breakers != nil {
 		a.brk = f.r.cfg.Breakers.For(endpoint)
@@ -362,21 +415,21 @@ func (f *fanout[I, O]) launch() (attempt, error) {
 			return a, err
 		}
 	}
-	if a.n > 1 && f.oreq.o != nil {
-		obs.Emit(f.oreq.o, obs.HedgeLaunched(f.oreq.name, endpoint, f.oreq.req, a.n))
+	if a.n > 1 && f.o != nil && f.r.rule == nil {
+		obs.Emit(f.o, obs.HedgeLaunched(f.r.name, endpoint, f.req, a.n))
 	}
 	return a, nil
 }
 
 // run performs a launched attempt's round trip and reports its outcome
 // to the observer and the endpoint's breaker. It reads but never writes
-// the fanout, so hedged attempts may run it concurrently.
+// the fanout, so racing attempts may run it concurrently.
 func (f *fanout[I, O]) run(ctx context.Context, a attempt) attemptResult[O] {
 	start := time.Now()
-	value, err := roundTrip[I, O](ctx, f.r.tp, f.v, a.ep, a.tc, f.input)
+	value, err := f.roundTrip(ctx, a)
 	latency := time.Since(start)
-	if o := f.oreq.o; o != nil {
-		obs.Emit(o, obs.RPCCompleted(f.oreq.name, f.v.endpoints[a.ep].Name, f.oreq.req, latency, err))
+	if f.o != nil {
+		obs.Emit(f.o, obs.RPCCompleted(f.r.name, f.v.endpoints[a.ep].Name, f.req, latency, err))
 	}
 	if a.brk != nil {
 		a.brk.Record(a.tok, err)
@@ -384,50 +437,95 @@ func (f *fanout[I, O]) run(ctx context.Context, a attempt) attemptResult[O] {
 	return attemptResult[O]{value: value, err: err, attempt: a.n, ep: a.ep, latency: latency}
 }
 
-// settle records a finished attempt and reports whether it won; a
-// winner closes the observed request, and its value is the answer.
-func (f *fanout[I, O]) settle(res attemptResult[O]) bool {
-	o, ej, i := f.oreq.o, f.r.cfg.Ejector, res.attempt-1
-	if o != nil {
-		f.lineage[i].Latency = res.latency
-		f.lineage[i].Err = res.err
-		f.settled[i] = true
+// settle folds a finished attempt into the request and reports whether
+// it decided the request, and with what answer: under first-acceptable-
+// wins the attempt's own value when it succeeded, under a quorum rule
+// the adjudicated verdict once there is one. A decided request is closed
+// for the observer.
+func (f *fanout[I, O]) settle(res attemptResult[O]) (O, bool) {
+	i, ej := res.attempt-1, f.r.cfg.Ejector
+	if f.records != nil {
+		rec := &f.records[i]
+		rec.settled, rec.Latency, rec.Err = true, res.latency, res.err
 	}
-	if ej != nil {
-		f.ejSettled[i] = true
-		if res.err == nil {
-			ej.Observe(f.ejEndpoints[i], res.latency)
-		}
+	if ej != nil && res.err == nil {
+		ej.Observe(f.v.endpoints[res.ep].Name, res.latency)
+	}
+	if f.r.rule != nil {
+		return f.vote(res)
 	}
 	if res.err != nil {
 		f.lastErr = res.err
-		return false
+		var zero O
+		return zero, false
 	}
-	if o != nil {
-		obs.Emit(o, obs.HedgeWon(f.oreq.name, f.v.endpoints[res.ep].Name, f.oreq.req, res.attempt))
-		f.lineage[i].Won = true
+	if f.records != nil {
+		f.records[i].Won = true
+	}
+	if f.o != nil {
+		obs.Emit(f.o, obs.HedgeWon(f.r.name, f.v.endpoints[res.ep].Name, f.req, res.attempt))
 	}
 	if ej != nil {
-		for j := range f.ejSettled {
-			if !f.ejSettled[j] {
-				ej.ObserveCensored(f.ejEndpoints[j], time.Since(f.ejLaunches[j]))
+		// The abandoned losers feed their elapsed time as censored
+		// (at-least-this-slow) samples.
+		for _, rec := range f.records {
+			if !rec.settled {
+				ej.ObserveCensored(rec.Endpoint, time.Since(rec.launched))
 			}
 		}
 	}
-	f.oreq.finish(f.lineage, f.launches, f.settled, nil)
-	return true
+	f.finish(nil)
+	return res.value, true
 }
 
 // fail closes the observed request with no winner.
 func (f *fanout[I, O]) fail(err error) (O, error) {
 	var zero O
-	f.oreq.finish(f.lineage, f.launches, f.settled, err)
+	f.finish(err)
 	return zero, err
 }
 
-// exhausted is fail for a request that ran out of endpoints.
+// exhausted is fail for a request whose attempts all settled undecided.
 func (f *fanout[I, O]) exhausted() (O, error) {
-	return f.fail(fmt.Errorf("remote %s: %w: %w", f.oreq.name, core.ErrAllVariantsFailed, f.lastErr))
+	if f.r.rule != nil {
+		return f.fail(f.noVerdict())
+	}
+	return f.fail(fmt.Errorf("remote %s: %w: %w", f.r.name, core.ErrAllVariantsFailed, f.lastErr))
+}
+
+// finish closes the observed request: it flushes the attempt lineage
+// (the verdict rule has marked the winners; attempts not yet settled are
+// the cancelled losers, timed from their launch), reports the
+// adjudication verdict, and ends the request span. A settled loser — a
+// failed round trip, or on success a reply that did not win — is a
+// detected (and, when err is nil, masked) fault. The lineage must be
+// emitted before RequestEnd: after it a recorder has already committed
+// the trace.
+func (f *fanout[I, O]) finish(err error) {
+	if f.o == nil {
+		return
+	}
+	name := f.r.name
+	failureDetected := false
+	for i := range f.records {
+		rec := &f.records[i]
+		if !rec.settled {
+			rec.Cancelled = true
+			rec.Latency = time.Since(rec.launched)
+		} else if rec.Err != nil || (err == nil && !rec.Won) {
+			failureDetected = true
+		}
+		obs.EmitRPCAttempted(f.o, name, f.req, rec.RPCAttempt)
+	}
+	f.o.Adjudicated(name, f.req, err == nil, failureDetected)
+	outcome := obs.OutcomeSuccess
+	switch {
+	case err != nil:
+		outcome = obs.OutcomeFailed
+	case failureDetected:
+		outcome = obs.OutcomeMasked
+	}
+	f.o.RequestEnd(name, f.req, time.Since(f.start), outcome)
 }
 
 // ordered returns endpoint indexes (into the captured view) ranked for

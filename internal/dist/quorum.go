@@ -12,6 +12,13 @@ package dist
 // boundary: a replica that *lies* (answers promptly but wrongly) is
 // outvoted, and the disagreement is converted into failure-detector
 // evidence against it.
+//
+// The two clients differ only in their verdict rule. A Quorum is a
+// Remote (no hedging, breakers, or liveness routing: a quorum queries
+// every replica regardless of opinion) whose fan-out launches every
+// endpoint at once and settles each reply onto a ballot instead of
+// taking the first acceptable one; the launch/settle loop, lineage,
+// observer bracket, and straggler cancellation are Remote's.
 
 import (
 	"context"
@@ -72,14 +79,22 @@ type QuorumConfig struct {
 // local pattern executors — a quorum fleet can itself be one variant
 // of a recovery block or N-version set.
 type Quorum[I, O any] struct {
-	tp     *transport
-	cfg    QuorumConfig
-	adj    core.Adjudicator[O]
-	eq     core.Equal[O]
-	traced bool
+	r *Remote[I, O] // r.rule is this quorum's verdict rule
 }
 
 var _ core.Variant[int, int] = (*Quorum[int, int])(nil)
+
+// quorumRule is the verdict rule a Quorum installs on its Remote.
+type quorumRule[O any] struct {
+	adj    core.Adjudicator[O]
+	eq     core.Equal[O]
+	faults int
+	// minReplies is left as configured (possibly zero) and resolved per
+	// request against the fleet size of that request's endpoint view, so
+	// a fleet grown or shrunk at runtime keeps the n-k default honest.
+	minReplies int
+	detector   *Detector
+}
 
 // NewQuorum builds a quorum variant over 2k+1 or more endpoints. The
 // adjudicator decides the verdict (vote.Majority for the paper's
@@ -102,68 +117,23 @@ func NewQuorum[I, O any](name string, cfg QuorumConfig, adj core.Adjudicator[O],
 		return nil, fmt.Errorf("dist: quorum %q: %w: k=%d needs %d replicas, have %d",
 			name, ErrQuorumSize, cfg.Faults, need, len(endpoints))
 	}
-	tp, err := newTransport("quorum", name, cfg.CallTimeout, endpoints)
+	r, err := newRemote[I, O]("quorum", name,
+		RemoteConfig{CallTimeout: cfg.CallTimeout, Observer: cfg.Observer}, endpoints)
 	if err != nil {
 		return nil, err
 	}
-	cfg.CallTimeout = tp.callTimeout
-	// MinReplies is left as configured (possibly zero) and resolved per
-	// request against the fleet size of that request's endpoint view, so
-	// a fleet grown or shrunk at runtime keeps the n-k default honest.
-	return &Quorum[I, O]{
-		tp: tp, cfg: cfg, adj: adj, eq: eq,
-		traced: obs.WantsTrace(cfg.Observer),
-	}, nil
+	r.rule = &quorumRule[O]{
+		adj: adj, eq: eq, faults: cfg.Faults,
+		minReplies: cfg.MinReplies, detector: cfg.Detector,
+	}
+	return &Quorum[I, O]{r: r}, nil
 }
 
 // Name implements core.Variant.
-func (q *Quorum[I, O]) Name() string { return q.tp.name }
-
-// Replicas returns the fleet size n.
-func (q *Quorum[I, O]) Replicas() int { return len(q.tp.view().endpoints) }
-
-// TolerableFaults returns k, the configured wrong-answer tolerance.
-func (q *Quorum[I, O]) TolerableFaults() int { return q.cfg.Faults }
-
-// AddEndpoint splices a new replica into the live fleet. Requests
-// already fanned out keep the endpoint view they captured; the next
-// Execute votes over the grown fleet.
-func (q *Quorum[I, O]) AddEndpoint(ep Endpoint) error { return q.tp.add(ep) }
-
-// RemoveEndpoint takes a replica out of the live fleet and cancels any
-// straggler still blocked on it. Removal is refused when it would
-// shrink the fleet below the 2k+1 floor the fault-tolerance target
-// requires — a controller must splice the replacement in before it
-// retires the convicted replica.
-func (q *Quorum[I, O]) RemoveEndpoint(name string) error {
-	return q.tp.remove(name, vote.VersionsNeeded(q.cfg.Faults))
-}
-
-// Endpoints returns the current replica names in configured order.
-func (q *Quorum[I, O]) Endpoints() []string { return q.tp.view().names() }
-
-// Close releases every pooled and in-flight connection; blocked calls
-// unblock with a connection error. Idempotent.
-func (q *Quorum[I, O]) Close() error {
-	q.tp.close()
-	return nil
-}
-
-// quorumReply is one settled endpoint reply.
-type quorumReply[O any] struct {
-	value   O
-	err     error
-	ep      int
-	latency time.Duration
-}
+func (q *Quorum[I, O]) Name() string { return q.r.Name() }
 
 // Execute implements core.Variant: the full fan-out with incremental
-// adjudication. Replies are collected into a fixed slate of n results
-// (stragglers stand in as failed placeholders); once MinReplies have
-// settled, every further settle re-runs the adjudicator, and the first
-// verdict wins. A strict-majority adjudicator over the padded slate is
-// monotone — pending replies can only add votes, never dethrone a
-// majority already reached — so deciding early is sound.
+// adjudication (see fanout.vote).
 //
 // With an observer attached the fan-out is one observed request span
 // under the Quorum's name with one RPCAttempted lineage record per
@@ -172,159 +142,135 @@ type quorumReply[O any] struct {
 // VoteDisagreement when the settled successes were not unanimous, and
 // ReplicaOutvoted (plus a Detector accusation) per losing reply.
 func (q *Quorum[I, O]) Execute(ctx context.Context, input I) (O, error) {
-	var zero O
-	if q.tp.closed.Load() {
-		return zero, ErrClientClosed
-	}
-	// One immutable endpoint view per request: a controller splicing
-	// replicas mid-flight changes the next request's fleet, not this one.
-	v := q.tp.view()
-	n := len(v.endpoints)
-	minReplies := q.cfg.MinReplies
-	if minReplies <= 0 {
-		minReplies = n - q.cfg.Faults
-	}
-	if minReplies > n {
-		minReplies = n
-	}
-	oreq := q.tp.observe(ctx, q.cfg.Observer, q.traced)
-	o, name, req, rtc := oreq.o, oreq.name, oreq.req, oreq.rtc
-	ctx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
+	return q.r.Execute(ctx, input)
+}
 
-	replies := make(chan quorumReply[O], n)
-	var (
-		lineage  []obs.RPCAttempt
-		launches []time.Time
-		settled  = make([]bool, n)
-	)
-	if o != nil {
-		lineage = make([]obs.RPCAttempt, n)
-		launches = make([]time.Time, n)
-	}
-	for ep := 0; ep < n; ep++ {
-		var atc obs.TraceContext
-		if rtc.Valid() {
-			atc = rtc.Child()
-		}
-		if o != nil {
-			lineage[ep] = obs.RPCAttempt{
-				Endpoint: v.endpoints[ep].Name, Span: atc, Attempt: ep + 1,
-			}
-			launches[ep] = time.Now()
-		}
-		go func(ep int, atc obs.TraceContext) {
-			start := time.Now()
-			value, err := roundTrip[I, O](ctx, q.tp, v, ep, atc, input)
-			latency := time.Since(start)
-			if o != nil {
-				obs.Emit(o, obs.RPCCompleted(name, v.endpoints[ep].Name, req, latency, err))
-			}
-			replies <- quorumReply[O]{value: value, err: err, ep: ep, latency: latency}
-		}(ep, atc)
-	}
+// Replicas returns the fleet size n.
+func (q *Quorum[I, O]) Replicas() int { return len(q.r.view().endpoints) }
 
-	// The slate the adjudicator sees: every endpoint's slot, pending
-	// ones standing in as failures so the vote denominator is always n.
-	slate := make([]core.Result[O], n)
-	for ep := range slate {
-		slate[ep] = core.Result[O]{Variant: v.endpoints[ep].Name, Err: errStragglerPending}
-	}
+// TolerableFaults returns k, the configured wrong-answer tolerance.
+func (q *Quorum[I, O]) TolerableFaults() int { return q.r.rule.faults }
 
-	// finish closes the observed request; agreed marks the replies that
-	// voted with the verdict, nil when there is none (failure or
-	// cancellation).
-	finish := func(agreed []bool, err error) {
-		for ep := range lineage {
-			lineage[ep].Won = agreed != nil && agreed[ep]
-		}
-		oreq.finish(lineage, launches, settled, err)
-	}
+// AddEndpoint splices a new replica into the live fleet. Requests
+// already fanned out keep the endpoint view they captured; the next
+// Execute votes over the grown fleet.
+func (q *Quorum[I, O]) AddEndpoint(ep Endpoint) error { return q.r.AddEndpoint(ep) }
 
-	// answerClasses counts the equivalence classes among the settled
-	// successful replies under eq. It copies reply values, so it is only
-	// called with an observer attached to report the count to.
-	answerClasses := func() int {
-		var reps []O
-	outer:
-		for ep := range slate {
-			if !settled[ep] || !slate[ep].OK() {
-				continue
-			}
-			for _, r := range reps {
-				if q.eq(r, slate[ep].Value) {
-					continue outer
-				}
-			}
-			reps = append(reps, slate[ep].Value)
-		}
-		return len(reps)
-	}
+// RemoveEndpoint takes a replica out of the live fleet and cancels any
+// straggler still blocked on it. Removal is refused when it would
+// shrink the fleet below the 2k+1 floor the fault-tolerance target
+// requires — a controller must splice the replacement in before it
+// retires the convicted replica.
+func (q *Quorum[I, O]) RemoveEndpoint(name string) error {
+	return q.r.removeEndpoint(name, vote.VersionsNeeded(q.r.rule.faults))
+}
 
-	settledCount := 0
-	for settledCount < n {
-		select {
-		case rep := <-replies:
-			settledCount++
-			settled[rep.ep] = true
-			slate[rep.ep] = core.Result[O]{
-				Variant: v.endpoints[rep.ep].Name,
-				Value:   rep.value, Err: rep.err, Latency: rep.latency,
+// Endpoints returns the current replica names in configured order.
+func (q *Quorum[I, O]) Endpoints() []string { return q.r.Endpoints() }
+
+// Close releases every pooled and in-flight connection; blocked calls
+// unblock with a connection error. Idempotent.
+func (q *Quorum[I, O]) Close() error { return q.r.Close() }
+
+// openBallot sets up one request's ballot: every endpoint's slot starts
+// pending, and MinReplies resolves against this request's fleet size.
+func (f *fanout[I, O]) openBallot() {
+	n := len(f.v.endpoints)
+	f.need = f.r.rule.minReplies
+	if f.need <= 0 {
+		f.need = n - f.r.rule.faults
+	}
+	f.need = min(f.need, n)
+	f.slate = make([]core.Result[O], n)
+	for ep := range f.slate {
+		f.slate[ep] = core.Result[O]{Variant: f.v.endpoints[ep].Name, Err: errStragglerPending}
+	}
+	if f.o != nil {
+		f.records = make([]attemptRecord, 0, n)
+	}
+}
+
+// vote is the quorum verdict rule. The reply takes its endpoint's slot
+// on the slate; once need replies have settled, every further settle
+// re-runs the adjudicator, and the first verdict wins. A strict-majority
+// adjudicator over the padded slate is monotone — pending replies can
+// only add votes, never dethrone a majority already reached — so
+// deciding early is sound. On a verdict every settled reply is
+// attributed to it and each loser becomes evidence: a ReplicaOutvoted
+// event and a detector accusation.
+func (f *fanout[I, O]) vote(res attemptResult[O]) (O, bool) {
+	q, name := f.r.rule, f.r.name
+	f.slate[res.ep] = core.Result[O]{
+		Variant: f.v.endpoints[res.ep].Name,
+		Value:   res.value, Err: res.err, Latency: res.latency,
+	}
+	f.replies++
+	if f.replies < f.need {
+		var zero O
+		return zero, false
+	}
+	verdict, err := q.adj.Adjudicate(f.slate)
+	if err != nil {
+		f.lastErr = err // no quorum yet; wait for more replies
+		var zero O
+		return zero, false
+	}
+	votes, disagreed := 0, false
+	for i := 0; i < f.launched; i++ {
+		reply := f.slate[f.order[i]]
+		if !reply.OK() { // failed, or still pending
+			continue
+		}
+		if q.eq(reply.Value, verdict) {
+			votes++
+			if f.records != nil {
+				f.records[i].Won = true
 			}
-			if o != nil {
-				lineage[rep.ep].Latency = rep.latency
-				lineage[rep.ep].Err = rep.err
-			}
-			if settledCount < minReplies {
-				continue
-			}
-			verdict, err := q.adj.Adjudicate(slate)
-			if err != nil {
-				continue // no quorum yet; wait for more replies
-			}
-			// A verdict: attribute every settled reply to it, convert the
-			// losers into evidence, and cancel the stragglers.
-			agreed := make([]bool, n)
-			votes := 0
-			disagreed := false
-			for ep := range slate {
-				if !settled[ep] || !slate[ep].OK() {
-					continue
-				}
-				if q.eq(slate[ep].Value, verdict) {
-					agreed[ep] = true
-					votes++
-					continue
-				}
-				disagreed = true
-				obs.Emit(o, obs.ReplicaOutvoted(name, v.endpoints[ep].Name, req))
-				if q.cfg.Detector != nil {
-					q.cfg.Detector.Accuse(v.endpoints[ep].Name)
-				}
-			}
-			if disagreed && o != nil {
-				obs.Emit(o, obs.VoteDisagreement(name, req, answerClasses()))
-			}
-			obs.Emit(o, obs.QuorumReached(name, req, votes, settledCount, n))
-			finish(agreed, nil)
-			cancelAll()
-			return verdict, nil
-		case <-ctx.Done():
-			finish(nil, ctx.Err())
-			return zero, ctx.Err()
+			continue
+		}
+		disagreed = true
+		obs.Emit(f.o, obs.ReplicaOutvoted(name, reply.Variant, f.req))
+		if q.detector != nil {
+			q.detector.Accuse(reply.Variant)
 		}
 	}
-	// Every replica settled and the adjudicator never produced a
-	// verdict: too many failures, or a vote split past tolerance. The
-	// split itself is still reportable evidence, but with no verdict no
-	// individual replica can be blamed, so nobody is accused.
-	_, err := q.adj.Adjudicate(slate)
-	if o != nil {
-		if answers := answerClasses(); answers > 1 {
-			obs.Emit(o, obs.VoteDisagreement(name, req, answers))
+	if disagreed && f.o != nil {
+		obs.Emit(f.o, obs.VoteDisagreement(name, f.req, f.answerClasses()))
+	}
+	obs.Emit(f.o, obs.QuorumReached(name, f.req, votes, f.replies, len(f.slate)))
+	f.finish(nil)
+	return verdict, true
+}
+
+// noVerdict is the error of a request whose replicas all settled without
+// the adjudicator producing a verdict: too many failures, or a vote split
+// past tolerance. The split itself is still reportable evidence, but with
+// no verdict no individual replica can be blamed, so nobody is accused.
+func (f *fanout[I, O]) noVerdict() error {
+	if f.o != nil {
+		if answers := f.answerClasses(); answers > 1 {
+			obs.Emit(f.o, obs.VoteDisagreement(f.r.name, f.req, answers))
 		}
 	}
-	err = fmt.Errorf("quorum %s: %w", name, err)
-	finish(nil, err)
-	return zero, err
+	return fmt.Errorf("quorum %s: %w", f.r.name, f.lastErr)
+}
+
+// answerClasses counts the equivalence classes among the settled
+// successful replies under eq. It copies reply values, so it is only
+// called with an observer attached to report the count to.
+func (f *fanout[I, O]) answerClasses() int {
+	var reps []O
+outer:
+	for _, reply := range f.slate {
+		if !reply.OK() {
+			continue
+		}
+		for _, r := range reps {
+			if f.r.rule.eq(r, reply.Value) {
+				continue outer
+			}
+		}
+		reps = append(reps, reply.Value)
+	}
+	return len(reps)
 }

@@ -107,7 +107,11 @@ func TestQuorumOutvotesLiarAndAccuses(t *testing.T) {
 	})
 	detector := NewDetector(DetectorConfig{AccuseSuspectAfter: 3, AccuseDeadAfter: 8})
 	collector := obs.NewCollector()
-	q, err := NewQuorum[int, int]("q", QuorumConfig{Faults: 1, Detector: detector, Observer: collector},
+	// MinReplies 3 waits for every reply before the vote. With the default
+	// n-k the two honest replies can decide before the liar's settles, and
+	// a cancelled straggler is never accused: about one run in eighty
+	// left the liar a straggler on all 20 requests.
+	q, err := NewQuorum[int, int]("q", QuorumConfig{Faults: 1, MinReplies: 3, Detector: detector, Observer: collector},
 		vote.Majority[int](intEq), intEq, eps...)
 	if err != nil {
 		t.Fatalf("NewQuorum: %v", err)

@@ -1,11 +1,9 @@
 package dist
 
-// The transport is the client-side wire machinery shared by the two
-// replica clients: Remote (hedged failover across the endpoints of one
-// logical service) and Quorum (fan-out to every endpoint with vote
-// adjudication). It owns the validated endpoint set, one connection
-// pool per endpoint, the RPC ID sequence, and the single-attempt round
-// trip; the clients own their fan-out policy on top.
+// The client-side wire machinery under Remote's fan-out: the endpoint
+// set, one connection pool per endpoint, and the single-attempt round
+// trip. The fan-out (client.go) owns launch order, racing, and the
+// verdict on top.
 //
 // The endpoint set is mutable at runtime — the autonomic control plane
 // splices replacement replicas into a live fleet — so it lives behind
@@ -20,10 +18,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"github.com/softwarefaults/redundancy/internal/obs"
 )
 
 // epSet is one immutable snapshot of the endpoint set: parallel
@@ -67,191 +62,90 @@ func (s *epSet) names() []string {
 	return out
 }
 
-// transport is the shared endpoint/pool state. It is deliberately
-// non-generic: Go has no generic methods, so the typed round trip is
-// the free function roundTrip below.
-type transport struct {
-	name        string
-	kind        string // client flavor ("remote", "quorum") for errors
-	callTimeout time.Duration
-	ids         atomic.Uint64
-	closed      atomic.Bool
-
-	mu  sync.Mutex // serializes endpoint-set mutations
-	eps atomic.Pointer[epSet]
-}
-
-// newTransport validates the endpoint set (every endpoint named and
-// dialable, names unique) and builds the per-endpoint pools. kind names
-// the client flavor ("remote", "quorum") in error messages.
-func newTransport(kind, name string, callTimeout time.Duration, endpoints []Endpoint) (*transport, error) {
-	seen := make(map[string]bool, len(endpoints))
-	for _, ep := range endpoints {
-		if ep.Name == "" || ep.Dial == nil {
-			return nil, fmt.Errorf("dist: %s %q: endpoint needs a name and a dialer", kind, name)
-		}
-		if seen[ep.Name] {
-			return nil, fmt.Errorf("dist: %s %q: duplicate endpoint %q", kind, name, ep.Name)
-		}
-		seen[ep.Name] = true
+// validateEndpoint reports an endpoint that cannot be dialed by name.
+func (r *Remote[I, O]) validateEndpoint(ep Endpoint) error {
+	if ep.Name == "" || ep.Dial == nil {
+		return fmt.Errorf("dist: %s %q: endpoint needs a name and a dialer", r.kind, r.name)
 	}
-	if callTimeout <= 0 {
-		callTimeout = defaultCallTimeout
-	}
-	pools := make([]*connPool, len(endpoints))
-	for i := range pools {
-		pools[i] = newConnPool()
-	}
-	t := &transport{name: name, kind: kind, callTimeout: callTimeout}
-	t.eps.Store(newEpSet(append([]Endpoint(nil), endpoints...), pools))
-	return t, nil
+	return nil
 }
 
 // view returns the current endpoint-set snapshot. Callers fan one
 // request out against one view; the view stays valid (its pools are
 // only closed by remove/close, which unblocks rather than corrupts).
-func (t *transport) view() *epSet { return t.eps.Load() }
+func (r *Remote[I, O]) view() *epSet { return r.eps.Load() }
 
-// add splices a new endpoint (with a fresh pool) into the set.
-func (t *transport) add(ep Endpoint) error {
-	if ep.Name == "" || ep.Dial == nil {
-		return fmt.Errorf("dist: %s %q: endpoint needs a name and a dialer", t.kind, t.name)
+// AddEndpoint splices a new endpoint (with a fresh pool) into the live
+// set. Requests already fanned out keep the endpoint view they
+// captured; the next Execute sees the grown set.
+func (r *Remote[I, O]) AddEndpoint(ep Endpoint) error {
+	if err := r.validateEndpoint(ep); err != nil {
+		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed.Load() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed.Load() {
 		return ErrClientClosed
 	}
-	cur := t.eps.Load()
+	cur := r.eps.Load()
 	if cur.index(ep.Name) >= 0 {
-		return fmt.Errorf("dist: %s %q: duplicate endpoint %q", t.kind, t.name, ep.Name)
+		return fmt.Errorf("dist: %s %q: duplicate endpoint %q", r.kind, r.name, ep.Name)
 	}
-	t.eps.Store(newEpSet(
+	r.eps.Store(newEpSet(
 		append(append([]Endpoint(nil), cur.endpoints...), ep),
 		append(append([]*connPool(nil), cur.pools...), newConnPool()),
 	))
 	return nil
 }
 
-// remove takes the named endpoint out of the set and closes its pool,
-// which cancels any straggler still blocked on the removed replica.
-// minLeft guards the invariant the client needs after removal
+// removeEndpoint takes the named endpoint out of the set and closes its
+// pool, which cancels any straggler still blocked on the removed
+// replica. minLeft guards the invariant the client needs after removal
 // (Remote: at least 1 endpoint, Quorum: at least 2k+1).
-func (t *transport) remove(name string, minLeft int) error {
-	t.mu.Lock()
-	if t.closed.Load() {
-		t.mu.Unlock()
+func (r *Remote[I, O]) removeEndpoint(name string, minLeft int) error {
+	r.mu.Lock()
+	if r.closed.Load() {
+		r.mu.Unlock()
 		return ErrClientClosed
 	}
-	cur := t.eps.Load()
+	cur := r.eps.Load()
 	i := cur.index(name)
 	if i < 0 {
-		t.mu.Unlock()
-		return fmt.Errorf("dist: %s %q: no endpoint %q", t.kind, t.name, name)
+		r.mu.Unlock()
+		return fmt.Errorf("dist: %s %q: no endpoint %q", r.kind, r.name, name)
 	}
 	if len(cur.endpoints)-1 < minLeft {
-		t.mu.Unlock()
+		r.mu.Unlock()
 		return fmt.Errorf("dist: %s %q: removing %q would leave %d endpoints, need at least %d",
-			t.kind, t.name, name, len(cur.endpoints)-1, minLeft)
+			r.kind, r.name, name, len(cur.endpoints)-1, minLeft)
 	}
-	t.eps.Store(newEpSet(
+	r.eps.Store(newEpSet(
 		append(append([]Endpoint(nil), cur.endpoints[:i]...), cur.endpoints[i+1:]...),
 		append(append([]*connPool(nil), cur.pools[:i]...), cur.pools[i+1:]...),
 	))
 	removed := cur.pools[i]
-	t.mu.Unlock()
+	r.mu.Unlock()
 	removed.close()
 	return nil
 }
 
-// close releases every pooled and in-flight connection; blocked calls
+// Close releases every pooled and in-flight connection; blocked calls
 // unblock with a connection error. Idempotent.
-func (t *transport) close() {
-	if t.closed.Swap(true) {
-		return
+func (r *Remote[I, O]) Close() error {
+	if r.closed.Swap(true) {
+		return nil
 	}
-	t.mu.Lock()
-	set := t.eps.Load()
-	t.mu.Unlock()
+	r.mu.Lock()
+	set := r.eps.Load()
+	r.mu.Unlock()
 	for _, p := range set.pools {
 		p.close()
 	}
+	return nil
 }
 
-// observedRequest is the observer bracket both clients put around one
-// fan-out: the request span under the client's name, and the trace
-// context the attempts fan out under.
-type observedRequest struct {
-	o     obs.Observer // nil when unobserved; req and start are then zero
-	name  string
-	req   uint64
-	start time.Time
-	// rtc is a fresh child span when this client records traces, or the
-	// inherited context passed through verbatim when only an upstream
-	// executor records them. Each attempt derives its own child span of
-	// it for the wire.
-	rtc obs.TraceContext
-}
-
-// observe opens the observed request of one Execute call. It returns a
-// value and touches the observer only when there is one, so the
-// unobserved path stays allocation-free.
-func (t *transport) observe(ctx context.Context, o obs.Observer, traced bool) observedRequest {
-	r := observedRequest{o: o, name: t.name}
-	if o != nil {
-		r.req = obs.NextRequestID()
-		o.RequestStart(r.name, r.req)
-		r.start = time.Now()
-	}
-	parent, hasParent := obs.TraceContextFrom(ctx)
-	if traced {
-		if hasParent {
-			r.rtc = parent.Child()
-		} else {
-			r.rtc = obs.NewTraceContext()
-		}
-		obs.EmitRequestTraced(o, r.name, r.req, r.rtc)
-	} else if hasParent {
-		r.rtc = parent
-	}
-	return r
-}
-
-// finish closes the observed request: it flushes the attempt lineage
-// (the caller has marked the winners; attempts not yet settled are the
-// cancelled losers, timed from launches), reports the adjudication
-// verdict, and ends the request span. A settled loser — a failed round
-// trip, or on a verdict a reply that did not win — is a detected (and,
-// when err is nil, masked) fault. The lineage must be emitted before
-// RequestEnd: after it a recorder has already committed the trace.
-func (r *observedRequest) finish(lineage []obs.RPCAttempt, launches []time.Time, settled []bool, err error) {
-	if r.o == nil {
-		return
-	}
-	failureDetected := false
-	for i := range lineage {
-		a := &lineage[i]
-		if !settled[i] {
-			a.Cancelled = true
-			a.Latency = time.Since(launches[i])
-		} else if a.Err != nil || (err == nil && !a.Won) {
-			failureDetected = true
-		}
-		obs.EmitRPCAttempted(r.o, r.name, r.req, *a)
-	}
-	r.o.Adjudicated(r.name, r.req, err == nil, failureDetected)
-	outcome := obs.OutcomeSuccess
-	switch {
-	case err != nil:
-		outcome = obs.OutcomeFailed
-	case failureDetected:
-		outcome = obs.OutcomeMasked
-	}
-	r.o.RequestEnd(r.name, r.req, time.Since(r.start), outcome)
-}
-
-// roundTrip performs one RPC attempt against one endpoint of the
-// captured snapshot: pooled connection (or fresh dial), framed call
+// roundTrip performs one RPC attempt against its endpoint of the
+// request's captured snapshot: pooled connection (or fresh dial), framed call
 // out, framed reply in, all under the per-endpoint deadline. The
 // attempt span tc (zero when untraced) rides the envelope so the
 // replica continues the trace. Context cancellation — a winner
@@ -262,11 +156,11 @@ func (r *observedRequest) finish(lineage []obs.RPCAttempt, launches []time.Time,
 // (a value decoded, or an in-band variant failure); on every other
 // path its value streams may be out of step with the replica's, and it
 // is dropped.
-func roundTrip[I, O any](ctx context.Context, t *transport, v *epSet, ep int, tc obs.TraceContext, input I) (out O, err error) {
-	ctx, cancel := context.WithTimeout(ctx, t.callTimeout)
+func (f *fanout[I, O]) roundTrip(ctx context.Context, a attempt) (out O, err error) {
+	ctx, cancel := context.WithTimeout(ctx, f.r.cfg.CallTimeout)
 	defer cancel()
-	pool, name := v.pools[ep], v.endpoints[ep].Name
-	conn, err := pool.get(ctx, v.endpoints[ep].Dial)
+	pool, name := f.v.pools[a.ep], f.v.endpoints[a.ep].Name
+	conn, err := pool.get(ctx, f.v.endpoints[a.ep].Dial)
 	if err != nil {
 		return out, err
 	}
@@ -290,8 +184,8 @@ func roundTrip[I, O any](ctx context.Context, t *transport, v *epSet, ep int, tc
 			pool.drop(conn)
 		}
 	}()
-	call := envelope{Kind: kindCall, ID: t.ids.Add(1), TraceID: tc.TraceID, SpanID: tc.SpanID}
-	if err := conn.sendValue(&call, input); err != nil {
+	call := envelope{Kind: kindCall, ID: f.r.ids.Add(1), TraceID: a.tc.TraceID, SpanID: a.tc.SpanID}
+	if err := conn.sendValue(&call, f.input); err != nil {
 		return out, fmt.Errorf("dist: %s: send: %w", name, err)
 	}
 	reply, err := conn.recv()

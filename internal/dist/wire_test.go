@@ -60,7 +60,7 @@ func (t *tap) snapshot() (dials int, writes []int) {
 // idle returns how many connections the remote's pool for its first
 // endpoint holds.
 func idle[I, O any](r *Remote[I, O]) int {
-	p := r.tp.view().pools[0]
+	p := r.view().pools[0]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.free)

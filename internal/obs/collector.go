@@ -335,9 +335,13 @@ func (c *Collector) Snapshot() []ExecutorSnapshot {
 	}
 	out := make([]ExecutorSnapshot, 0, len(*m))
 	for _, e := range *m {
-		s := ExecutorSnapshot{Executor: e.name, Latency: e.latency.Snapshot(), MTTR: e.mttr.Snapshot()}
+		// Filled in place: the row accessors are func values, so a pointer
+		// to a local snapshot would escape and cost an allocation per
+		// executor.
+		out = append(out, ExecutorSnapshot{Executor: e.name, Latency: e.latency.Snapshot(), MTTR: e.mttr.Snapshot()})
+		s := &out[len(out)-1]
 		for id := cRequests; id < nCounters; id++ {
-			*counterRows[id].field(&s) = e.counters[id].Load()
+			*counterRows[id].field(s) = e.counters[id].Load()
 		}
 		if vm := e.variants.Load(); vm != nil {
 			for _, v := range *vm {
@@ -352,7 +356,6 @@ func (c *Collector) Snapshot() []ExecutorSnapshot {
 				return s.Variants[i].Variant < s.Variants[j].Variant
 			})
 		}
-		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Executor < out[j].Executor })
 	return out

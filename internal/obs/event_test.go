@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -375,5 +376,27 @@ func TestPrometheusRecoverySeries(t *testing.T) {
 	// Executors with no restarts must not produce an all-zero MTTR series.
 	if strings.Contains(out, `redundancy_mttr_seconds_count{executor="worker"}`) {
 		t.Error("worker (no restarts) should have no MTTR series")
+	}
+}
+
+// TestSnapshotAllocsIndependentOfExecutors pins that Snapshot fills each
+// executor's row in place: a row built in a local and filled through the
+// counterRows accessors escapes, costing one allocation per executor on
+// every control-plane tick.
+func TestSnapshotAllocsIndependentOfExecutors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	allocs := func(executors int) float64 {
+		c := NewCollector()
+		for i := 0; i < executors; i++ {
+			name := fmt.Sprintf("exec-%d", i)
+			c.RequestStart(name, 1)
+			c.RequestEnd(name, 1, time.Millisecond, OutcomeSuccess)
+		}
+		return testing.AllocsPerRun(100, func() { _ = c.Snapshot() })
+	}
+	if two, eight := allocs(2), allocs(8); eight != two {
+		t.Errorf("Snapshot allocates %v times over 8 executors, %v over 2: a row escapes per executor", eight, two)
 	}
 }
