@@ -298,23 +298,20 @@ func (d *Detector) Poll(ctx context.Context) {
 // ping performs one heartbeat round trip on a fresh connection. Dialing
 // fresh each time keeps the heartbeat honest about the dial path — a
 // partition that breaks new connections is detected even while old
-// pooled connections linger.
+// pooled connections linger. The Timeout bounds dial and exchange
+// together, the exchange the same way a client attempt is bounded.
 func (d *Detector) ping(ctx context.Context, dial DialFunc) error {
-	ctx, cancel := context.WithTimeout(ctx, d.cfg.Timeout)
-	defer cancel()
-	raw, err := dial(ctx)
+	deadline := time.Now().Add(d.cfg.Timeout)
+	dialCtx, cancel := context.WithDeadline(ctx, deadline)
+	raw, err := dial(dialCtx)
+	cancel()
 	if err != nil {
 		return err
 	}
 	conn := newWireConn(raw)
 	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-	}
-	stop := context.AfterFunc(ctx, func() {
-		conn.SetDeadline(time.Unix(1, 0))
-	})
-	defer stop()
+	stop := conn.arm(ctx, deadline)
+	defer conn.disarm(stop)
 	if err := conn.send(&envelope{Kind: kindPing}); err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,6 +114,54 @@ func TestNoLeakHedgeCancellation(t *testing.T) {
 	stuck.Close() // must cancel the in-flight stuck calls, not wait them out
 	fast.Close()
 	check()
+}
+
+// TestNoLeakExpiredConnections: connections that ended every way an
+// attempt can end — pooled after a clean exchange, expired by the
+// caller's deadline, expired by cancellation under a long CallTimeout —
+// are all collectable after Close. A connection whose timer were left
+// armed would stay pinned by it until the CallTimeout ran out.
+func TestNoLeakExpiredConnections(t *testing.T) {
+	t.Cleanup(leakCheck(t)) // last, after the stalled replica is released
+	network := NewPipeNetwork()
+	stallReplica(t, network, "r1")
+	var tp tap
+	var collected atomic.Int32
+	dial := func(ctx context.Context) (net.Conn, error) {
+		c, err := tp.wrap(network.Dial("r1"))(ctx)
+		if err == nil {
+			runtime.SetFinalizer(c.(*tappedConn), func(*tappedConn) { collected.Add(1) })
+		}
+		return c, err
+	}
+	remote, err := NewRemote[int, int]("leaky", RemoteConfig{CallTimeout: time.Minute},
+		Endpoint{Name: "r1", Dial: dial})
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	if _, err := remote.Execute(context.Background(), 1); err != nil {
+		t.Fatalf("clean call: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	if _, err := remote.Execute(ctx, -1); err == nil {
+		t.Fatal("stalled call under a caller deadline succeeded")
+	}
+	cancel()
+	ctx, cancel = context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if _, err := remote.Execute(ctx, -1); err == nil {
+		t.Fatal("stalled call succeeded after cancellation")
+	}
+	remote.Close()
+	dials, _ := tp.snapshot()
+	deadline := time.Now().Add(2 * time.Second)
+	for int(collected.Load()) < dials && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if c := int(collected.Load()); c != dials {
+		t.Fatalf("%d of %d connections still pinned after Close", dials-c, dials)
+	}
 }
 
 // TestNoLeakClientCloseDuringPartition: a call blocked on a partitioned

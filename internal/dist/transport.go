@@ -146,39 +146,32 @@ func (r *Remote[I, O]) Close() error {
 
 // roundTrip performs one RPC attempt against its endpoint of the
 // request's captured snapshot: pooled connection (or fresh dial), framed call
-// out, framed reply in, all under the per-endpoint deadline. The
-// attempt span tc (zero when untraced) rides the envelope so the
-// replica continues the trace. Context cancellation — a winner
-// canceling losers or stragglers, or the caller giving up — smashes
-// the connection deadline so a blocked read returns promptly.
+// out, framed reply in, all before one deadline fixed when the attempt
+// starts — the caller's, or CallTimeout from now if that comes first.
+// The attempt span tc (zero when untraced) rides the envelope so the
+// replica continues the trace. The deadline passing, or the context
+// being cancelled — a winner canceling losers or stragglers, or the
+// caller giving up — expires the connection so blocked I/O returns
+// promptly.
 //
 // The connection goes back to the pool only after a clean exchange
-// (a value decoded, or an in-band variant failure); on every other
-// path its value streams may be out of step with the replica's, and it
-// is dropped.
+// (a value decoded, or an in-band variant failure) that did not expire
+// it; on every other path its value streams may be out of step with
+// the replica's, and it is dropped.
 func (f *fanout[I, O]) roundTrip(ctx context.Context, a attempt) (out O, err error) {
-	ctx, cancel := context.WithTimeout(ctx, f.r.cfg.CallTimeout)
-	defer cancel()
+	deadline := time.Now().Add(f.r.cfg.CallTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
 	pool, name := f.v.pools[a.ep], f.v.endpoints[a.ep].Name
-	conn, err := pool.get(ctx, f.v.endpoints[a.ep].Dial)
+	conn, err := pool.get(ctx, deadline, f.v.endpoints[a.ep].Dial)
 	if err != nil {
 		return out, err
 	}
-	// The deadline goes on before the canceler is registered, so a
-	// context cancelled in between smashes it rather than being
-	// overwritten by it.
-	if d, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(d)
-	}
-	stop := context.AfterFunc(ctx, func() {
-		conn.SetDeadline(time.Unix(1, 0)) // the distant past: unblock I/O now
-	})
+	stop := conn.arm(ctx, deadline)
 	reusable := false
 	defer func() {
-		// If the canceler ran (or is running) the deadline may be
-		// smashed mid-exchange: the connection cannot be trusted.
-		if stop() && reusable {
-			conn.SetDeadline(time.Time{})
+		if conn.disarm(stop) && reusable {
 			pool.put(conn)
 		} else {
 			pool.drop(conn)
@@ -223,11 +216,11 @@ func newConnPool() *connPool {
 	return &connPool{all: make(map[*wireConn]struct{})}
 }
 
-// get pops an idle connection or dials a fresh one. An attempt whose
-// context is already done — a quorum straggler launched after the
-// verdict — gets neither: it would only take a healthy connection to
-// drop it.
-func (p *connPool) get(ctx context.Context, dial DialFunc) (*wireConn, error) {
+// get pops an idle connection or dials a fresh one, the dial bounded by
+// the attempt's deadline. An attempt whose context is already done — a
+// quorum straggler launched after the verdict — gets neither: it would
+// only take a healthy connection to drop it.
+func (p *connPool) get(ctx context.Context, deadline time.Time, dial DialFunc) (*wireConn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -243,7 +236,9 @@ func (p *connPool) get(ctx context.Context, dial DialFunc) (*wireConn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
+	ctx, cancel := context.WithDeadline(ctx, deadline)
 	raw, err := dial(ctx)
+	cancel()
 	if err != nil {
 		return nil, err
 	}
@@ -273,9 +268,8 @@ func (p *connPool) put(c *wireConn) {
 	p.mu.Unlock()
 }
 
-// drop discards a connection that must not be reused. Clearing the
-// deadline first stops its timers: a closed pipe's pending deadline
-// timer would otherwise pin the connection until it fires.
+// drop discards a connection that must not be reused. Its timer is
+// already stopped (disarm), so nothing pins the closed connection.
 func (p *connPool) drop(c *wireConn) {
 	p.mu.Lock()
 	delete(p.all, c)
@@ -286,7 +280,6 @@ func (p *connPool) drop(c *wireConn) {
 		}
 	}
 	p.mu.Unlock()
-	c.SetDeadline(time.Time{})
 	c.Close()
 }
 

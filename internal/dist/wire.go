@@ -3,11 +3,13 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
+	"time"
 )
 
 // Message kinds carried in the envelope.
@@ -117,7 +119,7 @@ var errValueCodec = errors.New("dist: encode value")
 //
 // A wireConn is used by one goroutine at a time (the pool hands it out
 // exclusively; a server handler owns its own); only the net.Conn
-// methods may be called concurrently, as cancellation does.
+// methods may be called concurrently, as expiry does.
 type wireConn struct {
 	net.Conn
 	br   *bufio.Reader
@@ -126,11 +128,50 @@ type wireConn struct {
 	in   bytes.Reader // the payload being decoded
 	enc  *gob.Encoder // appends to wbuf
 	dec  *gob.Decoder // reads from in
+	// timer bounds the exchange in progress (see arm): created on the
+	// first one, re-armed for each later one.
+	timer *time.Timer
 }
 
 func newWireConn(c net.Conn) *wireConn {
 	return &wireConn{Conn: c, br: bufio.NewReader(c)}
 }
+
+// arm bounds the exchange about to start: at deadline, or when ctx is
+// cancelled first, the connection expires — its deadline is pushed into
+// the past, so blocked I/O returns at once. The connection's own timer
+// does the first; a cancel hook, registered only for a ctx that can be
+// cancelled at all, does the second. The returned stop (nil without a
+// hook) goes to disarm when the exchange is over.
+//
+// The connection's deadline is never set otherwise: a connection that
+// did not expire has none, which is what lets the pool reuse it as is.
+func (c *wireConn) arm(ctx context.Context, deadline time.Time) (stop func() bool) {
+	if c.timer == nil {
+		c.timer = time.AfterFunc(time.Until(deadline), c.expire)
+	} else {
+		c.timer.Reset(time.Until(deadline))
+	}
+	if ctx.Done() != nil {
+		return context.AfterFunc(ctx, c.expire)
+	}
+	return nil
+}
+
+// disarm ends what arm began and reports whether the connection is
+// untouched by it: the timer stopped before it fired, and the cancel
+// hook, if any, did not run. A connection that expired, or may be
+// expiring right now, must not be used again.
+func (c *wireConn) disarm(stop func() bool) bool {
+	clean := c.timer.Stop()
+	if stop != nil && !stop() {
+		clean = false
+	}
+	return clean
+}
+
+// expire pushes the connection's deadline into the distant past.
+func (c *wireConn) expire() { c.Conn.SetDeadline(time.Unix(1, 0)) }
 
 // frameHeaderSpace reserves a frame's header in the scratch buffer.
 var frameHeaderSpace [frameHeaderSize]byte

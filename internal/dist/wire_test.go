@@ -19,7 +19,7 @@ import (
 )
 
 // tap is a dial shim that counts dials and records the size of every
-// client-side Write.
+// client-side Write, and on each connection the last deadline set.
 type tap struct {
 	mu     sync.Mutex
 	dials  int
@@ -29,6 +29,9 @@ type tap struct {
 type tappedConn struct {
 	net.Conn
 	t *tap
+
+	mu       sync.Mutex
+	deadline time.Time
 }
 
 func (t *tap) wrap(dial DialFunc) DialFunc {
@@ -49,6 +52,20 @@ func (c *tappedConn) Write(p []byte) (int, error) {
 	c.t.writes = append(c.t.writes, len(p))
 	c.t.mu.Unlock()
 	return c.Conn.Write(p)
+}
+
+func (c *tappedConn) SetDeadline(d time.Time) error {
+	c.mu.Lock()
+	c.deadline = d
+	c.mu.Unlock()
+	return c.Conn.SetDeadline(d)
+}
+
+// lastDeadline returns the last deadline set, zero if none ever was.
+func (c *tappedConn) lastDeadline() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.deadline
 }
 
 func (t *tap) snapshot() (dials int, writes []int) {
@@ -294,11 +311,13 @@ func TestConcurrentExecuteOverSharedPools(t *testing.T) {
 // TestRoundTripAllocBudget is the ratchet on the wire path's
 // allocations: one warmed, unobserved, unhedged call over a pipe —
 // client and server side together, since AllocsPerRun counts the whole
-// process. What is left is per-attempt context, timer and deadline
-// plumbing plus gob's per-message buffers; raising the budget needs a
-// reason in the commit that does it.
+// process. The client's side bounds the attempt with the connection's
+// own timer and allocates for the decoded value alone; what is left is
+// the server's per-call context (its Deadline/Err contract needs one
+// object per call) plus gob's per-message buffers. Raising the budget
+// needs a reason in the commit that does it.
 func TestRoundTripAllocBudget(t *testing.T) {
-	const budget = 24
+	const budget = 8
 	network := NewPipeNetwork()
 	startReplica(t, network, "r1", double())
 	remote, err := NewRemote[int, int]("budget", RemoteConfig{}, Endpoint{Name: "r1", Dial: network.Dial("r1")})

@@ -232,14 +232,21 @@ type faultyConn struct {
 	campaign *NetworkCampaign
 	endpoint string
 
+	// mu serializes writes; Write holds it while blocked on the
+	// underlying connection.
 	mu sync.Mutex
 	// held is a frame delayed by a reorder decision; it is delivered
 	// after the next write (or dropped with the connection).
-	held []byte
+	held  []byte
+	reset bool
+
+	// deadlineMu guards readDeadline alone, never mu's state: setting a
+	// deadline must not wait behind a blocked Write, or the deadline
+	// meant to unblock that Write never lands.
+	deadlineMu sync.Mutex
 	// readDeadline shadows the underlying read deadline so a partitioned
 	// read can honor it without touching the real connection.
 	readDeadline time.Time
-	reset        bool
 }
 
 // Write implements net.Conn, applying the current phase's fault rolls to
@@ -318,9 +325,9 @@ func (c *faultyConn) Read(b []byte) (int, error) {
 		if _, p := c.campaign.PhaseNow(); p == nil || !p.partitions(c.endpoint) {
 			return c.Conn.Read(b)
 		}
-		c.mu.Lock()
+		c.deadlineMu.Lock()
 		deadline := c.readDeadline
-		c.mu.Unlock()
+		c.deadlineMu.Unlock()
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return 0, fmt.Errorf("read: %w: deadline exceeded", ErrPartitioned)
 		}
@@ -329,20 +336,23 @@ func (c *faultyConn) Read(b []byte) (int, error) {
 }
 
 // SetDeadline implements net.Conn, shadowing the read deadline for
-// partitioned reads.
+// partitioned reads. It never waits for a Write in progress, so a past
+// deadline unblocks one stuck on the underlying connection.
 func (c *faultyConn) SetDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.readDeadline = t
-	c.mu.Unlock()
+	c.shadowReadDeadline(t)
 	return c.Conn.SetDeadline(t)
 }
 
 // SetReadDeadline implements net.Conn.
 func (c *faultyConn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.readDeadline = t
-	c.mu.Unlock()
+	c.shadowReadDeadline(t)
 	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *faultyConn) shadowReadDeadline(t time.Time) {
+	c.deadlineMu.Lock()
+	c.readDeadline = t
+	c.deadlineMu.Unlock()
 }
 
 // ParseNetworkCampaign decodes and validates a JSON network campaign.

@@ -229,6 +229,51 @@ func TestDuplicateAndReorderDeliverBytes(t *testing.T) {
 	}
 }
 
+// TestDeadlineUnblocksStuckWrite: a past deadline set while a disturbed
+// Write is blocked on an unread pipe must land at once and fail that
+// Write — it is how a client's timer or cancellation frees the attempt.
+func TestDeadlineUnblocksStuckWrite(t *testing.T) {
+	for _, phase := range []NetworkPhase{
+		{Name: "duplicate", Duplicate: 1},
+		{Name: "clean"},
+	} {
+		t.Run(phase.Name, func(t *testing.T) {
+			dial, serverSide := pipeDialer()
+			conn, err := onePhase(t, 4, phase).Wrap("ep", dial)(context.Background())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			server := <-serverSide // never read
+			defer server.Close()
+			wrote := make(chan error, 1)
+			go func() {
+				_, err := conn.Write([]byte("stuck"))
+				wrote <- err
+			}()
+			time.Sleep(20 * time.Millisecond) // let the Write block holding the write lock
+			set := make(chan struct{})
+			go func() {
+				conn.SetDeadline(time.Unix(1, 0))
+				close(set)
+			}()
+			select {
+			case <-set:
+			case <-time.After(100 * time.Millisecond):
+				t.Fatal("SetDeadline waited behind a blocked Write")
+			}
+			select {
+			case err := <-wrote:
+				if err == nil {
+					t.Fatal("Write blocked on an unread pipe succeeded after a past deadline")
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Write still blocked after a past deadline")
+			}
+		})
+	}
+}
+
 func TestResetTearsConnectionDown(t *testing.T) {
 	dial, serverSide := pipeDialer()
 	nc := onePhase(t, 5, NetworkPhase{Name: "resets", Resets: 1})
