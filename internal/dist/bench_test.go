@@ -81,7 +81,8 @@ func BenchmarkTracedRPCRoundTrip(b *testing.B) {
 
 // BenchmarkQuorumRoundTrip measures one majority-voted call across a
 // 2k+1 fleet (n=3, k=1): three concurrent framed round trips, the
-// padded-slate adjudication on each settle, and straggler cancellation.
+// padded-slate adjudication on each settle, and the straggler finishing
+// its exchange in the background and pooling its connection.
 // The delta against BenchmarkRPCRoundTrip prices the Byzantine-fault
 // defense: n wire hops and a vote instead of one trusting call.
 func BenchmarkQuorumRoundTrip(b *testing.B) {

@@ -33,7 +33,8 @@ type RemoteConfig struct {
 	// answered within this duration, the request is fanned out to the
 	// next-best endpoint without canceling the first — the classic
 	// tail-latency defense. The first acceptable result wins and the
-	// losers are canceled. Zero disables hedging; failover to the next
+	// losers are abandoned: each finishes its exchange in the background
+	// and keeps its connection. Zero disables hedging; failover to the next
 	// endpoint then happens only on failure.
 	HedgeAfter time.Duration
 	// MaxHedges caps how many extra attempts the hedge timer may launch
@@ -66,8 +67,22 @@ const defaultCallTimeout = time.Second
 // ErrClientClosed reports a call on a closed Remote.
 var ErrClientClosed = errors.New("dist: remote client closed")
 
-// maxIdleConns bounds each endpoint's connection pool.
-const maxIdleConns = 2
+// maxIdleConns bounds each endpoint's idle connections. A straggler
+// finishing its exchange after the request that abandoned it hands its
+// connection back while the next requests already hold others, so a
+// busy pool briefly needs a connection or two beyond the one in use;
+// a cap of 2 would close that surplus only to redial it soon after. A
+// larger cap keeps more connections in rotation, each with its own
+// buffers and gob state, and costs CPU on a quorum's 4 KiB values.
+const maxIdleConns = 4
+
+// maxStragglers bounds how many abandoned attempts per endpoint keep
+// reading beyond one per racing request (see roundTrip): past it the
+// request's decision cuts an attempt off instead. A replica that stalls
+// 50 ms on one input in fifty, hedged at 10 ms, has about ten losers
+// reading at once under two callers; a replica that never answers
+// holds at most this many connections more than its callers do.
+const maxStragglers = 16
 
 // Remote is a core.Variant whose Execute happens on the other side of
 // the network: the input travels to a replica server as a framed RPC and
@@ -81,7 +96,7 @@ const maxIdleConns = 2
 // failover: endpoints are tried in failure-detector order, a failed
 // attempt falls through to the next endpoint, and with HedgeAfter set a
 // slow attempt is raced against the next endpoint (first acceptable
-// result wins, losers are canceled).
+// result wins, losers are abandoned).
 //
 // The same launch/settle loop serves Quorum: there the verdict rule is a
 // vote over every endpoint's reply instead of the first acceptable one.
@@ -108,6 +123,9 @@ type Remote[I, O any] struct {
 	// rule is the quorum verdict rule NewQuorum installs; nil means the
 	// first acceptable reply wins.
 	rule *quorumRule[O]
+	// racing counts the racing requests in flight; it bounds how many
+	// connections abandoned attempts may hold (see roundTrip).
+	racing atomic.Int64
 }
 
 var _ core.Variant[int, int] = (*Remote[int, int])(nil)
@@ -211,8 +229,14 @@ type attemptResult[O any] struct {
 // breaker-guarded RPC fan-out. Attempts are launched in ranked order and
 // settled one by one under the verdict rule — the first acceptable
 // result, or with a quorum rule the adjudicated vote — and once the
-// request is decided every other in-flight attempt is canceled promptly
-// (its connection deadline is smashed, so blocked reads return).
+// request is decided Execute returns without waiting for the rest. An
+// attempt not yet on the wire does not start; one already on the wire
+// finishes its exchange in the background and returns its connection to
+// the pool. Only the caller's cancellation or the attempt deadline
+// expires a connection (its deadline is pushed into the past, so blocked
+// I/O returns) and drops it — or the decision itself, for an attempt
+// whose endpoint already has maxStragglers abandoned calls outstanding
+// (see roundTrip).
 //
 // With hedging off and no quorum at most one attempt is ever in flight,
 // so the attempts run one after another on the caller's goroutine; only
@@ -256,6 +280,10 @@ type fanout[I, O any] struct {
 	input    I
 	launched int
 	lastErr  error
+	// racing is set by race before its first launch: attempts run on
+	// their own goroutines and may be abandoned when the request is
+	// decided without them.
+	racing bool
 	// The observed request: o is nil when unobserved (req and start are
 	// then zero). rtc is a fresh child span when this client records
 	// traces, or the inherited context passed through verbatim when only
@@ -309,7 +337,7 @@ func (f *fanout[I, O]) sequential(ctx context.Context) (O, error) {
 		a, err := f.launch()
 		res := attemptResult[O]{err: err, attempt: a.n, ep: a.ep}
 		if err == nil {
-			res = f.run(ctx, a)
+			res = f.run(ctx, ctx, a)
 		}
 		if value, done := f.settle(res); done {
 			return value, nil
@@ -325,10 +353,16 @@ func (f *fanout[I, O]) sequential(ctx context.Context) (O, error) {
 // once; otherwise one attempt leads, the hedge timer launches the next
 // while the in-flight ones are slow, and a failure with nothing else in
 // flight launches it at once. Results settle as they arrive, and the one
-// that decides the request cancels the rest.
+// that decides the request ends it: live is cancelled, so no attempt
+// starts after the decision, while the ones already on the wire finish
+// their exchange on their own goroutines (see roundTrip) and report into
+// the results channel, which has room for every send.
 func (f *fanout[I, O]) race(ctx context.Context, hedgeAfter time.Duration) (O, error) {
-	ctx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
+	f.racing = true
+	f.r.racing.Add(1)
+	defer f.r.racing.Add(-1)
+	live, decide := context.WithCancel(ctx)
+	defer decide()
 
 	// Sized to the number of sends: one per endpoint at most.
 	results := make(chan attemptResult[O], len(f.order))
@@ -346,7 +380,7 @@ func (f *fanout[I, O]) race(ctx context.Context, hedgeAfter time.Duration) (O, e
 			results <- attemptResult[O]{err: err, attempt: a.n, ep: a.ep}
 			return
 		}
-		go func() { results <- f.run(ctx, a) }()
+		go func() { results <- f.run(ctx, live, a) }()
 	}
 	launchNext()
 	for f.r.rule != nil && f.launched < len(f.order) {
@@ -378,7 +412,7 @@ func (f *fanout[I, O]) race(ctx context.Context, hedgeAfter time.Duration) (O, e
 		case res := <-results:
 			pending--
 			if value, done := f.settle(res); done {
-				cancelAll()
+				decide()
 				return value, nil
 			}
 			if pending == 0 && ctx.Err() == nil {
@@ -422,11 +456,16 @@ func (f *fanout[I, O]) launch() (attempt, error) {
 }
 
 // run performs a launched attempt's round trip and reports its outcome
-// to the observer and the endpoint's breaker. It reads but never writes
-// the fanout, so racing attempts may run it concurrently.
-func (f *fanout[I, O]) run(ctx context.Context, a attempt) attemptResult[O] {
+// to the observer and the endpoint's breaker — for a loser that finished
+// its exchange after the request was decided, the exchange's own
+// outcome, so a clean late reply counts as a success. A loser the
+// decision cut off instead (its endpoint crowded, see roundTrip) counts
+// as a failure: that endpoint is leaving calls unanswered. It reads but
+// never writes the fanout, so racing attempts may run it concurrently,
+// also after the request has returned.
+func (f *fanout[I, O]) run(ctx, live context.Context, a attempt) attemptResult[O] {
 	start := time.Now()
-	value, err := f.roundTrip(ctx, a)
+	value, err := f.roundTrip(ctx, live, a)
 	latency := time.Since(start)
 	if f.o != nil {
 		obs.Emit(f.o, obs.RPCCompleted(f.r.name, f.v.endpoints[a.ep].Name, f.req, latency, err))

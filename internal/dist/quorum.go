@@ -18,7 +18,7 @@ package dist
 // every replica regardless of opinion) whose fan-out launches every
 // endpoint at once and settles each reply onto a ballot instead of
 // taking the first acceptable one; the launch/settle loop, lineage,
-// observer bracket, and straggler cancellation are Remote's.
+// observer bracket, and straggler handling are Remote's.
 
 import (
 	"context"
@@ -70,10 +70,13 @@ type QuorumConfig struct {
 
 // Quorum is a core.Variant whose Execute fans one call out to every
 // replica endpoint and returns the adjudicated verdict. The first
-// moment a quorum is reached the stragglers are canceled (their
-// connection deadlines are smashed, so blocked reads return), keeping
-// the fast path at roughly the (n-k)-th fastest replica rather than
-// the slowest.
+// moment a quorum is reached Execute returns without the stragglers,
+// keeping the fast path at roughly the (n-k)-th fastest replica rather
+// than the slowest; each straggler finishes its exchange in the
+// background and returns its connection to the pool, so the next
+// request need not redial it. Only the caller's cancellation or the
+// attempt deadline cuts a straggler off — or the verdict, when its
+// replica already has maxStragglers abandoned calls outstanding.
 //
 // Because it satisfies core.Variant, a Quorum plugs unchanged into the
 // local pattern executors — a quorum fleet can itself be one variant

@@ -142,9 +142,10 @@ func TestTracePropagatesThroughHedging(t *testing.T) {
 		}
 	}
 
-	// No goroutines may outlive the hedged call (the cancelled loser's
-	// goroutine must unblock via the smashed deadline). The two replica
-	// accept loops remain by design — the tolerance covers them.
+	// No goroutines may outlive the hedged call (the abandoned loser's
+	// goroutine ends with its late reply, or at the latest when Close
+	// closes its connection). The two replica accept loops remain by
+	// design — the tolerance covers them.
 	close(release)
 	remote.Close()
 	leakDeadline := time.Now().Add(3 * time.Second)

@@ -130,7 +130,8 @@ func (r *Remote[I, O]) removeEndpoint(name string, minLeft int) error {
 }
 
 // Close releases every pooled and in-flight connection; blocked calls
-// unblock with a connection error. Idempotent.
+// unblock with a connection error, and abandoned attempts still reading
+// a late reply end with them. Idempotent.
 func (r *Remote[I, O]) Close() error {
 	if r.closed.Swap(true) {
 		return nil
@@ -145,30 +146,45 @@ func (r *Remote[I, O]) Close() error {
 }
 
 // roundTrip performs one RPC attempt against its endpoint of the
-// request's captured snapshot: pooled connection (or fresh dial), framed call
-// out, framed reply in, all before one deadline fixed when the attempt
-// starts — the caller's, or CallTimeout from now if that comes first.
-// The attempt span tc (zero when untraced) rides the envelope so the
-// replica continues the trace. The deadline passing, or the context
-// being cancelled — a winner canceling losers or stragglers, or the
-// caller giving up — expires the connection so blocked I/O returns
-// promptly.
+// request's captured snapshot: pooled connection (or fresh dial), framed
+// call out, framed reply in, all before one deadline fixed when the
+// attempt starts — the caller's, or CallTimeout from now if that comes
+// first. The attempt span tc (zero when untraced) rides the envelope so
+// the replica continues the trace.
+//
+// Two contexts bound it. live is the request's: once the fan-out has
+// decided, an attempt that has not yet written its call does not start
+// (connPool.get refuses it). ctx is the caller's: only its
+// cancellation, or the deadline passing, expires the connection so
+// blocked I/O returns promptly. The fan-out deciding does not — a hedge
+// loser or quorum straggler already on the wire keeps reading, and its
+// connection goes back to the pool with its streams still in step.
+//
+// Salvage is bounded: when more of the endpoint's connections are in
+// flight than the racing requests plus maxStragglers, the attempt is
+// armed on live instead, so the decision cuts it off as before. A
+// replica that stops answering therefore holds a bounded number of
+// connections, not one per request until CallTimeout.
 //
 // The connection goes back to the pool only after a clean exchange
 // (a value decoded, or an in-band variant failure) that did not expire
 // it; on every other path its value streams may be out of step with
 // the replica's, and it is dropped.
-func (f *fanout[I, O]) roundTrip(ctx context.Context, a attempt) (out O, err error) {
+func (f *fanout[I, O]) roundTrip(ctx, live context.Context, a attempt) (out O, err error) {
 	deadline := time.Now().Add(f.r.cfg.CallTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	pool, name := f.v.pools[a.ep], f.v.endpoints[a.ep].Name
-	conn, err := pool.get(ctx, deadline, f.v.endpoints[a.ep].Dial)
+	conn, err := pool.get(live, deadline, f.v.endpoints[a.ep].Dial)
 	if err != nil {
 		return out, err
 	}
-	stop := conn.arm(ctx, deadline)
+	cut := ctx
+	if f.racing && pool.busy() > int(f.r.racing.Load())+maxStragglers {
+		cut = live
+	}
+	stop := conn.arm(cut, deadline)
 	reusable := false
 	defer func() {
 		if conn.disarm(stop) && reusable {
@@ -217,9 +233,11 @@ func newConnPool() *connPool {
 }
 
 // get pops an idle connection or dials a fresh one, the dial bounded by
-// the attempt's deadline. An attempt whose context is already done — a
-// quorum straggler launched after the verdict — gets neither: it would
-// only take a healthy connection to drop it.
+// the attempt's deadline. An attempt whose context is done — a quorum
+// straggler launched after the verdict, or a loser whose request was
+// decided while it dialled — gets none: it would only take a healthy
+// connection to drop it. A connection dialled for it goes to the idle
+// list for the next request.
 func (p *connPool) get(ctx context.Context, deadline time.Time, dial DialFunc) (*wireConn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -236,8 +254,8 @@ func (p *connPool) get(ctx context.Context, deadline time.Time, dial DialFunc) (
 		return c, nil
 	}
 	p.mu.Unlock()
-	ctx, cancel := context.WithDeadline(ctx, deadline)
-	raw, err := dial(ctx)
+	dctx, cancel := context.WithDeadline(ctx, deadline)
+	raw, err := dial(dctx)
 	cancel()
 	if err != nil {
 		return nil, err
@@ -251,7 +269,18 @@ func (p *connPool) get(ctx context.Context, deadline time.Time, dial DialFunc) (
 	}
 	p.all[c] = struct{}{}
 	p.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		p.put(c)
+		return nil, err
+	}
 	return c, nil
+}
+
+// busy returns how many of the pool's connections are in flight.
+func (p *connPool) busy() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.all) - len(p.free)
 }
 
 // put returns a healthy connection to the idle list (or closes it when

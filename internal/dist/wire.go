@@ -113,9 +113,12 @@ var errValueCodec = errors.New("dist: encode value")
 // The gob streams make the connection stateful beyond its bytes: the
 // peers' encoder and decoder must have seen the same sequence of
 // values. Any event that may have put them out of step — an encode or
-// decode error, a reply whose ID does not match the call, an attempt
-// cancelled or timed out mid-flight — poisons the stream, and a
-// poisoned connection is closed, never pooled or read again.
+// decode error, a reply whose ID does not match the call, an exchange
+// expired mid-flight by its deadline or by the caller's cancellation —
+// poisons the stream, and a poisoned connection is closed, never pooled
+// or read again. An attempt abandoned because its request was decided
+// without it is normally not expired: it reads and decodes its reply
+// to the end, which keeps the streams in step.
 //
 // A wireConn is used by one goroutine at a time (the pool hands it out
 // exclusively; a server handler owns its own); only the net.Conn

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,5 +335,59 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	call() // dial, and let both gob streams compile their codecs
 	if allocs := testing.AllocsPerRun(200, call); allocs > budget {
 		t.Fatalf("%.0f allocs per round trip, budget %d", allocs, budget)
+	}
+}
+
+// TestQuorumAllocBudget is TestRoundTripAllocBudget for a warmed,
+// unobserved n=3 majority quorum over pipes: three round trips, the
+// attempt goroutines and the ballot, with the straggler's late reply
+// read in the background and its connection pooled rather than
+// redialled (a redial recompiles both gob streams, which would blow
+// this budget many times over). Each measured call waits for its
+// straggler to pool its connection, so every call finds all three idle
+// and the count does not depend on scheduling; no call may dial.
+// Raising the budget needs a reason in the commit that does it.
+func TestQuorumAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const budget = 27
+	network := NewPipeNetwork()
+	eps := startQuorumFleet(t, network, 3, func(int) core.Variant[int, int] { return double() })
+	var dials atomic.Int64
+	for i := range eps {
+		dial := eps[i].Dial
+		eps[i].Dial = func(ctx context.Context) (net.Conn, error) {
+			dials.Add(1)
+			return dial(ctx)
+		}
+	}
+	q, err := NewQuorum[int, int]("budget", QuorumConfig{Faults: 1}, vote.Majority[int](intEq), intEq, eps...)
+	if err != nil {
+		t.Fatalf("NewQuorum: %v", err)
+	}
+	defer q.Close()
+	ctx := context.Background()
+	pools := q.r.view().pools
+	call := func() {
+		if got, err := q.Execute(ctx, 21); err != nil || got != 42 {
+			panic(fmt.Sprintf("Execute = %d, %v", got, err))
+		}
+		for _, p := range pools {
+			if !waitPool(p, 2*time.Second, settled) {
+				panic("a straggler never pooled its connection")
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		call() // dial, and let every gob stream compile its codecs
+	}
+	before := dials.Load()
+	allocs := testing.AllocsPerRun(200, call)
+	if n := dials.Load() - before; n != 0 {
+		t.Fatalf("%d dials while measuring, want 0: a warmed quorum call must reuse its connections", n)
+	}
+	if allocs > budget {
+		t.Fatalf("%.1f allocs per quorum call, budget %d", allocs, budget)
 	}
 }

@@ -17,6 +17,7 @@ package faultmodel
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -67,8 +68,8 @@ func ParseFailSlowSpec(spec string) (SlowProfile, float64, error) {
 	factor := defaultSlowFactor
 	if found {
 		factor, err = strconv.ParseFloat(factorStr, 64)
-		if err != nil || factor <= 1 {
-			return "", 0, fmt.Errorf("faultmodel: bad slow factor %q in %q (want a multiplier > 1)", factorStr, spec)
+		if err != nil || math.IsNaN(factor) || math.IsInf(factor, 0) || factor <= 1 {
+			return "", 0, fmt.Errorf("faultmodel: bad slow factor %q in %q (want a finite multiplier > 1)", factorStr, spec)
 		}
 	}
 	return profile, factor, nil

@@ -24,6 +24,11 @@ func TestParseFailSlowSpec(t *testing.T) {
 		{"constant:1", "", 0, true},
 		{"constant:0.5", "", 0, true},
 		{"constant:x", "", 0, true},
+		{"constant:NaN", "", 0, true},
+		{"constant:Inf", "", 0, true},
+		{"constant:+Inf", "", 0, true},
+		{"bursts:-Inf", "", 0, true},
+		{"progressive:1e400", "", 0, true},
 		{"", "", 0, true},
 	}
 	for _, tt := range tests {
