@@ -11,6 +11,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	redundancy "github.com/softwarefaults/redundancy"
 )
@@ -114,19 +115,39 @@ func TestE26DiffGatesOnSyntheticRegression(t *testing.T) {
 		t.Fatalf("report does not flag the regression:\n%s", diff.String())
 	}
 
-	// Synthetic latency injection: gates only when timing is gated.
+	// Synthetic latency injection: gates only when timing is gated. The
+	// candidate is the baseline with every request slowed by one added
+	// delay, as a real slowdown is: the per-seed spread stays the
+	// baseline's and the shift is the delay, which is sized from the
+	// baseline's slowest request so that it exceeds the noise bound —
+	// three standard deviations of values no larger than that request,
+	// or a metric's epsilon — whatever the seeds measured.
 	lat, err := redundancy.RunExperiment(ctx, e26Spec(), nil)
 	if err != nil {
 		t.Fatalf("latency candidate: %v", err)
 	}
 	for pi := range lat.Points {
-		p := &lat.Points[pi]
-		for si := range p.Seeds {
-			p.Seeds[si].Aggregates.Timing.P99 *= 1000
-			p.Seeds[si].Aggregates.Timing.Mean *= 1000
+		p, bp := &lat.Points[pi], &base.Points[pi]
+		if p.Config.Key() != bp.Config.Key() || len(p.Seeds) != len(bp.Seeds) {
+			t.Fatalf("point %d: candidate %s with %d seeds, baseline %s with %d", pi, p.Config.Key(), len(p.Seeds), bp.Config.Key(), len(bp.Seeds))
 		}
-		p.Pooled.Timing.P99 *= 1000
-		p.Pooled.Timing.Mean *= 1000
+		var slowest time.Duration
+		for _, s := range bp.Seeds {
+			slowest = max(slowest, s.Aggregates.Timing.Max)
+		}
+		delay := max(1000*slowest, time.Second)
+		for si := -1; si < len(p.Seeds); si++ { // -1 is the pooled aggregate
+			tm, from := &p.Pooled.Timing, bp.Pooled.Timing
+			if si >= 0 {
+				tm, from = &p.Seeds[si].Aggregates.Timing, bp.Seeds[si].Aggregates.Timing
+			}
+			*tm = from
+			tm.Mean += delay
+			tm.P50 += delay
+			tm.P90 += delay
+			tm.P99 += delay
+			tm.Max += delay
+		}
 	}
 	if d := redundancy.DiffExperiments(base, lat, redundancy.ExperimentDiffOptions{}); d.Regressed() {
 		t.Fatalf("latency gated without GateTiming:\n%s", d.String())

@@ -126,6 +126,9 @@ type Remote[I, O any] struct {
 	// racing counts the racing requests in flight; it bounds how many
 	// connections abandoned attempts may hold (see roundTrip).
 	racing atomic.Int64
+	// in and out carry the input and output values on the wire.
+	in  valueCodec[I]
+	out valueCodec[O]
 }
 
 var _ core.Variant[int, int] = (*Remote[int, int])(nil)
@@ -142,7 +145,7 @@ func newRemote[I, O any](kind, name string, cfg RemoteConfig, endpoints []Endpoi
 	if len(endpoints) == 0 {
 		return nil, fmt.Errorf("dist: %s %q: %w", kind, name, core.ErrNoVariants)
 	}
-	r := &Remote[I, O]{name: name, kind: kind, traced: obs.WantsTrace(cfg.Observer)}
+	r := &Remote[I, O]{name: name, kind: kind, traced: obs.WantsTrace(cfg.Observer), in: codecFor[I](), out: codecFor[O]()}
 	seen := make(map[string]bool, len(endpoints))
 	pools := make([]*connPool, len(endpoints))
 	for i, ep := range endpoints {
@@ -460,9 +463,12 @@ func (f *fanout[I, O]) launch() (attempt, error) {
 // its exchange after the request was decided, the exchange's own
 // outcome, so a clean late reply counts as a success. A loser the
 // decision cut off instead (its endpoint crowded, see roundTrip) counts
-// as a failure: that endpoint is leaving calls unanswered. It reads but
-// never writes the fanout, so racing attempts may run it concurrently,
-// also after the request has returned.
+// as a failure: that endpoint is leaving calls unanswered. An attempt
+// the decision stopped before it was sent (errDecided) never reached
+// its endpoint and counts as nothing — unless it holds the half-open
+// breaker's probe, which must be settled one way or the other. It
+// reads but never writes the fanout, so racing attempts may run it
+// concurrently, also after the request has returned.
 func (f *fanout[I, O]) run(ctx, live context.Context, a attempt) attemptResult[O] {
 	start := time.Now()
 	value, err := f.roundTrip(ctx, live, a)
@@ -470,7 +476,7 @@ func (f *fanout[I, O]) run(ctx, live context.Context, a attempt) attemptResult[O
 	if f.o != nil {
 		obs.Emit(f.o, obs.RPCCompleted(f.r.name, f.v.endpoints[a.ep].Name, f.req, latency, err))
 	}
-	if a.brk != nil {
+	if a.brk != nil && (!errors.Is(err, errDecided) || a.tok.Probe()) {
 		a.brk.Record(a.tok, err)
 	}
 	return attemptResult[O]{value: value, err: err, attempt: a.n, ep: a.ep, latency: latency}

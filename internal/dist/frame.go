@@ -42,7 +42,8 @@ const frameHeaderSize = 9
 //	1 — unversioned 8-byte header (length + CRC only)
 //	2 — version byte added; gob envelope carries TraceID/SpanID
 //	3 — binary envelope, per-connection value streams
-const frameVersion = 3
+//	4 — fixed-layout int payloads (8 bytes big-endian), no gob
+const frameVersion = 4
 
 // MaxFrameSize bounds one frame's body so a corrupt or hostile length
 // prefix cannot make a reader allocate without bound.

@@ -1,6 +1,6 @@
 package dist
 
-// FuzzDecodeFrame hammers the v3 wire path's decode side: readFrame
+// FuzzDecodeFrame hammers the wire path's decode side: readFrame
 // (version byte, length prefix, CRC) and parseEnvelope (the fixed
 // binary layout under it). The workload and checkpoint layers have had
 // fuzz targets since their PRs; the frame codec is the third parser of
@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"strconv"
 	"testing"
 )
 
@@ -29,16 +30,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add(seed(&envelope{ID: 1, Kind: kindPing}))
 	f.Add(seed(traced))
+	f.Add(seed(&envelope{ID: 2, Kind: kindCall, Payload: appendInt(nil, -21)}))
+	f.Add(seed(&envelope{ID: 2, Kind: kindReply, Payload: appendInt(nil, 42)}))
 	f.Add(seed(&envelope{ID: 7, Kind: kindReply, Err: "variant failed"}))
 	f.Add(seed(&envelope{ID: 8, Kind: kindAbort, Err: "no such type"}))
 	f.Add(frameOf(f, []byte("hello"))) // shorter than the fixed envelope header
 	f.Add(frameOf(f, nil))
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})             // old wire version 1
-	f.Add([]byte{3, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // hostile length
-	v2 := seed(traced)
-	v2[0] = 2
-	f.Add(v2)
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})                        // old wire version 1
+	f.Add([]byte{frameVersion, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // hostile length
+	for _, old := range []byte{2, 3} {                              // v3 shares v4's layout but not its int payloads
+		f.Add(append([]byte{old}, seed(traced)[1:]...))
+	}
 	unknownKind := appendEnvelope(nil, traced)
 	unknownKind[0] = kindAbort + 1
 	f.Add(frameOf(f, unknownKind))
@@ -62,8 +65,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			default:
 				t.Fatalf("readFrame(%d bytes): untyped error %v", len(data), err)
 			}
-			// A whole header of another version (a v2 peer's) is named as
-			// such before its length or CRC is trusted.
+			// A whole header of another version (a v2 or v3 peer's) is
+			// named as such before its length or CRC is trusted.
 			if len(data) >= frameHeaderSize && data[0] != frameVersion && !errors.Is(err, ErrVersionMismatch) {
 				t.Fatalf("version byte %d: got %v, want ErrVersionMismatch", data[0], err)
 			}
@@ -104,6 +107,38 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if again := appendEnvelope(nil, &env); !bytes.Equal(again, body) {
 			t.Fatal("accepted envelope did not re-encode byte-identically")
+		}
+	})
+}
+
+// FuzzIntValue checks the fixed int payload against arbitrary bytes: a
+// payload either decodes to an int that re-encodes to exactly the same
+// bytes, or is rejected as ErrBadFrame — never a panic, never a second
+// encoding of one value.
+func FuzzIntValue(f *testing.F) {
+	for _, v := range []int{0, 1, -1, 42, 1 << 40, -1 << 62} {
+		f.Add(appendInt(nil, v))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 42, 0}) // a trailing byte
+	f.Add([]byte{0, 0, 0, 42})                // too short
+	vc := codecFor[int]()
+	if vc.get == nil {
+		f.Fatal("int values go through gob")
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		v, err := vc.get(payload)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%d-byte payload: untyped error %v", len(payload), err)
+			}
+			if len(payload) == intSize && strconv.IntSize == 64 {
+				t.Fatalf("8-byte payload %x rejected: %v", payload, err)
+			}
+			return
+		}
+		if again := vc.put(nil, v); !bytes.Equal(again, payload) {
+			t.Fatalf("payload %x decoded to %d, which encodes as %x", payload, v, again)
 		}
 	})
 }

@@ -326,6 +326,57 @@ func TestHedgeLoserKeepsPrimaryBreakerClosed(t *testing.T) {
 	}
 }
 
+// TestDecidedRefusalLeavesBreakerAlone: an attempt refused its
+// connection because its request was decided first never reached its
+// endpoint, so its breaker records nothing — not even one tripping on a
+// single failure. A half-open breaker's probe is still settled, so the
+// probe slot is not held forever.
+func TestDecidedRefusalLeavesBreakerAlone(t *testing.T) {
+	network := NewPipeNetwork()
+	startReplica(t, network, "r1", double())
+	var now atomic.Int64
+	now.Store(time.Now().UnixNano())
+	breakers := resilience.NewBreakers(resilience.BreakerConfig{
+		ConsecutiveFailures: 1,
+		OpenFor:             time.Second,
+		Now:                 func() time.Time { return time.Unix(0, now.Load()) },
+	})
+	remote, err := NewRemote[int, int]("decided", RemoteConfig{Breakers: breakers}, Endpoint{Name: "r1", Dial: network.Dial("r1")})
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	defer remote.Close()
+	decided, decide := context.WithCancel(context.Background())
+	decide()
+	refuse := func() {
+		t.Helper()
+		f := remote.newFanout(context.Background(), 21)
+		a, err := f.launch()
+		if err != nil {
+			t.Fatalf("launch: %v", err)
+		}
+		if res := f.run(context.Background(), decided, a); !errors.Is(res.err, context.Canceled) {
+			t.Fatalf("attempt of a decided request = %d, %v; want context.Canceled", res.value, res.err)
+		}
+	}
+	b := breakers.For("r1")
+	refuse()
+	if state := b.State(); state != obs.BreakerClosed || b.Opens() != 0 {
+		t.Fatalf("breaker is %v after %d opens, want closed and never opened", state, b.Opens())
+	}
+	if got, err := remote.Execute(context.Background(), 4); err != nil || got != 8 {
+		t.Fatalf("Execute after the refusal = %d, %v", got, err)
+	}
+
+	tok, _ := b.Allow()
+	b.Record(tok, errors.New("injected"))
+	now.Add(int64(2 * time.Second))
+	refuse() // the half-open probe: recorded, so the breaker reopens
+	if state := b.State(); state != obs.BreakerOpen || b.Opens() != 2 {
+		t.Fatalf("breaker is %v after %d opens, want open again after its refused probe", state, b.Opens())
+	}
+}
+
 // cancelOnRead is a dial shim whose connections, on the first read that
 // returns bytes after next is set, call and clear next: the caller's
 // cancellation lands exactly after a reply has arrived and before the

@@ -19,8 +19,11 @@ type ServerConfig struct {
 	// trees; empty means the variant's name.
 	Name string
 	// CallTimeout bounds one variant execution on the server side, so a
-	// wedged variant cannot pin a connection handler forever. Zero means
-	// 30 seconds.
+	// wedged variant cannot pin a connection handler forever: the
+	// variant's context carries the deadline and ends there with
+	// context.DeadlineExceeded, as under context.WithTimeout. The timer
+	// behind it runs only once the variant (or a context derived from
+	// it) watches Done; Err reads the clock. Zero means 30 seconds.
 	CallTimeout time.Duration
 	// Observer receives request/variant spans for served calls under the
 	// executor name "replica:<name>"; nil observes nothing.
@@ -53,6 +56,9 @@ type Server[I, O any] struct {
 	// traced caches obs.WantsTrace(cfg.Observer): server-side spans join
 	// the wire trace only when an attached observer records traces.
 	traced bool
+	// in and out carry the input and output values on the wire.
+	in  valueCodec[I]
+	out valueCodec[O]
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -76,6 +82,8 @@ func NewServer[I, O any](variant core.Variant[I, O], ln net.Listener, cfg Server
 		ln:       ln,
 		cfg:      cfg,
 		traced:   obs.WantsTrace(cfg.Observer),
+		in:       codecFor[I](),
+		out:      codecFor[O](),
 		conns:    make(map[net.Conn]struct{}),
 	}
 }
@@ -102,6 +110,7 @@ func (s *Server[I, O]) Serve(ctx context.Context) error {
 	s.mu.Unlock()
 	stop := context.AfterFunc(ctx, s.shutdown)
 	defer stop()
+	base := newCallBase(ctx)
 	var failure error
 	for {
 		conn, err := s.ln.Accept()
@@ -119,7 +128,7 @@ func (s *Server[I, O]) Serve(ctx context.Context) error {
 		go func() {
 			defer s.wg.Done()
 			defer s.untrack(conn)
-			s.handle(ctx, conn)
+			s.handle(base, conn)
 		}()
 	}
 	s.wg.Wait()
@@ -206,7 +215,7 @@ func (s *Server[I, O]) untrack(c net.Conn) {
 // handle serves one connection: framed envelopes in, framed envelopes
 // out, until the peer hangs up, the stream corrupts, or the
 // connection's value streams are poisoned.
-func (s *Server[I, O]) handle(ctx context.Context, conn net.Conn) {
+func (s *Server[I, O]) handle(base *callBase, conn net.Conn) {
 	wc := newWireConn(conn)
 	for {
 		env, err := wc.recv()
@@ -219,7 +228,7 @@ func (s *Server[I, O]) handle(ctx context.Context, conn net.Conn) {
 				return
 			}
 		case kindCall:
-			if !s.call(ctx, wc, &env) {
+			if !s.call(base, wc, &env) {
 				return
 			}
 		default:
@@ -242,17 +251,18 @@ func (s *Server[I, O]) handle(ctx context.Context, conn net.Conn) {
 // trace carried by the envelope (its parent is the client attempt span
 // that sent the call), so the per-process trace exports assemble into
 // one causal tree.
-func (s *Server[I, O]) call(ctx context.Context, wc *wireConn, env *envelope) bool {
+func (s *Server[I, O]) call(base *callBase, wc *wireConn, env *envelope) bool {
 	abort := func(err error) bool {
 		wc.send(&envelope{Kind: kindAbort, ID: env.ID, Err: err.Error()}) // closing anyway
 		return false
 	}
-	var input I
-	if err := wc.decode(env.Payload, &input); err != nil {
+	input, err := s.in.recv(wc, env.Payload)
+	if err != nil {
 		return abort(err)
 	}
-	callCtx, cancel := context.WithTimeout(ctx, s.cfg.CallTimeout)
-	defer cancel()
+	cc := base.call(s.cfg.CallTimeout)
+	defer cc.end()
+	var callCtx context.Context = cc
 	executor := s.executor
 	o := s.cfg.Observer
 	var req uint64
@@ -283,7 +293,7 @@ func (s *Server[I, O]) call(ctx context.Context, wc *wireConn, env *envelope) bo
 		reply.Err = err.Error()
 		return wc.send(&reply) == nil
 	}
-	if err := wc.sendValue(&reply, value); err != nil {
+	if err := s.out.send(wc, &reply, value); err != nil {
 		if errors.Is(err, errValueCodec) {
 			return abort(err)
 		}

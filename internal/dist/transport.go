@@ -145,6 +145,11 @@ func (r *Remote[I, O]) Close() error {
 	return nil
 }
 
+// errDecided is the outcome of an attempt refused its connection
+// because its request was decided first (see roundTrip): it never
+// reached its endpoint, so it says nothing about it.
+var errDecided = fmt.Errorf("dist: request decided before the attempt was sent: %w", context.Canceled)
+
 // roundTrip performs one RPC attempt against its endpoint of the
 // request's captured snapshot: pooled connection (or fresh dial), framed
 // call out, framed reply in, all before one deadline fixed when the
@@ -154,7 +159,8 @@ func (r *Remote[I, O]) Close() error {
 //
 // Two contexts bound it. live is the request's: once the fan-out has
 // decided, an attempt that has not yet written its call does not start
-// (connPool.get refuses it). ctx is the caller's: only its
+// (connPool.get refuses it, and the attempt ends with errDecided unless
+// the caller gave up too). ctx is the caller's: only its
 // cancellation, or the deadline passing, expires the connection so
 // blocked I/O returns promptly. The fan-out deciding does not — a hedge
 // loser or quorum straggler already on the wire keeps reading, and its
@@ -178,6 +184,9 @@ func (f *fanout[I, O]) roundTrip(ctx, live context.Context, a attempt) (out O, e
 	pool, name := f.v.pools[a.ep], f.v.endpoints[a.ep].Name
 	conn, err := pool.get(live, deadline, f.v.endpoints[a.ep].Dial)
 	if err != nil {
+		if live.Err() != nil && ctx.Err() == nil {
+			return out, errDecided
+		}
 		return out, err
 	}
 	cut := ctx
@@ -194,7 +203,7 @@ func (f *fanout[I, O]) roundTrip(ctx, live context.Context, a attempt) (out O, e
 		}
 	}()
 	call := envelope{Kind: kindCall, ID: f.r.ids.Add(1), TraceID: a.tc.TraceID, SpanID: a.tc.SpanID}
-	if err := conn.sendValue(&call, f.input); err != nil {
+	if err := f.r.in.send(conn, &call, f.input); err != nil {
 		return out, fmt.Errorf("dist: %s: send: %w", name, err)
 	}
 	reply, err := conn.recv()
@@ -211,7 +220,7 @@ func (f *fanout[I, O]) roundTrip(ctx, live context.Context, a attempt) (out O, e
 		reusable = reply.Kind == kindReply
 		return out, fmt.Errorf("dist: %s: %w: %s", name, ErrRemote, reply.Err)
 	}
-	if err := conn.decode(reply.Payload, &out); err != nil {
+	if out, err = f.r.out.recv(conn, reply.Payload); err != nil {
 		return out, err
 	}
 	reusable = true
@@ -237,12 +246,15 @@ func newConnPool() *connPool {
 // straggler launched after the verdict, or a loser whose request was
 // decided while it dialled — gets none: it would only take a healthy
 // connection to drop it. A connection dialled for it goes to the idle
-// list for the next request.
+// list for the next request. The idle list is checked under the same
+// lock as the context, so an attempt that takes an idle connection did
+// so before its request was decided.
 func (p *connPool) get(ctx context.Context, deadline time.Time, dial DialFunc) (*wireConn, error) {
+	p.mu.Lock()
 	if err := ctx.Err(); err != nil {
+		p.mu.Unlock()
 		return nil, err
 	}
-	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, ErrClientClosed

@@ -99,6 +99,77 @@ func parseEnvelope(body []byte) (envelope, error) {
 	return e, nil
 }
 
+// valueCodec is how values of type T travel as a frame's payload. It is
+// picked once per client or server, by the type alone (codecFor): an
+// int is a fixed 8-byte big-endian word appended straight into the
+// frame being built and read back by value, so it never goes through
+// an interface or gob; every other type goes through the connection's
+// gob streams (sendValue, decode). A connection that carries only ints
+// never builds its gob streams.
+type valueCodec[T any] struct {
+	// put and get are nil for a gob-coded type.
+	put func(b []byte, v T) []byte
+	get func(payload []byte) (T, error)
+}
+
+// codecFor returns T's value codec. Only T itself counts: a named type
+// over int goes through gob.
+func codecFor[T any]() valueCodec[T] {
+	switch any(*new(T)).(type) {
+	case int: // so T is int, and these are the int functions' own types
+		return valueCodec[T]{put: any(appendInt).(func([]byte, T) []byte), get: any(parseInt).(func([]byte) (T, error))}
+	}
+	return valueCodec[T]{}
+}
+
+// intSize is the size of an int payload.
+const intSize = 8
+
+// appendInt appends v's payload, 8 bytes big-endian, to b.
+func appendInt(b []byte, v int) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
+
+// parseInt decodes an int payload. Anything but exactly 8 bytes — or,
+// where int is narrower than 64 bits, a word it cannot hold — is a
+// corrupt frame for classification purposes.
+func parseInt(payload []byte) (int, error) {
+	if len(payload) != intSize {
+		return 0, fmt.Errorf("%w: int value: %d bytes, want %d", ErrBadFrame, len(payload), intSize)
+	}
+	u := binary.BigEndian.Uint64(payload)
+	if v := int(u); uint64(v) == u {
+		return v, nil
+	}
+	return 0, fmt.Errorf("%w: int value %#x out of range", ErrBadFrame, u)
+}
+
+// send is c.send with v as the payload (e.Payload must be empty). An
+// error wrapping errValueCodec means nothing was written.
+func (vc valueCodec[T]) send(c *wireConn, e *envelope, v T) error {
+	if vc.put == nil {
+		return c.sendValue(e, v)
+	}
+	c.begin(e)
+	c.wbuf.Write(vc.put(c.wbuf.AvailableBuffer(), v))
+	return c.flush()
+}
+
+// recv decodes the value a frame received on c carries. An error wraps
+// ErrBadFrame, and the connection must be abandoned.
+func (vc valueCodec[T]) recv(c *wireConn, payload []byte) (T, error) {
+	if vc.get == nil {
+		return decodeGob[T](c, payload)
+	}
+	return vc.get(payload)
+}
+
+// decodeGob is recv's gob path, apart so that only it pays for the
+// value escaping into gob.
+func decodeGob[T any](c *wireConn, payload []byte) (T, error) {
+	v := new(T)
+	err := c.decode(payload, v)
+	return *v, err
+}
+
 // errValueCodec marks a send that failed encoding its value, before
 // anything was written: the connection still frames correctly, but its
 // outbound value stream has advanced past what the peer has seen.
@@ -106,9 +177,10 @@ var errValueCodec = errors.New("dist: encode value")
 
 // wireConn is one connection with its codec state: a buffered reader and
 // a reused frame buffer on the way in, one scratch buffer in which each
-// outgoing frame is built on the way out, and a persistent gob stream
-// per direction for the RPC values, so a value type's descriptor
-// crosses the wire once per connection rather than once per call.
+// outgoing frame is built on the way out, and — for value types that
+// go through gob (see valueCodec) — a persistent gob stream per
+// direction, so a value type's descriptor crosses the wire once per
+// connection rather than once per call.
 //
 // The gob streams make the connection stateful beyond its bytes: the
 // peers' encoder and decoder must have seen the same sequence of

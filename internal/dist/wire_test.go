@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,6 +112,9 @@ func TestValueTypeCrossesOncePerConnection(t *testing.T) {
 		t.Fatalf("NewRemote: %v", err)
 	}
 	defer remote.Close()
+	if remote.in.put != nil || remote.out.get != nil {
+		t.Fatal("point values skip gob: this test needs a gob-coded type")
+	}
 	for i := 1; i <= 2; i++ {
 		got, err := remote.Execute(context.Background(), point{X: i, Y: -i})
 		if err != nil || got != (point{X: -i, Y: i}) {
@@ -124,6 +128,117 @@ func TestValueTypeCrossesOncePerConnection(t *testing.T) {
 	if writes[1] >= writes[0] {
 		t.Fatalf("second call sent %d bytes, first %d: the type descriptor crossed again", writes[1], writes[0])
 	}
+}
+
+// TestIntValuesSkipGob: an int call is a fixed-size frame — header,
+// envelope and an 8-byte payload — from the first call on, and neither
+// peer ever builds a gob stream for it; a struct value goes through gob.
+func TestIntValuesSkipGob(t *testing.T) {
+	if codecFor[point]().put != nil || codecFor[picky]().put != nil {
+		t.Fatal("struct values skip gob")
+	}
+	type celsius int // a named int is another type: gob
+	if codecFor[celsius]().put != nil {
+		t.Fatal("a named int type skips gob")
+	}
+	network := NewPipeNetwork()
+	srv := startReplica(t, network, "r1", double())
+	var tp tap
+	remote, err := NewRemote[int, int]("doubler", RemoteConfig{}, Endpoint{Name: "r1", Dial: tp.wrap(network.Dial("r1"))})
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	defer remote.Close()
+	for _, in := range []int{21, -1 << 40, 0} {
+		if got, err := remote.Execute(context.Background(), in); err != nil || got != 2*in {
+			t.Fatalf("Execute(%d) = %d, %v", in, got, err)
+		}
+	}
+	_, writes := tp.snapshot()
+	for i, n := range writes {
+		if want := frameHeaderSize + envelopeFixedSize + intSize; n != want {
+			t.Fatalf("call %d wrote %d bytes, want %d", i+1, n, want)
+		}
+	}
+	p := remote.view().pools[0]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for c := range p.all {
+		if c.enc != nil || c.dec != nil {
+			t.Fatal("an int-only client connection built a gob stream")
+		}
+	}
+	if srv.in.get == nil || srv.out.put == nil {
+		t.Fatal("the int server codes its values with gob")
+	}
+}
+
+// TestBadIntPayloadIsACorruptFrame: an int payload of any size but 8
+// is ErrBadFrame on either side, and the connection carrying it is
+// abandoned — by the server with an abort, by the client by dropping it.
+func TestBadIntPayloadIsACorruptFrame(t *testing.T) {
+	t.Run("server-side", func(t *testing.T) {
+		network := NewPipeNetwork()
+		startReplica(t, network, "r1", double())
+		raw, err := network.Dial("r1")(context.Background())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer raw.Close()
+		raw.SetDeadline(time.Now().Add(5 * time.Second))
+		wc := newWireConn(raw)
+		if err := wc.send(&envelope{Kind: kindCall, ID: 1, Payload: []byte{0, 0, 0, 0, 0, 0, 42}}); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		reply, err := wc.recv()
+		if err != nil || reply.Kind != kindAbort || !strings.Contains(reply.Err, ErrBadFrame.Error()) {
+			t.Fatalf("reply to a 7-byte int = %+v, %v; want an abort naming a corrupt frame", reply, err)
+		}
+		if _, err := wc.recv(); err == nil {
+			t.Fatal("the server kept the connection after aborting it")
+		}
+	})
+	t.Run("client-side", func(t *testing.T) {
+		network := NewPipeNetwork()
+		ln, err := network.Listen("r1")
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		defer ln.Close()
+		go func() {
+			for {
+				raw, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer raw.Close()
+					wc := newWireConn(raw)
+					for {
+						call, err := wc.recv()
+						if err != nil {
+							return
+						}
+						payload := append(append([]byte(nil), call.Payload...), 0) // 9 bytes
+						if wc.send(&envelope{Kind: kindReply, ID: call.ID, Payload: payload}) != nil {
+							return
+						}
+					}
+				}()
+			}
+		}()
+		remote, err := NewRemote[int, int]("caller", RemoteConfig{}, Endpoint{Name: "r1", Dial: network.Dial("r1")})
+		if err != nil {
+			t.Fatalf("NewRemote: %v", err)
+		}
+		defer remote.Close()
+		if got, err := remote.Execute(context.Background(), 21); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("Execute with a 9-byte int reply = %d, %v; want ErrBadFrame", got, err)
+		}
+		if n := idle(remote); n != 0 {
+			t.Fatalf("%d connections pooled after a corrupt int reply, want 0", n)
+		}
+	})
 }
 
 // picky is a value that travels fine but refuses to decode as 13, so a
@@ -162,6 +277,9 @@ func TestValueCodecFailureClosesConnection(t *testing.T) {
 				t.Fatalf("NewRemote: %v", err)
 			}
 			defer remote.Close()
+			if remote.in.put != nil || remote.out.get != nil {
+				t.Fatal("picky values skip gob: this test needs a gob-coded type")
+			}
 			ctx := context.Background()
 			if _, err := remote.Execute(ctx, picky{N: 1}); err != nil {
 				t.Fatalf("warm-up call: %v", err)
@@ -313,12 +431,13 @@ func TestConcurrentExecuteOverSharedPools(t *testing.T) {
 // allocations: one warmed, unobserved, unhedged call over a pipe —
 // client and server side together, since AllocsPerRun counts the whole
 // process. The client's side bounds the attempt with the connection's
-// own timer and allocates for the decoded value alone; what is left is
-// the server's per-call context (its Deadline/Err contract needs one
-// object per call) plus gob's per-message buffers. Raising the budget
-// needs a reason in the commit that does it.
+// own timer, and int values travel as fixed 8-byte payloads, so neither
+// side allocates for them; what is left is the server's per-call
+// context, whose Deadline/Err contract needs one object per call (its
+// channel and timer wait for a variant that watches Done). Raising the
+// budget needs a reason in the commit that does it.
 func TestRoundTripAllocBudget(t *testing.T) {
-	const budget = 8
+	const budget = 1
 	network := NewPipeNetwork()
 	startReplica(t, network, "r1", double())
 	remote, err := NewRemote[int, int]("budget", RemoteConfig{}, Endpoint{Name: "r1", Dial: network.Dial("r1")})
@@ -332,7 +451,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 			panic(fmt.Sprintf("Execute = %d, %v", got, err))
 		}
 	}
-	call() // dial, and let both gob streams compile their codecs
+	call() // dial
 	if allocs := testing.AllocsPerRun(200, call); allocs > budget {
 		t.Fatalf("%.0f allocs per round trip, budget %d", allocs, budget)
 	}
@@ -342,16 +461,16 @@ func TestRoundTripAllocBudget(t *testing.T) {
 // unobserved n=3 majority quorum over pipes: three round trips, the
 // attempt goroutines and the ballot, with the straggler's late reply
 // read in the background and its connection pooled rather than
-// redialled (a redial recompiles both gob streams, which would blow
-// this budget many times over). Each measured call waits for its
-// straggler to pool its connection, so every call finds all three idle
-// and the count does not depend on scheduling; no call may dial.
+// redialled. Each pool starts with one connection, and each measured
+// call waits for its straggler to pool its connection, so every call
+// finds all three idle and takes each or leaves it for a straggler the
+// verdict beat to the pool; no call may dial.
 // Raising the budget needs a reason in the commit that does it.
 func TestQuorumAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const budget = 27
+	const budget = 12
 	network := NewPipeNetwork()
 	eps := startQuorumFleet(t, network, 3, func(int) core.Variant[int, int] { return double() })
 	var dials atomic.Int64
@@ -379,8 +498,18 @@ func TestQuorumAllocBudget(t *testing.T) {
 			}
 		}
 	}
+	// One idle connection per replica before the first call: a replica
+	// whose attempt keeps arriving after the verdict (a loaded machine)
+	// would otherwise never finish a dial, and dial during measurement.
+	for i, p := range pools {
+		c, err := p.get(ctx, time.Now().Add(time.Second), eps[i].Dial)
+		if err != nil {
+			t.Fatalf("dial %s: %v", eps[i].Name, err)
+		}
+		p.put(c)
+	}
 	for i := 0; i < 20; i++ {
-		call() // dial, and let every gob stream compile its codecs
+		call()
 	}
 	before := dials.Load()
 	allocs := testing.AllocsPerRun(200, call)

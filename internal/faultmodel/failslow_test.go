@@ -2,6 +2,8 @@ package faultmodel
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,6 +44,39 @@ func TestParseFailSlowSpec(t *testing.T) {
 				tt.spec, profile, factor, tt.profile, tt.factor)
 		}
 	}
+}
+
+// FuzzParseFailSlowSpec: the gray-fault flag parser never panics, and
+// a spec it accepts names a known profile with a finite factor above 1
+// that survives a round trip through the canonical "profile:factor"
+// form.
+func FuzzParseFailSlowSpec(f *testing.F) {
+	for _, spec := range []string{
+		"constant", "constant:8", "progressive:50", "bursts:2.5", "bogus",
+		"constant:1", "constant:1.0000000000000002", "constant:NaN",
+		"bursts:-Inf", "progressive:1e400", "constant:0x1p4", "bursts:1_000",
+		"constant:8:9", ":8", "",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		profile, factor, err := ParseFailSlowSpec(spec)
+		if err != nil {
+			return
+		}
+		if _, err := ParseSlowProfile(string(profile)); err != nil {
+			t.Fatalf("ParseFailSlowSpec(%q) accepted unknown profile %q", spec, profile)
+		}
+		if math.IsNaN(factor) || math.IsInf(factor, 0) || factor <= 1 {
+			t.Fatalf("ParseFailSlowSpec(%q) accepted factor %g", spec, factor)
+		}
+		canonical := string(profile) + ":" + strconv.FormatFloat(factor, 'g', -1, 64)
+		p2, f2, err := ParseFailSlowSpec(canonical)
+		if err != nil || p2 != profile || f2 != factor {
+			t.Fatalf("ParseFailSlowSpec(%q) = (%v, %g), but its canonical form %q re-parses to (%v, %g, %v)",
+				spec, profile, factor, canonical, p2, f2, err)
+		}
+	})
 }
 
 // slowBase returns a variant that records its call count and answers

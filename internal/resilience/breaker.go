@@ -77,6 +77,10 @@ type Token struct {
 	ok    bool
 }
 
+// Probe reports whether the token admitted the half-open breaker's
+// single probe, whose outcome must be recorded to free the probe slot.
+func (t Token) Probe() bool { return t.probe }
+
 // transition is a completed state change, reported outside the lock.
 type transition struct {
 	from, to obs.BreakerState

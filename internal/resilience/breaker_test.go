@@ -120,7 +120,7 @@ func TestBreakerOpenHalfOpenProbeCycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Allow after OpenFor: %v", err)
 	}
-	if !tok.probe {
+	if !tok.Probe() {
 		t.Fatal("post-OpenFor admission is not a probe")
 	}
 	if got := b.State(); got != obs.BreakerHalfOpen {
