@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -130,6 +131,81 @@ func TestConfigOutEchoesResolvedConfig(t *testing.T) {
 	if cfg.Mode != "sim" || cfg.Pattern != "sequential" || cfg.Variants != 3 ||
 		cfg.FailureP != 0.25 || cfg.Trials != 50 || cfg.Seed != 9 {
 		t.Fatalf("resolved config = %+v", cfg)
+	}
+}
+
+func TestChaosWithoutPatternRunsSequential(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "chaos.json")
+	if err := os.WriteFile(spec, []byte(`{"name":"small","seed":2,"phases":[
+		{"name":"calm","requests":20},{"name":"burst","requests":20,"error_burst":0.5}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "config.json")
+	if err := run([]string{"-chaos", "-chaos-spec", spec, "-config-out", path}); err != nil {
+		t.Fatalf("-chaos without -pattern: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg campaign.Config
+	if err := json.Unmarshal(data, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Pattern != campaign.DefaultChaosPattern {
+		t.Fatalf("chaos pattern = %q, want %q", cfg.Pattern, campaign.DefaultChaosPattern)
+	}
+
+	// A pattern the mode cannot run is rejected before -config-out is
+	// written.
+	for _, args := range [][]string{
+		{"-chaos", "-chaos-spec", spec, "-pattern", "nvp"},
+		{"-pattern", "bogus", "-trials", "10"},
+	} {
+		out := filepath.Join(t.TempDir(), "config.json")
+		if err := run(append(args, "-config-out", out)); err == nil {
+			t.Errorf("run(%v) accepted", args)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("run(%v) wrote -config-out before rejecting the pattern (stat err %v)", args, err)
+		}
+	}
+}
+
+func TestCrashRunLosesNoAckedWriteAndResumes(t *testing.T) {
+	dir := t.TempDir()
+	// rows runs -crash over dir and returns the table's numeric rows.
+	rows := func() map[string]int {
+		out := captureStdout(t, func() error { return run([]string{"-crash", "-seed", "1", "-wal-dir", dir}) })
+		got := map[string]int{}
+		lost := ""
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			if strings.HasPrefix(line, "acknowledged writes lost") {
+				lost = f[len(f)-1]
+			}
+			for _, row := range []string{"resumed from previous run (ops)", "kills: panics", "kills: crash errors", "supervised restarts"} {
+				if strings.HasPrefix(line, row) {
+					n, err := strconv.Atoi(f[len(f)-1])
+					if err != nil {
+						t.Fatalf("%q: %v", line, err)
+					}
+					got[row] = n
+				}
+			}
+		}
+		if lost != "none" {
+			t.Errorf("acknowledged writes lost = %q, want none:\n%s", lost, out)
+		}
+		return got
+	}
+	first := rows()
+	if first["supervised restarts"] == 0 || first["supervised restarts"] != first["kills: panics"]+first["kills: crash errors"] {
+		t.Errorf("restarts != panics + crash errors: %v", first)
+	}
+	if second := rows(); second["resumed from previous run (ops)"] != 1000 {
+		t.Errorf("second run on the same store: %v, want all 1000 ops resumed", second)
 	}
 }
 

@@ -16,8 +16,9 @@
 // Heisenbug-like intermittent failures that -p injects.
 //
 // With -chaos the tool runs a deterministic chaos campaign instead of the
-// Monte Carlo estimate: the selected pattern executor is built with the
-// full resilience-policy stack (circuit breakers, budgeted backed-off
+// Monte Carlo estimate: the selected pattern executor (sequential unless
+// -pattern names single or selection) is built with the full
+// resilience-policy stack (circuit breakers, budgeted backed-off
 // retries, a bulkhead, default deadlines, and a last-good degradation
 // ladder) and driven through a seeded schedule of error bursts, latency
 // spikes, hangs, overload, and correlated failures. -chaos-spec loads the
@@ -28,12 +29,17 @@
 //	faultsim -chaos -pattern sequential -n 3 -bohr 1
 //	faultsim -chaos -chaos-spec campaign.json -chaos-out report.json
 //
+// The Monte Carlo and -chaos modes resolve their flags to a
+// campaign.Config and run it through internal/campaign's seed runner,
+// the one `campaign run` and `campaign replay` use.
+//
 // With -crash the tool demonstrates crash-safe recovery: a supervised
 // worker applies a workload to a durable WAL-backed checkpoint store
 // while a seeded schedule kills it mid-stream with panics and crash
 // errors. The supervisor restarts it, the store replays the log, and
 // the run reports restart counts, measured recovery time (MTTR), and
-// whether any acknowledged write was lost (it must never be). -wal-dir
+// whether any acknowledged write was lost (it must never be). The worker
+// is experiment E23's (sim.RunCrashWorker). -wal-dir
 // persists the store across invocations — run it twice to watch the
 // second process resume from the first one's acknowledged state.
 //
@@ -104,15 +110,14 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"time"
 
 	redundancy "github.com/softwarefaults/redundancy"
 	"github.com/softwarefaults/redundancy/internal/campaign"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
 	"github.com/softwarefaults/redundancy/internal/nvp"
 	"github.com/softwarefaults/redundancy/internal/scenario"
+	"github.com/softwarefaults/redundancy/internal/sim"
 	"github.com/softwarefaults/redundancy/internal/stats"
-	"github.com/softwarefaults/redundancy/internal/xrand"
 )
 
 func main() {
@@ -125,7 +130,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
 	var (
-		patternName = fs.String("pattern", "nvp", "pattern: single, nvp, selection, sequential")
+		patternName = fs.String("pattern", "nvp", "pattern: single, nvp, selection, sequential (-chaos: default sequential, no nvp)")
 		n           = fs.Int("n", 3, "number of variants")
 		p           = fs.Float64("p", 0.05, "per-variant failure probability")
 		rho         = fs.Float64("rho", 0, "failure correlation (nvp only)")
@@ -262,6 +267,9 @@ func run(args []string) error {
 		return runFleet(*fleet, observer, *traceOut, set)
 	}
 
+	// The Monte Carlo and chaos modes: resolve the Config and run it
+	// through the campaign seed runner.
+	var cfg campaign.Config
 	if *chaos {
 		var camp *faultmodel.Campaign
 		if *chaosSpec != "" {
@@ -275,281 +283,105 @@ func run(args []string) error {
 		} else {
 			camp = faultmodel.DefaultCampaign(*seed)
 		}
-		chaosCfg := resolvedChaosConfig(*patternName, *n, *bohr, camp)
-		if err := set.echo(chaosCfg); err != nil {
-			return err
+		pattern := *patternName
+		if !flagSet(fs, "pattern") {
+			pattern = campaign.DefaultChaosPattern
 		}
-		rec := set.recorder(chaosCfg.Seed)
-		return runChaos(*patternName, *n, *bohr, camp, *chaosOut, observer, rec, set, chaosCfg)
+		cfg = resolvedChaosConfig(pattern, *n, *bohr, camp)
+	} else {
+		cfg = resolvedSimConfig(*patternName, *n, *p, *rho, *trials, *seed, *bohr)
 	}
-
-	simCfg := resolvedSimConfig(*patternName, *n, *p, *rho, *trials, *seed, *bohr)
-	if err := set.echo(simCfg); err != nil {
+	if err := campaign.CheckPattern(cfg.Mode, cfg.Pattern); err != nil {
 		return err
 	}
-	rec := set.recorder(simCfg.Seed)
+	if err := set.echo(cfg); err != nil {
+		return err
+	}
+	collector := redundancy.NewCollector()
+	res, rep, err := campaign.RunSeed(context.Background(), cfg,
+		redundancy.CombineObservers(collector, observer), nil)
+	if err != nil {
+		return err
+	}
+	observed := collector.Snapshot()
+	if rep != nil {
+		rep.Observed, res.Aggregates.Observed = observed, observed
+		if err := printChaos(rep, *chaosOut); err != nil {
+			return err
+		}
+	} else {
+		fmt.Println(simTable(cfg, res, observed))
+	}
+	if set.storeDir != "" {
+		return saveRecordedRun(set, cfg, res)
+	}
+	return nil
+}
 
+// flagSet reports whether the command line set the named flag.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// simTable renders a Monte Carlo run next to the analytic model.
+func simTable(cfg campaign.Config, res campaign.SeedResult, observed []redundancy.ExecutorObservation) *stats.Table {
 	tbl := stats.NewTable(
 		fmt.Sprintf("Reliability of %s (n=%d, p=%.3f, rho=%.2f, %d trials)",
-			*patternName, *n, *p, *rho, *trials),
+			cfg.Pattern, cfg.Variants, cfg.FailureP, cfg.Rho, cfg.Trials),
 		"measure", "value")
-	tbl.AddRow("seed", *seed)
-
-	switch *patternName {
+	tbl.AddRow("seed", cfg.Seed)
+	d := res.Aggregates.Deterministic
+	tbl.AddRow("simulated reliability", d.Availability)
+	tbl.AddRow("95% interval", fmt.Sprintf("[%.4f, %.4f]", d.AvailabilityLo, d.AvailabilityHi))
+	n, p := cfg.Variants, cfg.FailureP
+	switch cfg.Pattern {
 	case "nvp":
-		law := faultmodel.CorrelatedFailures{N: *n, P: *p, Rho: *rho}
-		ens, err := nvp.NewEnsemble(law, xrand.New(*seed))
-		if err != nil {
-			return err
-		}
-		ok := 0
-		for i := 0; i < *trials; i++ {
-			start := time.Now()
-			_, correct := ens.Round(1)
-			if correct {
-				ok++
-			}
-			if rec != nil {
-				rec.begin(i)
-				var roundErr error
-				if !correct {
-					roundErr = fmt.Errorf("voted output incorrect")
-				}
-				rec.finish(i, roundErr, time.Since(start))
-			}
-		}
-		prop, err := stats.NewProportion(ok, *trials)
-		if err != nil {
-			return err
-		}
-		tbl.AddRow("simulated reliability", prop.Estimate)
-		tbl.AddRow("95% interval", fmt.Sprintf("[%.4f, %.4f]", prop.Lo, prop.Hi))
-		tbl.AddRow("analytic reliability", nvp.ReliabilityCorrelated(*n, *p, *rho))
-		tbl.AddRow("single-version baseline", 1-*p)
-		tbl.AddRow("tolerable faults k", redundancy.TolerableFaults(*n))
-	case "single", "selection", "sequential":
-		ok, execs, err := simulateDetected(*patternName, *n, *p, *trials, *seed, *bohr, observer, rec)
-		if err != nil {
-			return err
-		}
-		prop, err := stats.NewProportion(ok, *trials)
-		if err != nil {
-			return err
-		}
-		tbl.AddRow("simulated reliability", prop.Estimate)
-		tbl.AddRow("95% interval", fmt.Sprintf("[%.4f, %.4f]", prop.Lo, prop.Hi))
-		analytic := 1 - *p
-		if *patternName != "single" {
-			analytic = 1 - pow(*p, *n)
+		tbl.AddRow("analytic reliability", nvp.ReliabilityCorrelated(n, p, cfg.Rho))
+		tbl.AddRow("single-version baseline", 1-p)
+		tbl.AddRow("tolerable faults k", redundancy.TolerableFaults(n))
+	default:
+		analytic := 1 - p
+		if cfg.Pattern != "single" {
+			analytic = 1 - pow(p, n)
 		}
 		tbl.AddRow("analytic reliability", analytic)
-		tbl.AddRow("mean executions/request", execs)
-	default:
-		return fmt.Errorf("unknown pattern %q", *patternName)
+		var requests, executions int64
+		for _, e := range observed {
+			requests += e.Requests
+			for _, v := range e.Variants {
+				executions += v.Executions
+			}
+		}
+		tbl.AddRow("mean executions/request", float64(executions)/float64(max(requests, 1)))
 	}
-	fmt.Println(tbl)
-	if rec != nil {
-		return saveRecordedRun(set, simCfg, rec.seedResult(nil))
-	}
-	return nil
+	return tbl
 }
 
-// simulateDetected runs the detected-failure patterns (failures are
-// errors, not wrong values). A non-nil observer is attached to the
-// executor so a live metrics endpoint can watch the run. Variant bohr
-// (1-based; 0 disables) fails deterministically instead of randomly.
-// A non-nil rec records per-trial rows (-campaign-out).
-func simulateDetected(patternName string, n int, p float64, trials int, seed uint64, bohr int, observer redundancy.Observer, rec *runRecorder) (ok int, execsPerReq float64, err error) {
-	master := xrand.New(seed)
-	mk := func(i int) redundancy.Variant[int, int] {
-		rng := master.Split()
-		deterministic := i == bohr
-		v := redundancy.NewVariant(fmt.Sprintf("v%d", i), func(_ context.Context, x int) (int, error) {
-			if deterministic {
-				if rec != nil {
-					rec.noteFaultHere("bohr")
-				}
-				return 0, fmt.Errorf("deterministic failure")
-			}
-			if rng.Bool(p) {
-				if rec != nil {
-					rec.noteFaultHere("heisen")
-				}
-				return 0, fmt.Errorf("variant failure")
-			}
-			return x, nil
-		})
-		if rec != nil {
-			return spyVariant{v, rec}
-		}
-		return v
-	}
-	var m redundancy.Metrics
-	opts := []redundancy.PatternOption{redundancy.WithMetrics(&m)}
-	if observer != nil {
-		opts = append(opts, redundancy.WithObserver(observer))
-	}
-	exec, err := detectedPattern(patternName, n, mk, opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	ctx := context.Background()
-	for i := 0; i < trials; i++ {
-		if rec != nil {
-			rec.begin(i)
-		}
-		start := time.Now()
-		_, execErr := exec.Execute(ctx, i)
-		if execErr == nil {
-			ok++
-		}
-		if rec != nil {
-			rec.finish(i, execErr, time.Since(start))
-		}
-	}
-	return ok, m.Snapshot().ExecutionsPerRequest(), nil
-}
-
-// detectedPattern builds the named detected-failure pattern (single,
-// sequential, or selection) over variants mk(1)..mk(n), each of which
-// accepts any answer.
-func detectedPattern(patternName string, n int, mk func(int) redundancy.Variant[int, int], opts []redundancy.PatternOption) (redundancy.Executor[int, int], error) {
-	accept := func(_ int, _ int) error { return nil }
-	vs := make([]redundancy.Variant[int, int], n)
-	tests := make([]redundancy.AcceptanceTest[int, int], n)
-	switch patternName {
-	case "single":
-		return redundancy.NewSingle(mk(1), opts...)
-	case "sequential":
-		for i := range vs {
-			vs[i] = mk(i + 1)
-		}
-		return redundancy.NewSequentialAlternatives(vs, accept, nil, opts...)
-	case "selection":
-		for i := range vs {
-			vs[i], tests[i] = mk(i+1), accept
-		}
-		ps, err := redundancy.NewParallelSelection(vs, tests, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return redundancy.ExecutorFunc[int, int](func(ctx context.Context, x int) (int, error) {
-			defer ps.Reset() // failures are transient in this model
-			return ps.Execute(ctx, x)
-		}), nil
-	}
-	return nil, fmt.Errorf("pattern %q: want single, sequential, or selection", patternName)
-}
-
-// runChaos drives a resilience-hardened executor through the campaign.
-// Variants succeed unless the campaign disturbs them (or -bohr marks one
-// as deterministically broken — the breaker should open on it). The
-// executor carries the full policy stack so the report shows breakers
-// opening, overload being shed, and the degradation ladder serving.
-func runChaos(patternName string, n, bohr int, camp *faultmodel.Campaign, outPath string, extra redundancy.Observer, rec *runRecorder, set recorderSettings, cfg campaign.Config) error {
-	collector := redundancy.NewCollector()
-	observer := redundancy.CombineObservers(collector, extra)
-
-	var variantNames []string
-	mk := func(i int) redundancy.Variant[int, int] {
-		deterministic := i == bohr
-		name := fmt.Sprintf("v%d", i)
-		variantNames = append(variantNames, name)
-		base := redundancy.NewVariant(name, func(_ context.Context, x int) (int, error) {
-			if deterministic {
-				return 0, fmt.Errorf("deterministic failure")
-			}
-			return x, nil
-		})
-		var v redundancy.Variant[int, int] = &faultmodel.Chaos[int, int]{Base: base, Campaign: camp}
-		if rec != nil {
-			v = spyVariant{v, rec}
-		}
-		return v
-	}
-	ladder := redundancy.NewFallbackLadder[int, int]().CacheLastGood()
-	opts := []redundancy.PatternOption{
-		redundancy.WithObserver(observer),
-		redundancy.WithBreaker(redundancy.NewBreakers(redundancy.BreakerConfig{
-			ConsecutiveFailures: 5,
-			OpenFor:             100 * time.Millisecond,
-		})),
-		redundancy.WithRetryPolicy(redundancy.RetryPolicy{
-			BaseBackoff: 100 * time.Microsecond,
-			MaxBackoff:  time.Millisecond,
-			Jitter:      0.5,
-			Seed:        camp.Seed,
-			Budget:      redundancy.NewRetryBudget(100, 1),
-		}),
-		redundancy.WithBulkhead(redundancy.NewBulkhead(redundancy.BulkheadConfig{
-			MaxConcurrent: 16,
-			MaxWaiting:    16,
-		})),
-		redundancy.WithDeadline(250*time.Millisecond, 20*time.Millisecond),
-		redundancy.WithFallback(ladder),
-	}
-
-	exec, err := detectedPattern(patternName, n, mk, opts)
-	if err != nil {
-		return err
-	}
-
-	if rec != nil {
-		// Recording middleware: one row per scheduled request, with the
-		// schedule's own disturbances as ground truth (a masked fault is
-		// still an injected fault). The spy-wrapped variants fill in
-		// detection and attribution.
-		inner := exec
-		exec = redundancy.ExecutorFunc[int, int](func(ctx context.Context, x int) (int, error) {
-			req, _ := faultmodel.RequestIndexFrom(ctx)
-			i := int(req)
-			rec.begin(i)
-			for _, name := range variantNames {
-				for _, label := range camp.DisturbedAt(req, name) {
-					rec.noteFault(i, label)
-				}
-			}
-			start := time.Now()
-			out, execErr := inner.Execute(ctx, x)
-			rec.finish(i, execErr, time.Since(start))
-			return out, execErr
-		})
-	}
-
-	rep, err := faultmodel.RunCampaign(context.Background(), camp, exec,
-		func(req uint64) int { return int(req) }, collector)
-	if err != nil {
-		return err
-	}
+// printChaos prints a chaos run's phase table and writes it to outPath
+// as JSON, when set.
+func printChaos(rep *faultmodel.CampaignReport, outPath string) error {
 	fmt.Print(rep.String())
-	if outPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote campaign report to %s\n", outPath)
+	if outPath == "" {
+		return nil
 	}
-	if rec != nil {
-		return saveRecordedRun(set, cfg, rec.seedResult(collector.Snapshot()))
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
 	}
+	if err := os.WriteFile(outPath, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote campaign report to %s\n", outPath)
 	return nil
 }
 
-// crashState is the durable state of the -crash demo worker.
-type crashState struct {
-	Sum   int64
-	Count int
-}
-
-// runCrash drives a supervised worker over a durable WAL-backed store
-// through a seeded kill schedule (panics and crash errors mid-workload)
-// and reports restarts, measured MTTR, and acknowledged-write safety.
-// With a persistent walDir the workload resumes where the previous
-// invocation left off.
-func runCrash(seed uint64, walDir string, extra redundancy.Observer) error {
+// runCrash runs the E23 crash worker over walDir (a temp dir discarded
+// at exit when empty) and reports restarts, measured MTTR, and
+// acknowledged-write safety. With a persistent walDir the workload
+// resumes where the previous invocation left off.
+func runCrash(seed uint64, walDir string, observer redundancy.Observer) error {
 	if walDir == "" {
 		dir, err := os.MkdirTemp("", "faultsim-crash-*")
 		if err != nil {
@@ -558,107 +390,26 @@ func runCrash(seed uint64, walDir string, extra redundancy.Observer) error {
 		defer os.RemoveAll(dir)
 		walDir = dir
 	}
-	collector := redundancy.NewCollector()
-	observer := redundancy.CombineObservers(collector, extra)
-
-	camp := faultmodel.RecoveryCampaign(seed)
-	total := camp.Total()
-	apply := func(s crashState, op int) (crashState, error) {
-		return crashState{Sum: s.Sum + int64(op), Count: s.Count + 1}, nil
-	}
-
-	var (
-		runner  *redundancy.DurableRunner[crashState, int]
-		resumed = -1 // ops already in the store at process start
-		next    int
-		acked   int
-		fired   = make(map[int]bool)
-		panics  int
-		crashes int
-		unsafe  bool // an acknowledged write went missing after a restart
-	)
-	sup := redundancy.NewSupervisor(redundancy.SupervisorOptions{
-		Name:      "faultsim-crash",
-		Intensity: redundancy.RestartIntensity{MaxRestarts: total, Window: time.Minute},
-		Observer:  collector,
-	})
-	err := sup.Add(redundancy.ChildSpec{
-		Name:    "worker",
-		Restart: redundancy.RestartTransient,
-		Init: func(context.Context) error {
-			r, err := redundancy.OpenDurableRunner(walDir, crashState{}, apply,
-				redundancy.DurableOptions{Name: "faultsim-worker", SnapshotInterval: 64, Observer: observer})
-			if err != nil {
-				return err
-			}
-			if resumed < 0 {
-				resumed = r.State().Count
-				acked = resumed
-			} else if r.State().Count != acked {
-				unsafe = true
-			}
-			runner = r
-			next = acked
-			return nil
-		},
-		Run: func(ctx context.Context) error {
-			for next < total {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				req := uint64(next)
-				if !fired[next] && camp.PanicAt(req, "worker") {
-					fired[next] = true
-					panics++
-					panic(fmt.Sprintf("scheduled panic at op %d", next))
-				}
-				if !fired[next] && camp.CrashAt(req, "worker") {
-					fired[next] = true
-					crashes++
-					return fmt.Errorf("scheduled kill at op %d: %w", next, faultmodel.ErrCrashed)
-				}
-				if _, err := runner.Step(int(req % 97)); err != nil {
-					return err
-				}
-				acked++
-				next++
-			}
-			return runner.Close()
-		},
-	})
+	run, err := sim.RunCrashWorker(context.Background(), seed, walDir, observer)
 	if err != nil {
 		return err
 	}
-	if err := sup.Serve(context.Background()); err != nil {
-		return err
-	}
-
-	// Restarts and MTTR accrue on the supervisor's executor; checkpoint
-	// and replay counts on the durable store's.
-	var snap, store redundancy.ExecutorObservation
-	for _, e := range collector.Snapshot() {
-		switch e.Executor {
-		case "faultsim-crash":
-			snap = e
-		case "faultsim-worker":
-			store = e
-		}
-	}
+	sup := run.Supervisor
 	tbl := stats.NewTable(
 		fmt.Sprintf("Crash-safe recovery (seed %d, store %s)", seed, walDir),
 		"measure", "value")
-	tbl.AddRow("workload ops", total)
-	tbl.AddRow("resumed from previous run (ops)", resumed)
-	tbl.AddRow("kills: panics", panics)
-	tbl.AddRow("kills: crash errors", crashes)
-	tbl.AddRow("supervised restarts", snap.Restarts)
-	tbl.AddRow("WAL replays", store.WALReplays)
-	tbl.AddRow("checkpoints taken", store.Checkpoints)
-	tbl.AddRow("acknowledged writes lost", boolWord(unsafe, "YES — BUG", "none"))
-	if snap.MTTR.Count > 0 {
-		tbl.AddRow("recovery time p50", snap.MTTR.P50)
-		tbl.AddRow("recovery time p99", snap.MTTR.P99)
-		tbl.AddRow("recovery time mean", snap.MTTR.Mean)
+	tbl.AddRow("workload ops", run.Ops)
+	tbl.AddRow("resumed from previous run (ops)", run.Resumed)
+	tbl.AddRow("kills: panics", run.Panics)
+	tbl.AddRow("kills: crash errors", run.Crashes)
+	tbl.AddRow("supervised restarts", sup.Restarts)
+	tbl.AddRow("WAL replays", run.Store.WALReplays)
+	tbl.AddRow("checkpoints taken", run.Store.Checkpoints)
+	tbl.AddRow("acknowledged writes lost", boolWord(run.Lost, "YES — BUG", "none"))
+	if sup.MTTR.Count > 0 {
+		tbl.AddRow("recovery time p50", sup.MTTR.P50)
+		tbl.AddRow("recovery time p99", sup.MTTR.P99)
+		tbl.AddRow("recovery time mean", sup.MTTR.Mean)
 	}
 	fmt.Println(tbl)
 	return nil

@@ -9,10 +9,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/obs"
 )
 
 // --- ULID ---
@@ -287,6 +289,89 @@ func TestChaosModeGroundTruth(t *testing.T) {
 				t.Fatalf("calm-phase trial %d has fault %q", tr.Index, tr.Fault)
 			}
 		}
+	}
+}
+
+func TestChaosExecutorBlockBuildsPolicyStack(t *testing.T) {
+	// v1 always fails, so its breaker opens; the overload phase keeps 32
+	// requests in flight against a bulkhead admitting 2, so it sheds.
+	cfg := Config{
+		Mode: "chaos", Pattern: "sequential", Variants: 2, Bohr: 1, Seed: 3,
+		Chaos: &faultmodel.Campaign{Name: "policies", Phases: []faultmodel.ChaosPhase{
+			{Name: "calm", Requests: 20},
+			{Name: "overload", Requests: 64, Concurrency: 32, LatencySpike: 1,
+				SpikeDelay: faultmodel.Duration(5 * time.Millisecond)},
+		}},
+		Executor: ExecutorConfig{
+			BreakerConsecutiveFailures: 3,
+			BreakerOpenFor:             faultmodel.Duration(time.Minute),
+			BulkheadMaxConcurrent:      2,
+		},
+	}
+	collector := obs.NewCollector()
+	res, rep, err := RunSeed(context.Background(), cfg, collector, nil)
+	if err != nil {
+		t.Fatalf("RunSeed: %v", err)
+	}
+	var opens int64
+	for _, e := range collector.Snapshot() {
+		opens += e.BreakerOpens
+	}
+	if opens == 0 {
+		t.Error("no breaker opened on the Bohr variant")
+	}
+	if rep == nil || len(rep.Phases) != 2 || rep.Phases[1].Shed == 0 {
+		t.Fatalf("overload phase shed nothing: %+v", rep)
+	}
+	if got := res.Aggregates.Deterministic.Outcomes[OutcomeShed]; got != rep.Phases[1].Shed {
+		t.Errorf("trial rows book %d shed requests, the phase report %d", got, rep.Phases[1].Shed)
+	}
+}
+
+// peakInflight records the most requests an executor held at once.
+type peakInflight struct {
+	obs.Nop
+	mu        sync.Mutex
+	now, peak int
+}
+
+func (o *peakInflight) RequestStart(string, uint64) {
+	o.mu.Lock()
+	o.now++
+	o.peak = max(o.peak, o.now)
+	o.mu.Unlock()
+}
+
+func (o *peakInflight) RequestEnd(string, uint64, time.Duration, obs.Outcome) {
+	o.mu.Lock()
+	o.now--
+	o.mu.Unlock()
+}
+
+func TestChaosPhaseRunsAtItsConcurrency(t *testing.T) {
+	sched := &faultmodel.Campaign{Name: "crowd", Phases: []faultmodel.ChaosPhase{
+		{Name: "calm", Requests: 10},
+		{Name: "crowd", Requests: 40, Concurrency: 8, ErrorBurst: 0.4, LatencySpike: 1,
+			SpikeDelay: faultmodel.Duration(2 * time.Millisecond)},
+	}}
+	peak := &peakInflight{}
+	cfg := Config{Mode: "chaos", Pattern: "sequential", Variants: 2, Seed: 5, Chaos: sched}
+	if _, _, err := RunSeed(context.Background(), cfg, peak, nil); err != nil {
+		t.Fatalf("RunSeed: %v", err)
+	}
+	if peak.peak < 2 {
+		t.Errorf("peak in-flight requests = %d, want > 1 at Concurrency 8", peak.peak)
+	}
+
+	// Without an executor block the overlapped phase is still
+	// deterministic: every row is a pure function of its request index.
+	run := mustExecute(t, &Spec{Name: "crowd", Mode: "chaos", N: []int{2}, Seeds: []uint64{5, 6}, Chaos: sched})
+	rep, err := Replay(context.Background(), run, nil)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if rep.Mismatched != 0 || rep.Matched != 2 {
+		t.Fatalf("replay matched=%d mismatched=%d: %+v", rep.Matched, rep.Mismatched, rep.Points)
 	}
 }
 

@@ -84,7 +84,7 @@ func Replay(ctx context.Context, run *Run, onProgress func(Progress)) (*ReplayRe
 					})
 				}
 			}
-			fresh, err := runSeed(ctx, cfg, false, report)
+			fresh, _, err := RunSeed(ctx, cfg, nil, report)
 			if err != nil {
 				return nil, fmt.Errorf("campaign: replay point %d seed %d: %w", pi, cfg.Seed, err)
 			}

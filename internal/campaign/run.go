@@ -72,7 +72,9 @@ type Config struct {
 	// GrayFault is the fail-slow spec injected into the fleet
 	// ("constant:20", "progressive:20", "bursts:20"), gray mode only.
 	GrayFault string `json:"gray_fault,omitempty"`
-	// Executor records the resilience/transport policies in force.
+	// Executor is the resilience/transport policy stack: RunSeed builds
+	// it around sim and chaos executors, internal/scenario around a
+	// fleet's client.
 	Executor ExecutorConfig `json:"executor,omitempty"`
 }
 

@@ -3,8 +3,9 @@ package campaign
 // The sweep runner: a Spec names a parameter grid (pattern × n × p) and
 // a set of seeds; Execute runs every (point, seed) pair across parallel
 // workers and assembles the Run document. Workers parallelize across
-// pairs, never within one — each pair's trial sequence stays strictly
-// sequential so deterministic configs replay byte-identically.
+// pairs; within a pair only a chaos phase's Concurrency overlaps
+// requests (see workload.go), so deterministic configs replay
+// byte-identically.
 
 import (
 	"context"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/obs"
 )
 
 // Spec is a sweep request: the grid axes, the seeds, and the execution
@@ -55,30 +57,21 @@ type Spec struct {
 
 // Validate checks the spec before a sweep starts.
 func (s *Spec) Validate() error {
+	if err := CheckPattern(s.Mode, s.Pattern); err != nil {
+		return err
+	}
 	switch s.Mode {
 	case "sim":
-		switch s.Pattern {
-		case "single", "sequential", "selection", "nvp":
-		default:
-			return fmt.Errorf("%w: sim pattern %q (want single, sequential, selection, or nvp)", ErrBadConfig, s.Pattern)
-		}
 		if s.Trials <= 0 {
 			return fmt.Errorf("%w: sim mode needs trials > 0", ErrBadConfig)
 		}
 	case "chaos":
-		switch s.Pattern {
-		case "", "single", "sequential", "selection":
-		default:
-			return fmt.Errorf("%w: chaos pattern %q (want single, sequential, or selection)", ErrBadConfig, s.Pattern)
-		}
 		if s.Chaos == nil {
 			return fmt.Errorf("%w: chaos mode needs a chaos schedule", ErrBadConfig)
 		}
 		if err := s.Chaos.Validate(); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("%w: mode %q (want sim or chaos)", ErrBadConfig, s.Mode)
 	}
 	if len(s.Seeds) == 0 {
 		return fmt.Errorf("%w: no seeds", ErrBadConfig)
@@ -96,6 +89,31 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// DefaultChaosPattern is the executor a chaos run builds when none is
+// named.
+const DefaultChaosPattern = "sequential"
+
+// CheckPattern reports whether the runner can run pattern in mode: sim
+// runs single, sequential, selection, or nvp; chaos the first three, ""
+// meaning DefaultChaosPattern.
+func CheckPattern(mode, pattern string) error {
+	switch mode {
+	case "sim":
+		switch pattern {
+		case "single", "sequential", "selection", "nvp":
+			return nil
+		}
+		return fmt.Errorf("%w: sim pattern %q (want single, sequential, selection, or nvp)", ErrBadConfig, pattern)
+	case "chaos":
+		switch pattern {
+		case "", "single", "sequential", "selection":
+			return nil
+		}
+		return fmt.Errorf("%w: chaos pattern %q (want single, sequential, or selection)", ErrBadConfig, pattern)
+	}
+	return fmt.Errorf("%w: mode %q (want sim or chaos)", ErrBadConfig, mode)
+}
+
 // Points expands the grid axes into the sweep's configs (seed unset;
 // Execute fills it per pair).
 func (s *Spec) Points() []Config {
@@ -109,7 +127,7 @@ func (s *Spec) Points() []Config {
 	}
 	pattern := s.Pattern
 	if pattern == "" && s.Mode == "chaos" {
-		pattern = "sequential"
+		pattern = DefaultChaosPattern
 	}
 	var out []Config
 	for _, n := range ns {
@@ -205,7 +223,16 @@ func Execute(ctx context.Context, spec *Spec, onProgress func(Progress)) (*Run, 
 						})
 					}
 				}
-				res, err := runSeed(ctx, cfg, spec.Observe, report)
+				var observer obs.Observer
+				var collector *obs.Collector
+				if spec.Observe {
+					collector = obs.NewCollector()
+					observer = collector
+				}
+				res, _, err := RunSeed(ctx, cfg, observer, report)
+				if collector != nil {
+					res.Aggregates.Observed = collector.Snapshot()
+				}
 				mu.Lock()
 				if err != nil {
 					if firstErr == nil && ctx.Err() == nil {

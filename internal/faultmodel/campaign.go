@@ -139,18 +139,34 @@ func (c *Campaign) Total() int {
 	return n
 }
 
+// maxRequests caps a campaign's total request count. It is far beyond
+// any experiment here, keeps Total in range on every platform, and bounds
+// the one row per request an experiment runner holds.
+const maxRequests = 10_000_000
+
 // Validate checks the campaign for structural errors.
 func (c *Campaign) Validate() error {
 	if len(c.Phases) == 0 {
 		return errors.New("faultmodel: campaign has no phases")
 	}
+	if c.MaxHang < 0 {
+		return fmt.Errorf("faultmodel: campaign has negative max_hang %v", c.MaxHang.D())
+	}
+	total := 0
 	for i := range c.Phases {
 		p := &c.Phases[i]
 		if p.Requests <= 0 {
 			return fmt.Errorf("faultmodel: phase %d (%s) has no requests", i, p.Name)
 		}
+		if p.Requests > maxRequests-total {
+			return fmt.Errorf("faultmodel: campaign schedules more than %d requests", maxRequests)
+		}
+		total += p.Requests
+		if p.SpikeDelay < 0 {
+			return fmt.Errorf("faultmodel: phase %d (%s) has negative spike_delay %v", i, p.Name, p.SpikeDelay.D())
+		}
 		for _, frac := range []float64{p.ErrorBurst, p.LatencySpike, p.Hangs, p.Panics, p.Crashes} {
-			if frac < 0 || frac > 1 {
+			if !(frac >= 0 && frac <= 1) {
 				return fmt.Errorf("faultmodel: phase %d (%s) has probability %v outside [0,1]", i, p.Name, frac)
 			}
 		}

@@ -3,6 +3,8 @@ package faultmodel
 import (
 	"context"
 	"errors"
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 	"time"
@@ -97,20 +99,77 @@ func TestPhaseAtMapsGlobalRequestIndex(t *testing.T) {
 }
 
 func TestCampaignValidate(t *testing.T) {
-	if err := (&Campaign{}).Validate(); err == nil {
-		t.Error("campaign with no phases validated")
+	bad := []struct {
+		why string
+		c   *Campaign
+	}{
+		{"no phases", &Campaign{}},
+		{"phase with no requests", &Campaign{Phases: []ChaosPhase{{Name: "p", Requests: 0}}}},
+		{"out-of-range probability", &Campaign{Phases: []ChaosPhase{{Name: "p", Requests: 1, ErrorBurst: 1.5}}}},
+		{"request total overflows", &Campaign{Phases: []ChaosPhase{
+			{Name: "a", Requests: math.MaxInt/2 + 1}, {Name: "b", Requests: math.MaxInt/2 + 1}}}},
+		{"request total over the cap", &Campaign{Phases: []ChaosPhase{
+			{Name: "a", Requests: maxRequests}, {Name: "b", Requests: 1}}}},
+		{"negative spike delay", &Campaign{Phases: []ChaosPhase{
+			{Name: "p", Requests: 1, LatencySpike: 1, SpikeDelay: Duration(-time.Millisecond)}}}},
+		{"negative max hang", &Campaign{MaxHang: Duration(-time.Second), Phases: []ChaosPhase{{Name: "p", Requests: 1}}}},
 	}
-	bad := &Campaign{Phases: []ChaosPhase{{Name: "p", Requests: 0}}}
-	if err := bad.Validate(); err == nil {
-		t.Error("phase with no requests validated")
-	}
-	badProb := &Campaign{Phases: []ChaosPhase{{Name: "p", Requests: 1, ErrorBurst: 1.5}}}
-	if err := badProb.Validate(); err == nil {
-		t.Error("out-of-range probability validated")
+	for _, tc := range bad {
+		if err := tc.c.Validate(); err == nil {
+			t.Errorf("%s: validated", tc.why)
+		}
 	}
 	if err := twoPhaseCampaign().Validate(); err != nil {
 		t.Errorf("valid campaign rejected: %v", err)
 	}
+	atCap := &Campaign{Phases: []ChaosPhase{{Name: "a", Requests: maxRequests - 1}, {Name: "b", Requests: 1}}}
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("campaign at the request cap rejected: %v", err)
+	}
+}
+
+// FuzzParseCampaign: the chaos schedule parser never panics, and a
+// schedule it accepts re-validates, schedules a positive number of
+// requests equal to its phase sum, and holds only probabilities in
+// [0,1] and non-negative durations.
+func FuzzParseCampaign(f *testing.F) {
+	for _, spec := range []string{
+		`{"name":"c","seed":1,"max_hang":"2s","phases":[{"name":"a","requests":10,"error_burst":0.5}]}`,
+		`{"phases":[{"name":"a","requests":5000000000000000000},{"name":"b","requests":5000000000000000000}]}`,
+		`{"phases":[{"name":"a","requests":1,"latency_spike":1,"spike_delay":"-1ms"}]}`,
+		`{"phases":[{"name":"a","requests":3,"concurrency":-2,"hangs":1,"correlated":true,"variants":["v1"]}]}`,
+		`{"max_hang":-5,"phases":[{"name":"a","requests":1}]}`,
+		`{"phases":[]}`, `{}`, `[]`, ``,
+	} {
+		f.Add([]byte(spec))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ParseCampaign(data)
+		if err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("accepted schedule fails re-validation: %v", err)
+		}
+		sum := new(big.Int)
+		for _, p := range c.Phases {
+			sum.Add(sum, big.NewInt(int64(p.Requests)))
+			if p.SpikeDelay < 0 {
+				t.Fatalf("phase %q: negative spike_delay %v accepted", p.Name, p.SpikeDelay.D())
+			}
+			for _, prob := range []float64{p.ErrorBurst, p.LatencySpike, p.Hangs, p.Panics, p.Crashes} {
+				if !(prob >= 0 && prob <= 1) {
+					t.Fatalf("phase %q: probability %v accepted", p.Name, prob)
+				}
+			}
+		}
+		if got := c.Total(); got <= 0 || big.NewInt(int64(got)).Cmp(sum) != 0 {
+			t.Fatalf("Total() = %d, phase sum %d", got, sum)
+		}
+		if c.MaxHang < 0 {
+			t.Fatalf("negative max_hang %v accepted", c.MaxHang.D())
+		}
+	})
 }
 
 func TestParseCampaign(t *testing.T) {

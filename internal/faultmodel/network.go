@@ -109,10 +109,19 @@ func (nc *NetworkCampaign) Validate() error {
 	if len(nc.Phases) == 0 {
 		return fmt.Errorf("faultmodel: network campaign %q has no phases", nc.Name)
 	}
+	var total time.Duration
 	for i := range nc.Phases {
 		p := &nc.Phases[i]
 		if p.Duration.D() <= 0 {
 			return fmt.Errorf("faultmodel: network phase %d (%q) needs a positive duration", i, p.Name)
+		}
+		// Total must stay in range: the phase clock compares against it.
+		if p.Duration.D() > math.MaxInt64-total {
+			return fmt.Errorf("faultmodel: network campaign %q runs longer than %v", nc.Name, time.Duration(math.MaxInt64))
+		}
+		total += p.Duration.D()
+		if p.SpikeDelay < 0 {
+			return fmt.Errorf("faultmodel: network phase %d (%q) has negative spike_delay %v", i, p.Name, p.SpikeDelay.D())
 		}
 		for _, prob := range []struct {
 			name  string
@@ -121,7 +130,7 @@ func (nc *NetworkCampaign) Validate() error {
 			{"loss", p.Loss}, {"duplicate", p.Duplicate}, {"reorder", p.Reorder},
 			{"latency_spike", p.LatencySpike}, {"resets", p.Resets},
 		} {
-			if prob.value < 0 || prob.value > 1 {
+			if !(prob.value >= 0 && prob.value <= 1) {
 				return fmt.Errorf("faultmodel: network phase %d (%q): %s %v out of [0,1]",
 					i, p.Name, prob.name, prob.value)
 			}

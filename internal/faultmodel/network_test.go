@@ -3,6 +3,7 @@ package faultmodel
 import (
 	"context"
 	"errors"
+	"math/big"
 	"net"
 	"strings"
 	"testing"
@@ -40,6 +41,10 @@ func TestNetworkCampaignValidate(t *testing.T) {
 		{Name: "empty"},
 		{Name: "zero-duration", Phases: []NetworkPhase{{Name: "p"}}},
 		{Name: "bad-prob", Phases: []NetworkPhase{{Name: "p", Duration: Duration(time.Second), Loss: 1.5}}},
+		{Name: "overflow", Phases: []NetworkPhase{
+			{Name: "a", Duration: Duration(5e18)}, {Name: "b", Duration: Duration(5e18)}}},
+		{Name: "negative-spike", Phases: []NetworkPhase{
+			{Name: "p", Duration: Duration(time.Second), LatencySpike: 1, SpikeDelay: Duration(-time.Millisecond)}}},
 	}
 	for _, nc := range bad {
 		if err := nc.Validate(); err == nil {
@@ -415,4 +420,44 @@ func TestNetworkRollIsDeterministic(t *testing.T) {
 	if diff == 0 {
 		t.Fatal("different seeds produced identical decision streams")
 	}
+}
+
+// FuzzParseNetworkCampaign: the network schedule parser never panics,
+// and a schedule it accepts re-validates, runs for a positive duration
+// equal to its phase sum, and holds only probabilities in [0,1] and
+// non-negative durations.
+func FuzzParseNetworkCampaign(f *testing.F) {
+	for _, spec := range []string{
+		`{"name":"n","seed":3,"phases":[{"name":"cut","duration":"400ms","partition":["r2"]}]}`,
+		`{"phases":[{"name":"a","duration":5000000000000000000},{"name":"b","duration":5000000000000000000}]}`,
+		`{"phases":[{"name":"a","duration":"1s","latency_spike":0.5,"spike_delay":"-1ms"}]}`,
+		`{"phases":[{"name":"a","duration":"1s","loss":0.1,"duplicate":0.1,"reorder":0.1,"resets":0.1}]}`,
+		`{"phases":[]}`, `{}`, `[]`, ``,
+	} {
+		f.Add([]byte(spec))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nc, err := ParseNetworkCampaign(data)
+		if err != nil {
+			return
+		}
+		if err := nc.Validate(); err != nil {
+			t.Fatalf("accepted schedule fails re-validation: %v", err)
+		}
+		sum := new(big.Int)
+		for _, p := range nc.Phases {
+			sum.Add(sum, big.NewInt(int64(p.Duration)))
+			if p.Duration <= 0 || p.SpikeDelay < 0 {
+				t.Fatalf("phase %q: duration %v, spike_delay %v accepted", p.Name, p.Duration.D(), p.SpikeDelay.D())
+			}
+			for _, prob := range []float64{p.Loss, p.Duplicate, p.Reorder, p.LatencySpike, p.Resets} {
+				if !(prob >= 0 && prob <= 1) {
+					t.Fatalf("phase %q: probability %v accepted", p.Name, prob)
+				}
+			}
+		}
+		if got := nc.Total(); got <= 0 || big.NewInt(int64(got)).Cmp(sum) != 0 {
+			t.Fatalf("Total() = %v, phase sum %v ns", got, sum)
+		}
+	})
 }

@@ -17,7 +17,6 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -29,7 +28,6 @@ import (
 	"github.com/softwarefaults/redundancy/internal/dist"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
 	"github.com/softwarefaults/redundancy/internal/obs"
-	"github.com/softwarefaults/redundancy/internal/resilience"
 	"github.com/softwarefaults/redundancy/internal/supervise"
 )
 
@@ -310,20 +308,14 @@ func names(n int) []string {
 // and the breaker when one is configured.
 func (f *fleet) remoteConfig() dist.RemoteConfig {
 	e := f.cfg.Executor
-	rc := dist.RemoteConfig{
+	return dist.RemoteConfig{
 		CallTimeout: time.Duration(e.CallTimeout),
 		HedgeAfter:  time.Duration(e.HedgeAfter),
 		MaxHedges:   e.MaxHedges,
+		Breakers:    e.Breakers(),
 		Detector:    f.detector,
 		Observer:    f.observer,
 	}
-	if e.BreakerConsecutiveFailures > 0 {
-		rc.Breakers = resilience.NewBreakers(resilience.BreakerConfig{
-			ConsecutiveFailures: e.BreakerConsecutiveFailures,
-			OpenFor:             time.Duration(e.BreakerOpenFor),
-		})
-	}
-	return rc
 }
 
 // call drives request x through client and books its row: fault is the
@@ -343,14 +335,7 @@ func (f *fleet) call(ctx context.Context, client core.Executor[int, int], x int,
 	correct = err == nil && got == 2*x
 	f.mu.Lock()
 	t := &f.res.Trials[i]
-	t.Latency, t.Outcome, t.Wrong = latency, campaign.OutcomeOK, err == nil && !correct
-	// No fleet client sheds load or degrades: a failure is breaker-open
-	// or failed.
-	if errors.Is(err, resilience.ErrBreakerOpen) {
-		t.Outcome = campaign.OutcomeBreakerOpen
-	} else if err != nil {
-		t.Outcome = campaign.OutcomeFailed
-	}
+	t.Latency, t.Outcome, t.Wrong = latency, campaign.OutcomeOf(err), err == nil && !correct
 	f.mu.Unlock()
 	if correct {
 		f.res.Served++

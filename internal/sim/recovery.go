@@ -25,18 +25,120 @@ func applyWorkerOp(s workerState, op int) (workerState, error) {
 	return workerState{Sum: s.Sum + int64(op), Count: s.Count + 1}, nil
 }
 
-// recoveryExperiment (E23) kills a supervised WAL-backed worker
-// mid-workload — panics and crash-errors at schedule-determined ops —
-// and measures what crash-safe recovery actually delivers: every
-// acknowledged write survives every kill (checked after each restart,
-// not just at the end), the worker finishes the full workload, and the
-// supervisor's restart-intensity window escalates when a failure is
-// persistent rather than transient.
+// CrashRun is what one supervised WAL-worker run did.
+type CrashRun struct {
+	Ops     int  // the workload's size
+	Resumed int  // ops the store already held when the run began
+	Acked   int  // ops durably acknowledged at exit, Resumed included
+	Panics  int  // scheduled kills by panic
+	Crashes int  // scheduled kills by crash error
+	Lost    bool // an acknowledged write went missing across a restart
+	// Supervisor carries the restarts and their MTTR; Store the
+	// checkpoint and WAL-replay counts.
+	Supervisor, Store obs.ExecutorSnapshot
+}
+
+// RunCrashWorker drives a supervised worker over the durable WAL-backed
+// store in dir through RecoveryCampaign(seed)'s kill schedule — panics
+// and crash errors at schedule-determined ops — and checks after every
+// restart that recovery reproduced exactly the acknowledged prefix:
+// nothing lost, nothing phantom. A store that already holds ops (a
+// reused directory) resumes after them. observer, when non-nil, sees
+// every supervisor and store event. E23 and `faultsim -crash` both run
+// it.
 //
 // Kill sites fire once: a retried op succeeds after the restart, the
 // Heisenbug behavior that makes reboot-based recovery worthwhile. The
 // kill schedule, and hence the restart and replay counts, are pure
 // functions of the seed.
+func RunCrashWorker(ctx context.Context, seed uint64, dir string, observer obs.Observer) (CrashRun, error) {
+	camp := faultmodel.RecoveryCampaign(seed)
+	total := camp.Total()
+	collector := obs.NewCollector()
+	observer = obs.Combine(collector, observer)
+	run := CrashRun{Ops: total, Resumed: -1}
+	var (
+		runner *checkpoint.DurableRunner[workerState, int]
+		next   int                  // workload cursor (next op to attempt)
+		fired  = make(map[int]bool) // kill sites that already fired
+	)
+	sup := supervise.New(supervise.Options{
+		Name:      "e23-supervisor",
+		Intensity: supervise.Intensity{MaxRestarts: total, Window: time.Minute},
+		Observer:  observer,
+	})
+	err := sup.Add(supervise.ChildSpec{
+		Name:    "worker",
+		Restart: supervise.Transient, // done workload = normal exit
+		Init: func(context.Context) error {
+			r, err := checkpoint.OpenDurableRunner(dir, workerState{}, applyWorkerOp,
+				checkpoint.DurableOptions{
+					Name:             "e23-worker",
+					SnapshotInterval: 64,
+					Observer:         observer,
+					WAL:              checkpoint.WALOptions{SegmentBytes: 4096},
+				})
+			if err != nil {
+				return err
+			}
+			if run.Resumed < 0 {
+				run.Resumed = r.State().Count
+				run.Acked = run.Resumed
+			} else if r.State().Count != run.Acked {
+				run.Lost = true
+			}
+			runner = r
+			next = run.Acked
+			return nil
+		},
+		Run: func(ctx context.Context) error {
+			for next < total {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				req := uint64(next)
+				if !fired[next] && camp.PanicAt(req, "worker") {
+					fired[next] = true
+					run.Panics++
+					panic(fmt.Sprintf("scheduled panic at op %d", next))
+				}
+				if !fired[next] && camp.CrashAt(req, "worker") {
+					fired[next] = true
+					run.Crashes++
+					return fmt.Errorf("scheduled kill at op %d: %w", next, faultmodel.ErrCrashed)
+				}
+				if _, err := runner.Step(int(req % 97)); err != nil {
+					return err
+				}
+				run.Acked++
+				next++
+			}
+			return runner.Close()
+		},
+	})
+	if err != nil {
+		return CrashRun{}, err
+	}
+	if err := sup.Serve(ctx); err != nil {
+		return CrashRun{}, err
+	}
+	for _, e := range collector.Snapshot() {
+		switch e.Executor {
+		case "e23-supervisor":
+			run.Supervisor = e
+		case "e23-worker":
+			run.Store = e
+		}
+	}
+	return run, nil
+}
+
+// recoveryExperiment (E23) kills a supervised WAL-backed worker
+// mid-workload (RunCrashWorker) and measures what crash-safe recovery
+// actually delivers: every acknowledged write survives every kill, the
+// worker finishes the full workload, and the supervisor's
+// restart-intensity window escalates when a failure is persistent
+// rather than transient.
 func recoveryExperiment() Experiment {
 	return Experiment{
 		ID:       "recovery",
@@ -50,111 +152,32 @@ func recoveryExperiment() Experiment {
 			}
 			defer os.RemoveAll(dir)
 
-			camp := faultmodel.RecoveryCampaign(seed)
-			total := camp.Total()
-
-			collector := obs.NewCollector()
-			var (
-				runner       *checkpoint.DurableRunner[workerState, int]
-				next         int          // workload cursor (next op to attempt)
-				acked        int          // ops durably acknowledged
-				fired        map[int]bool // kill sites that already fired
-				panics       int
-				crashes      int
-				lossDetected bool // acked writes missing after a restart
-			)
-			fired = make(map[int]bool)
-
-			sup := supervise.New(supervise.Options{
-				Name:      "e23-supervisor",
-				Intensity: supervise.Intensity{MaxRestarts: total, Window: time.Minute},
-				Observer:  collector,
-			})
-			err = sup.Add(supervise.ChildSpec{
-				Name:    "worker",
-				Restart: supervise.Transient, // done workload = normal exit
-				Init: func(context.Context) error {
-					r, err := checkpoint.OpenDurableRunner(dir, workerState{}, applyWorkerOp,
-						checkpoint.DurableOptions{
-							Name:             "e23-worker",
-							SnapshotInterval: 64,
-							Observer:         collector,
-							WAL:              checkpoint.WALOptions{SegmentBytes: 4096},
-						})
-					if err != nil {
-						return err
-					}
-					// The zero-acknowledged-loss check, applied after every
-					// kill: recovery must reproduce exactly the acknowledged
-					// prefix — nothing lost, nothing phantom.
-					if r.State().Count != acked {
-						lossDetected = true
-					}
-					runner = r
-					next = acked
-					return nil
-				},
-				Run: func(ctx context.Context) error {
-					for next < total {
-						if ctx.Err() != nil {
-							return ctx.Err()
-						}
-						req := uint64(next)
-						if !fired[next] && camp.PanicAt(req, "worker") {
-							fired[next] = true
-							panics++
-							panic(fmt.Sprintf("e23: scheduled panic at op %d", next))
-						}
-						if !fired[next] && camp.CrashAt(req, "worker") {
-							fired[next] = true
-							crashes++
-							return fmt.Errorf("e23: scheduled kill at op %d: %w",
-								next, faultmodel.ErrCrashed)
-						}
-						if _, err := runner.Step(int(req % 97)); err != nil {
-							return err
-						}
-						acked++
-						next++
-					}
-					return runner.Close()
-				},
-			})
+			run, err := RunCrashWorker(context.Background(), seed, dir, nil)
 			if err != nil {
 				return nil, err
 			}
-			if err := sup.Serve(context.Background()); err != nil {
-				return nil, err
-			}
-
 			finalState, replays, err := reopenFinal(dir)
 			if err != nil {
 				return nil, err
 			}
-
-			var snap obs.ExecutorSnapshot
-			for _, e := range collector.Snapshot() {
-				if e.Executor == "e23-supervisor" {
-					snap = e
-				}
-			}
+			snap := run.Supervisor
 			var wantSum int64
-			for i := 0; i < total; i++ {
+			for i := 0; i < run.Ops; i++ {
 				wantSum += int64(uint64(i) % 97)
 			}
 
 			outcome := stats.NewTable(
 				fmt.Sprintf("Supervised WAL-backed worker under scheduled kills (seed %d)", seed),
 				"measure", "value")
-			outcome.AddRow("workload ops offered", total)
-			outcome.AddRow("worker kills: panics", panics)
-			outcome.AddRow("worker kills: crash errors", crashes)
+			outcome.AddRow("workload ops offered", run.Ops)
+			outcome.AddRow("worker kills: panics", run.Panics)
+			outcome.AddRow("worker kills: crash errors", run.Crashes)
 			outcome.AddRow("supervised restarts", snap.Restarts)
-			outcome.AddRow("restarts == kills", yesNo(int(snap.Restarts) == panics+crashes))
-			outcome.AddRow("ops acknowledged", acked)
-			outcome.AddRow("acked writes lost across restarts", yesNo(lossDetected))
+			outcome.AddRow("restarts == kills", yesNo(int(snap.Restarts) == run.Panics+run.Crashes))
+			outcome.AddRow("ops acknowledged", run.Acked)
+			outcome.AddRow("acked writes lost across restarts", yesNo(run.Lost))
 			outcome.AddRow("final state == full workload", yesNo(
-				finalState.Count == total && finalState.Sum == wantSum))
+				finalState.Count == run.Ops && finalState.Sum == wantSum))
 			outcome.AddRow("cold-reopen replays acked suffix only", yesNo(replays >= 0))
 			outcome.AddRow("p99 recovery time under 250ms", yesNo(
 				snap.MTTR.Count > 0 && snap.MTTR.P99 < 250*time.Millisecond))
