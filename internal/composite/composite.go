@@ -7,9 +7,12 @@
 // fails irrecoverably.
 //
 // A Process is an ordered pipeline of Steps over a flowing value. Each
-// step's invocation strategy is one of the framework's pattern executors,
-// so the package is a thin composition layer demonstrating how the
-// Figure 1 patterns embed in a service orchestration.
+// step's invocation strategy is one of the framework's pattern executors
+// and nothing more: Retry is pattern.NewRetry, Alternates a sequential-
+// alternatives executor, Voting a parallel evaluation, HotSpares a
+// parallel selection. The package runs no invocation loop of its own; it
+// is a thin composition layer showing how the Figure 1 patterns embed in
+// a service orchestration.
 //
 // The composition layer participates in the observation layer: the
 // strategy helpers accept pattern options (so pattern.WithObserver and
@@ -27,7 +30,6 @@ import (
 	"github.com/softwarefaults/redundancy/internal/core"
 	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/pattern"
-	"github.com/softwarefaults/redundancy/internal/resilience"
 	"github.com/softwarefaults/redundancy/internal/vote"
 )
 
@@ -54,152 +56,16 @@ type Step[T any] struct {
 	Compensate func(ctx context.Context, input T) error
 }
 
-// retryExecutorName identifies the retry strategy in observation events.
-const retryExecutorName = "retry"
-
 // Retry wraps a single endpoint with up to retries re-invocations (the
-// BPEL retry command). Pattern options configure observation: an observer
-// attached via pattern.WithObserver (or counters via pattern.WithMetrics)
-// sees each attempt as a variant span, re-invocations as retry events,
-// and the final adjudication — a request is accepted when some attempt
-// succeeded, with the failure detected (masked) when earlier attempts
-// failed.
-//
-// Resilience options flow through as well: pattern.WithRetryPolicy paces
-// the re-invocations (exponential backoff with seeded jitter) and charges
-// a shared retry budget, pattern.WithBreaker brackets every attempt with
-// the endpoint's circuit breaker, pattern.WithBulkhead bounds concurrent
-// invocations, and pattern.WithDeadline bounds the request and each
-// attempt. With none of these configured the loop is exactly the legacy
-// one: immediate re-invocation, zero backoff, no admission control.
+// BPEL retry command). It is pattern.NewRetry: the Single executor
+// labelled "retry", so pattern options configure it as they do every
+// other strategy. An observer sees each attempt as a variant span,
+// re-invocations as retry events, and the request as accepted when some
+// attempt succeeded, masked when earlier attempts failed.
+// pattern.WithRetryPolicy paces the re-invocations and charges a shared
+// retry budget; with no policy they are immediate.
 func Retry[T any](v core.Variant[T, T], retries int, opts ...pattern.Option) (core.Executor[T, T], error) {
-	if v == nil {
-		return nil, core.ErrNoVariants
-	}
-	if retries < 0 {
-		return nil, errors.New("composite: negative retries")
-	}
-	pol := pattern.PoliciesOf(opts...)
-	o := pol.Observer
-	traced := obs.WantsTrace(o)
-	var brk *resilience.Breaker
-	if pol.Breakers != nil {
-		pol.Breakers.Bind(retryExecutorName, o)
-		brk = pol.Breakers.For(v.Name())
-	}
-	return core.ExecutorFunc[T, T](func(ctx context.Context, in T) (T, error) {
-		var (
-			zero    T
-			lastErr error
-			req     uint64
-			start   time.Time
-		)
-		if o != nil {
-			req = obs.NextRequestID()
-			start = time.Now()
-			o.RequestStart(retryExecutorName, req)
-			if traced {
-				var tc obs.TraceContext
-				ctx, tc = obs.StartTrace(ctx)
-				obs.EmitRequestTraced(o, retryExecutorName, req, tc)
-			}
-		}
-		finish := func(accepted, detected bool) {
-			if o == nil {
-				return
-			}
-			o.Adjudicated(retryExecutorName, req, accepted, detected)
-			outcome := obs.OutcomeFailed
-			switch {
-			case accepted && detected:
-				outcome = obs.OutcomeMasked
-			case accepted:
-				outcome = obs.OutcomeSuccess
-			}
-			o.RequestEnd(retryExecutorName, req, time.Since(start), outcome)
-		}
-		if pol.Deadline.Request > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, pol.Deadline.Request)
-			defer cancel()
-		}
-		if pol.Bulkhead != nil {
-			if err := pol.Bulkhead.Acquire(ctx); err != nil {
-				if o != nil && req != 0 {
-					obs.Emit(o, obs.RequestShed(retryExecutorName, req))
-				}
-				finish(false, false)
-				return zero, err
-			}
-			defer pol.Bulkhead.Release()
-		}
-		if pol.Retrier != nil {
-			if b := pol.Retrier.Budget(); b != nil {
-				b.Deposit()
-			}
-		}
-		for attempt := 0; attempt <= retries; attempt++ {
-			if err := ctx.Err(); err != nil {
-				finish(false, attempt > 0)
-				return zero, err
-			}
-			if attempt > 0 && pol.Retrier != nil {
-				if b := pol.Retrier.Budget(); b != nil && !b.Withdraw() {
-					if lastErr != nil {
-						lastErr = fmt.Errorf("%w: %w", resilience.ErrRetryBudgetExhausted, lastErr)
-					} else {
-						lastErr = resilience.ErrRetryBudgetExhausted
-					}
-					break
-				}
-				if err := pol.Retrier.Pause(ctx, attempt+1); err != nil {
-					finish(false, true)
-					return zero, err
-				}
-			}
-			if o != nil && attempt > 0 {
-				o.RetryAttempt(retryExecutorName, v.Name(), req, attempt+1)
-			}
-			var tok resilience.Token
-			if brk != nil {
-				var berr error
-				if tok, berr = brk.Allow(); berr != nil {
-					// Rejected fast without executing (and without a
-					// variant span): the open breaker is the attempt's
-					// outcome.
-					lastErr = berr
-					continue
-				}
-			}
-			var attemptStart time.Time
-			if o != nil {
-				o.VariantStart(retryExecutorName, v.Name(), req)
-				attemptStart = time.Now()
-			}
-			actx := ctx
-			var acancel context.CancelFunc
-			if d := pol.Deadline.Variant; d > 0 {
-				actx, acancel = context.WithTimeout(ctx, d)
-			}
-			out, err := core.Guard(v).Execute(actx, in)
-			if acancel != nil {
-				acancel()
-			}
-			if brk != nil {
-				brk.Record(tok, err)
-			}
-			if o != nil {
-				o.VariantEnd(retryExecutorName, v.Name(), req, time.Since(attemptStart), err)
-			}
-			if err == nil {
-				finish(true, attempt > 0)
-				return out, nil
-			}
-			lastErr = err
-		}
-		finish(false, true)
-		return zero, fmt.Errorf("retries exhausted: %w", lastErr)
-	}), nil
+	return pattern.NewRetry(v, retries, opts...)
 }
 
 // Alternates builds a sequential-alternates invocation (statically

@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/pattern"
 	"github.com/softwarefaults/redundancy/internal/xrand"
 )
 
@@ -47,14 +48,12 @@ type Reexpression[I any] struct {
 	Exact bool
 }
 
-// RetryBlock is the retry-block discipline of data diversity.
+// RetryBlock is the retry-block discipline of data diversity: a
+// sequential-alternatives executor whose alternatives are the program on
+// the original input and then on each re-expression in turn.
 type RetryBlock[I, O any] struct {
-	program core.Variant[I, O]
-	test    core.AcceptanceTest[I, O]
-	res     []Reexpression[I]
-	budget  int
-	rng     *xrand.Rand
-	metrics *core.Metrics
+	variants []core.Variant[I, O]
+	seq      *pattern.SequentialAlternatives[I, O]
 }
 
 var _ core.Executor[int, int] = (*RetryBlock[int, int])(nil)
@@ -63,7 +62,8 @@ var _ core.Executor[int, int] = (*RetryBlock[int, int])(nil)
 // first; when the explicit acceptance test rejects the result (or the
 // program fails), the input is re-expressed and the program retried, up
 // to budget total attempts. Re-expressions are applied in order, cycling
-// if the budget exceeds their number.
+// if the budget exceeds their number. Each attempt's result is tested
+// against the input that attempt ran on.
 func NewRetryBlock[I, O any](program core.Variant[I, O], test core.AcceptanceTest[I, O], res []Reexpression[I], budget int, rng *xrand.Rand) (*RetryBlock[I, O], error) {
 	if program == nil {
 		return nil, core.ErrNoVariants
@@ -80,70 +80,51 @@ func NewRetryBlock[I, O any](program core.Variant[I, O], test core.AcceptanceTes
 	if rng == nil {
 		return nil, errors.New("datadiv: nil rng")
 	}
-	rs := make([]Reexpression[I], len(res))
-	copy(rs, res)
-	return &RetryBlock[I, O]{program: program, test: test, res: rs, budget: budget, rng: rng}, nil
+	variants := make([]core.Variant[I, O], budget)
+	variants[0] = core.NewVariant("original", func(ctx context.Context, in I) (O, error) {
+		return runTested(ctx, program, test, in)
+	})
+	for k := 1; k < budget; k++ {
+		re := res[(k-1)%len(res)]
+		variants[k] = core.NewVariant(re.Name, func(ctx context.Context, in I) (O, error) {
+			out, err := runTested(ctx, program, test, re.Apply(in, rng))
+			if err != nil {
+				return out, fmt.Errorf("re-expression %s: %w", re.Name, err)
+			}
+			return out, nil
+		})
+	}
+	r := &RetryBlock[I, O]{variants: variants}
+	r.SetMetrics(nil)
+	return r, nil
 }
 
-// SetMetrics attaches a metrics collector.
-func (r *RetryBlock[I, O]) SetMetrics(m *core.Metrics) { r.metrics = m }
+// runTested runs program on in and applies the acceptance test to the
+// result.
+func runTested[I, O any](ctx context.Context, program core.Variant[I, O], test core.AcceptanceTest[I, O], in I) (O, error) {
+	var zero O
+	out, err := program.Execute(ctx, in)
+	if err != nil {
+		return zero, err
+	}
+	if err := test(in, out); err != nil {
+		return zero, err
+	}
+	return out, nil
+}
+
+// SetMetrics attaches a metrics collector (nil detaches it).
+func (r *RetryBlock[I, O]) SetMetrics(m *core.Metrics) {
+	// Every variant tests its own result, so the executor's test accepts.
+	// The error is dropped because the constructor fails only on an empty
+	// variant list or a nil test, and NewRetryBlock rules out both.
+	r.seq, _ = pattern.NewSequentialAlternatives(r.variants,
+		func(I, O) error { return nil }, nil, pattern.WithMetrics(m))
+}
 
 // Execute implements core.Executor.
 func (r *RetryBlock[I, O]) Execute(ctx context.Context, input I) (O, error) {
-	var zero O
-	if r.metrics != nil {
-		r.metrics.RecordRequest()
-	}
-	attempt := func(in I) (O, error) {
-		out, err := r.program.Execute(ctx, in)
-		if err != nil {
-			return zero, err
-		}
-		if err := r.test(in, out); err != nil {
-			return zero, err
-		}
-		return out, nil
-	}
-
-	attempts := 1
-	out, lastErr := attempt(input)
-	if lastErr == nil {
-		r.record(attempts, true)
-		return out, nil
-	}
-	for i := 0; attempts < r.budget; i++ {
-		if err := ctx.Err(); err != nil {
-			r.record(attempts, false)
-			return zero, err
-		}
-		re := r.res[i%len(r.res)]
-		attempts++
-		out, err := attempt(re.Apply(input, r.rng))
-		if err == nil {
-			r.record(attempts, true)
-			return out, nil
-		}
-		lastErr = fmt.Errorf("re-expression %s: %w", re.Name, err)
-	}
-	r.record(attempts, false)
-	return zero, fmt.Errorf("retry block exhausted after %d attempts: %w: %w",
-		attempts, core.ErrAllVariantsFailed, lastErr)
-}
-
-func (r *RetryBlock[I, O]) record(attempts int, succeeded bool) {
-	if r.metrics == nil {
-		return
-	}
-	r.metrics.RecordVariantExecutions(attempts)
-	if attempts > 1 {
-		r.metrics.RecordFailureDetected()
-	}
-	switch {
-	case !succeeded:
-		r.metrics.RecordFailure()
-	case attempts > 1:
-		r.metrics.RecordFailureMasked()
-	}
+	return r.seq.Execute(ctx, input)
 }
 
 // NCopy is N-copy programming: the data analogue of N-version

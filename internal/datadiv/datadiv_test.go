@@ -145,6 +145,31 @@ func TestRetryBlockAcceptanceRejection(t *testing.T) {
 	}
 }
 
+func TestRetryBlockPanickingProgramIsAFailedAttempt(t *testing.T) {
+	var m core.Metrics
+	// The program panics inside the failure region instead of returning
+	// an error; the shifted re-expression escapes it.
+	prog := core.NewVariant("panics", func(_ context.Context, in divInput) (int, error) {
+		if in.X >= 100 && in.X < 110 {
+			panic("index out of range")
+		}
+		return in.X*2 - in.Adjust, nil
+	})
+	rb, err := NewRetryBlock(prog, acceptAnything[divInput](),
+		[]Reexpression[divInput]{shiftBy(20)}, 3, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb.SetMetrics(&m)
+	got, err := rb.Execute(context.Background(), divInput{X: 105})
+	if err != nil || got != 210 {
+		t.Errorf("= (%d, %v), want (210, nil)", got, err)
+	}
+	if s := m.Snapshot(); s.VariantExecutions != 2 || s.FailuresMasked != 1 {
+		t.Errorf("metrics = %+v, want the panic counted as one failed attempt", s)
+	}
+}
+
 func TestRetryBlockConstructorValidation(t *testing.T) {
 	prog := wrappedProgram()
 	res := []Reexpression[divInput]{shiftBy(1)}

@@ -27,6 +27,7 @@ import (
 
 	"github.com/softwarefaults/redundancy/internal/core"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/pattern"
 )
 
 // EnvProgram is a program whose execution depends on explicit environment
@@ -58,14 +59,17 @@ func DefaultLadder() []Rung {
 }
 
 // Executor re-executes a failing program under perturbed environments.
+// It is a sequential-alternatives executor: the program under the base
+// environment, then one alternative per ladder rung, with the rollback
+// restoring state before each.
 type Executor[I, O any] struct {
 	program EnvProgram[I, O]
 	baseEnv *faultmodel.Env
-	ladder  []Rung
 	// Rollback restores a consistent state before each re-execution; nil
 	// for pure programs.
 	rollback func(ctx context.Context) error
 	metrics  *core.Metrics
+	seq      *pattern.SequentialAlternatives[I, O]
 
 	// lastRung records the name of the rung that produced the last
 	// successful result ("" when the first execution succeeded).
@@ -97,13 +101,43 @@ func New[I, O any](program EnvProgram[I, O], baseEnv *faultmodel.Env, ladder []R
 	if baseEnv == nil {
 		return nil, errors.New("envperturb: nil base environment")
 	}
-	l := make([]Rung, len(ladder))
-	copy(l, ladder)
-	e := &Executor[I, O]{program: program, baseEnv: baseEnv, ladder: l}
+	e := &Executor[I, O]{program: program, baseEnv: baseEnv}
 	for _, o := range opts {
 		o(e)
 	}
+	variants := []core.Variant[I, O]{e.under(Rung{})}
+	for _, rung := range ladder {
+		variants = append(variants, e.under(rung))
+	}
+	seq, err := pattern.NewSequentialAlternatives(variants,
+		func(I, O) error { return nil }, e.rollback, pattern.WithMetrics(e.metrics))
+	if err != nil {
+		return nil, err
+	}
+	e.seq = seq
 	return e, nil
+}
+
+// under is the alternative that runs the program under rung's
+// perturbations of a fresh clone of the base environment; the empty rung
+// is the base environment itself. A success records the rung.
+func (e *Executor[I, O]) under(rung Rung) core.Variant[I, O] {
+	name := rung.Name
+	if name == "" {
+		name = "base"
+	}
+	return core.NewVariant(name, func(ctx context.Context, input I) (O, error) {
+		env := e.baseEnv.Clone()
+		for _, p := range rung.Perturbations {
+			p(env)
+		}
+		out, err := e.program(ctx, env, input)
+		if err != nil {
+			return out, fmt.Errorf("rung %s: %w", name, err)
+		}
+		e.lastRung = rung.Name
+		return out, nil
+	})
 }
 
 // NewCheckpointRecovery builds the plain checkpoint-recovery executor: on
@@ -127,58 +161,5 @@ func (e *Executor[I, O]) LastRung() string { return e.lastRung }
 
 // Execute implements core.Executor.
 func (e *Executor[I, O]) Execute(ctx context.Context, input I) (O, error) {
-	var zero O
-	if e.metrics != nil {
-		e.metrics.RecordRequest()
-	}
-	attempts := 1
-	out, err := e.program(ctx, e.baseEnv.Clone(), input)
-	if err == nil {
-		e.lastRung = ""
-		e.record(attempts, true)
-		return out, nil
-	}
-	lastErr := err
-	for _, rung := range e.ladder {
-		if cerr := ctx.Err(); cerr != nil {
-			e.record(attempts, false)
-			return zero, cerr
-		}
-		if e.rollback != nil {
-			if rerr := e.rollback(ctx); rerr != nil {
-				e.record(attempts, false)
-				return zero, fmt.Errorf("rollback before rung %s: %w", rung.Name, rerr)
-			}
-		}
-		env := e.baseEnv.Clone()
-		for _, p := range rung.Perturbations {
-			p(env)
-		}
-		attempts++
-		out, err = e.program(ctx, env, input)
-		if err == nil {
-			e.lastRung = rung.Name
-			e.record(attempts, true)
-			return out, nil
-		}
-		lastErr = fmt.Errorf("rung %s: %w", rung.Name, err)
-	}
-	e.record(attempts, false)
-	return zero, fmt.Errorf("perturbation ladder exhausted after %d attempts: %w", attempts, lastErr)
-}
-
-func (e *Executor[I, O]) record(attempts int, succeeded bool) {
-	if e.metrics == nil {
-		return
-	}
-	e.metrics.RecordVariantExecutions(attempts)
-	if attempts > 1 {
-		e.metrics.RecordFailureDetected()
-	}
-	switch {
-	case !succeeded:
-		e.metrics.RecordFailure()
-	case attempts > 1:
-		e.metrics.RecordFailureMasked()
-	}
+	return e.seq.Execute(ctx, input)
 }

@@ -146,6 +146,33 @@ func TestLadderExhaustion(t *testing.T) {
 	}
 }
 
+func TestPanickingProgramIsAFailedAttempt(t *testing.T) {
+	// The overflow crashes the program outright until the padding rung
+	// masks it: each crash is one failed attempt, not a crashed process.
+	bug := faultmodel.EnvBohrbug{ID: 1, TriggerFraction: 1, MaskedByPadding: 64}
+	prog := func(_ context.Context, env *faultmodel.Env, x int) (int, error) {
+		if bug.Activated(faultmodel.Invocation{InputKey: faultmodel.HashInt(x), Env: env}) {
+			panic("buffer overflow")
+		}
+		return x * 2, nil
+	}
+	var m core.Metrics
+	e, err := New(prog, faultmodel.DefaultEnv(), DefaultLadder(), WithMetrics[int, int](&m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Execute(context.Background(), 5)
+	if err != nil || got != 10 {
+		t.Fatalf("= (%d, %v)", got, err)
+	}
+	if e.LastRung() != "pad-64" {
+		t.Errorf("LastRung = %q, want pad-64", e.LastRung())
+	}
+	if s := m.Snapshot(); s.VariantExecutions != 3 || s.FailuresMasked != 1 {
+		t.Errorf("metrics = %+v", s)
+	}
+}
+
 func TestBaseEnvNotMutatedByPerturbations(t *testing.T) {
 	base := faultmodel.DefaultEnv()
 	e, err := New(overflowProgram(), base, DefaultLadder())

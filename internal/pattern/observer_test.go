@@ -340,18 +340,3 @@ func TestWithMetricsAndObserverCompose(t *testing.T) {
 		t.Errorf("collector snapshot = %+v", snap)
 	}
 }
-
-// TestObserverOf covers the option-resolution helper used by composition
-// layers.
-func TestObserverOf(t *testing.T) {
-	if ObserverOf() != nil {
-		t.Error("no options should resolve to nil observer")
-	}
-	if ObserverOf(WithVariantTimeout(time.Second)) != nil {
-		t.Error("non-observer options should resolve to nil observer")
-	}
-	rec := newRecordingObserver()
-	if got := ObserverOf(WithObserver(rec)); got != obs.Observer(rec) {
-		t.Error("ObserverOf should return the configured observer")
-	}
-}

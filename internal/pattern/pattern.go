@@ -11,6 +11,10 @@
 //     time and the next is activated when the adjudicator detects a
 //     failure, as in recovery blocks.
 //
+// Single is the non-redundant baseline; NewRetry configures it as the
+// retry technique (temporal redundancy: one variant re-executed up to a
+// fixed number of times), the executor behind composite.Retry.
+//
 // All executors manage their goroutines: Execute never returns while a
 // worker goroutine it spawned is still running, and workers receive a
 // cancelable context so that canceled variants can stop early.
@@ -42,6 +46,7 @@ const (
 	nameParallelSelection      = "parallel-selection"
 	nameSequentialAlternatives = "sequential-alternatives"
 	nameSingle                 = "single"
+	nameRetry                  = "retry"
 )
 
 // config carries options shared by the pattern executors.
@@ -337,6 +342,34 @@ func degradedError(cfg config, err error) error {
 	return fmt.Errorf("%w: %w", resilience.ErrDegraded, err)
 }
 
+// finish settles one request on the executor's own verdict: an accepted
+// value feeds the ladder's last-good cache, a failure is served by the
+// ladder when it can be (reported as masked) and marked degraded when it
+// cannot, and the outcome is logged and closes the request span.
+// detected is the executor's failure-detected flag for the request.
+func finish[I, O any](ctx context.Context, cfg config, executor string, req uint64, start time.Time, input I, value O, err error, detected bool) (O, error) {
+	if err == nil {
+		storeLastGood[I, O](cfg, value)
+	} else if v, ok := serveFallback[I, O](ctx, cfg, executor, req, input); ok {
+		value, err, detected = v, nil, true
+	} else {
+		err = degradedError(cfg, err)
+	}
+	cfg.logOutcome(executor, detected, err)
+	cfg.endRequest(executor, req, start, err == nil, detected)
+	return value, err
+}
+
+// stopped is the error of an attempt loop that stopped early — its
+// context ended or the retry budget ran dry: cause, still wrapping the
+// last attempt's failure when there was one.
+func stopped(cause, lastErr error) error {
+	if lastErr == nil {
+		return cause
+	}
+	return fmt.Errorf("%w: %w", cause, lastErr)
+}
+
 // startRequest opens an observed request span. It returns the request ID
 // (0 when unobserved, so downstream events know to stay silent) and the
 // span start time. When the observer records traces the returned context
@@ -425,11 +458,29 @@ func runVariant[I, O any](ctx context.Context, cfg config, executor string, req 
 	return r
 }
 
+// runAll runs vs[i] for every i in idx concurrently and returns the
+// results in idx order. It is the one launch loop of the parallel
+// executors.
+func runAll[I, O any](ctx context.Context, cfg *config, executor string, req uint64, vs []core.Variant[I, O], idx []int, input I) []core.Result[O] {
+	results := make([]core.Result[O], len(idx))
+	var wg sync.WaitGroup
+	for slot, i := range idx {
+		wg.Add(1)
+		go func(out *core.Result[O], v core.Variant[I, O]) {
+			defer wg.Done()
+			*out = runVariant(ctx, *cfg, executor, req, v, input)
+		}(&results[slot], vs[i])
+	}
+	wg.Wait()
+	return results
+}
+
 // ParallelEvaluation is the Figure 1a executor: it runs every variant on
 // the same input concurrently and hands all results to one adjudicator.
 type ParallelEvaluation[I, O any] struct {
 	cfg         config
 	variants    []core.Variant[I, O]
+	all         []int // every variant index, the launch list
 	adjudicator core.Adjudicator[O]
 }
 
@@ -446,9 +497,13 @@ func NewParallelEvaluation[I, O any](variants []core.Variant[I, O], adj core.Adj
 	}
 	vs := make([]core.Variant[I, O], len(variants))
 	copy(vs, variants)
+	all := make([]int, len(vs))
+	for i := range all {
+		all[i] = i
+	}
 	cfg := newConfig(opts)
 	cfg.bindResilience(nameParallelEvaluation)
-	return &ParallelEvaluation[I, O]{cfg: cfg, variants: vs, adjudicator: adj}, nil
+	return &ParallelEvaluation[I, O]{cfg: cfg, variants: vs, all: all, adjudicator: adj}, nil
 }
 
 // Execute implements core.Executor.
@@ -470,18 +525,7 @@ func (p *ParallelEvaluation[I, O]) Execute(ctx context.Context, input I) (O, err
 			p.cfg.logVariantFailure(nameParallelEvaluation, r.Variant, r.Err)
 		}
 	}
-	if err == nil {
-		storeLastGood[I, O](p.cfg, value)
-	} else if v, ok := serveFallback[I, O](ctx, p.cfg, nameParallelEvaluation, req, input); ok {
-		p.cfg.logOutcome(nameParallelEvaluation, true, nil)
-		p.cfg.endRequest(nameParallelEvaluation, req, start, true, true)
-		return v, nil
-	} else {
-		err = degradedError(p.cfg, err)
-	}
-	p.cfg.logOutcome(nameParallelEvaluation, anyFailed, err)
-	p.cfg.endRequest(nameParallelEvaluation, req, start, err == nil, anyFailed)
-	return value, err
+	return finish(ctx, p.cfg, nameParallelEvaluation, req, start, input, value, err, anyFailed)
 }
 
 // ExecuteAll runs every variant concurrently and returns all results in
@@ -493,23 +537,15 @@ func (p *ParallelEvaluation[I, O]) ExecuteAll(ctx context.Context, input I) []co
 }
 
 func (p *ParallelEvaluation[I, O]) executeAll(ctx context.Context, input I, req uint64) []core.Result[O] {
-	results := make([]core.Result[O], len(p.variants))
-	var wg sync.WaitGroup
-	for i, v := range p.variants {
-		wg.Add(1)
-		go func(i int, v core.Variant[I, O]) {
-			defer wg.Done()
-			results[i] = runVariant(ctx, p.cfg, nameParallelEvaluation, req, v, input)
-		}(i, v)
-	}
-	wg.Wait()
-	return results
+	return runAll(ctx, &p.cfg, nameParallelEvaluation, req, p.variants, p.all, input)
 }
 
-// ParallelSelection is the Figure 1b executor: variants run concurrently,
-// each result is validated by the variant's own acceptance test, the
-// first acceptable result (in completion order) is returned, and variants
-// whose results are rejected are disabled for subsequent requests.
+// ParallelSelection is the Figure 1b executor: live variants run
+// concurrently, each result is validated by the variant's own acceptance
+// test, and the acceptable result of the highest-priority variant (the
+// earliest configured, or the healthiest under a ranker) is returned
+// once every variant has finished. Variants whose results are rejected
+// are disabled for subsequent requests.
 type ParallelSelection[I, O any] struct {
 	cfg      config
 	variants []core.Variant[I, O]
@@ -590,12 +626,8 @@ func (p *ParallelSelection[I, O]) Execute(ctx context.Context, input I) (O, erro
 	p.mu.Unlock()
 
 	if len(live) == 0 {
-		if v, ok := serveFallback[I, O](ctx, p.cfg, nameParallelSelection, req, input); ok {
-			p.cfg.endRequest(nameParallelSelection, req, start, true, true)
-			return v, nil
-		}
-		p.cfg.endRequest(nameParallelSelection, req, start, false, false)
-		return zero, degradedError(p.cfg, fmt.Errorf("all variants disabled: %w", core.ErrAllVariantsFailed))
+		err := fmt.Errorf("all variants disabled: %w", core.ErrAllVariantsFailed)
+		return finish(ctx, p.cfg, nameParallelSelection, req, start, input, zero, err, false)
 	}
 	if p.cfg.ranker != nil && len(live) > 1 {
 		// Health-ranked priority: the healthiest live variant acts, the
@@ -603,17 +635,7 @@ func (p *ParallelSelection[I, O]) Execute(ctx context.Context, input I) (O, erro
 		live = rankLive(p.cfg.ranker, nameParallelSelection, p.variants, live)
 	}
 
-	results := make([]core.Result[O], len(live))
-	var wg sync.WaitGroup
-	for slot, i := range live {
-		wg.Add(1)
-		go func(slot, i int) {
-			defer wg.Done()
-			results[slot] = runVariant(ctx, p.cfg, nameParallelSelection, req, p.variants[i], input)
-		}(slot, i)
-	}
-	wg.Wait()
-
+	results := runAll(ctx, &p.cfg, nameParallelSelection, req, p.variants, live, input)
 	var (
 		accepted    bool
 		value       O
@@ -644,21 +666,11 @@ func (p *ParallelSelection[I, O]) Execute(ctx context.Context, input I) (O, erro
 			value = r.Value
 		}
 	}
-
-	if accepted {
-		storeLastGood[I, O](p.cfg, value)
-		p.cfg.logOutcome(nameParallelSelection, anyRejected, nil)
-		p.cfg.endRequest(nameParallelSelection, req, start, true, anyRejected)
-		return value, nil
+	var err error
+	if !accepted {
+		err = core.ErrAllVariantsFailed
 	}
-	if v, ok := serveFallback[I, O](ctx, p.cfg, nameParallelSelection, req, input); ok {
-		p.cfg.logOutcome(nameParallelSelection, true, nil)
-		p.cfg.endRequest(nameParallelSelection, req, start, true, true)
-		return v, nil
-	}
-	p.cfg.logOutcome(nameParallelSelection, anyRejected, core.ErrAllVariantsFailed)
-	p.cfg.endRequest(nameParallelSelection, req, start, false, anyRejected)
-	return zero, degradedError(p.cfg, core.ErrAllVariantsFailed)
+	return finish(ctx, p.cfg, nameParallelSelection, req, start, input, value, err, anyRejected)
 }
 
 func (p *ParallelSelection[I, O]) disable(name string) {
@@ -727,7 +739,7 @@ func (s *SequentialAlternatives[I, O]) Execute(ctx context.Context, input I) (O,
 	attempts := 0
 	for i, v := range variants {
 		if err := ctx.Err(); err != nil {
-			lastErr = err
+			lastErr = stopped(err, lastErr)
 			break
 		}
 		if i > 0 && retrier != nil {
@@ -738,15 +750,11 @@ func (s *SequentialAlternatives[I, O]) Execute(ctx context.Context, input I) (O,
 				break
 			}
 			if b := retrier.Budget(); b != nil && !b.Withdraw() {
-				if lastErr != nil {
-					lastErr = fmt.Errorf("%w: %w", resilience.ErrRetryBudgetExhausted, lastErr)
-				} else {
-					lastErr = resilience.ErrRetryBudgetExhausted
-				}
+				lastErr = stopped(resilience.ErrRetryBudgetExhausted, lastErr)
 				break
 			}
 			if err := retrier.Pause(ctx, attempts+1); err != nil {
-				lastErr = err
+				lastErr = stopped(err, lastErr)
 				break
 			}
 		}
@@ -764,70 +772,90 @@ func (s *SequentialAlternatives[I, O]) Execute(ctx context.Context, input I) (O,
 		}
 		attempts++
 		r := runVariant(ctx, s.cfg, nameSequentialAlternatives, req, v, input)
-		if !r.OK() {
-			lastErr = r.Err
-			s.cfg.logVariantFailure(nameSequentialAlternatives, v.Name(), r.Err)
-			continue
+		err := r.Err
+		if err == nil {
+			err = s.test(input, r.Value)
 		}
-		if err := s.test(input, r.Value); err != nil {
-			lastErr = err
-			s.cfg.logVariantFailure(nameSequentialAlternatives, v.Name(), err)
-			continue
+		if err == nil {
+			return finish(ctx, s.cfg, nameSequentialAlternatives, req, start, input, r.Value, nil, attempts > 1)
 		}
-		storeLastGood[I, O](s.cfg, r.Value)
-		s.cfg.logOutcome(nameSequentialAlternatives, attempts > 1, nil)
-		s.cfg.endRequest(nameSequentialAlternatives, req, start, true, attempts > 1)
-		return r.Value, nil
+		lastErr = err
+		s.cfg.logVariantFailure(nameSequentialAlternatives, v.Name(), err)
 	}
-	if lastErr == nil {
-		lastErr = core.ErrAllVariantsFailed
+	err := core.ErrAllVariantsFailed
+	if lastErr != nil {
+		err = fmt.Errorf("%w: %w", core.ErrAllVariantsFailed, lastErr)
 	}
-	if v, ok := serveFallback[I, O](ctx, s.cfg, nameSequentialAlternatives, req, input); ok {
-		s.cfg.logOutcome(nameSequentialAlternatives, true, nil)
-		s.cfg.endRequest(nameSequentialAlternatives, req, start, true, true)
-		return v, nil
-	}
-	s.cfg.logOutcome(nameSequentialAlternatives, attempts > 1, lastErr)
-	s.cfg.endRequest(nameSequentialAlternatives, req, start, false, attempts > 1)
-	return zero, degradedError(s.cfg, fmt.Errorf("%w: %w", core.ErrAllVariantsFailed, lastErr))
+	return finish(ctx, s.cfg, nameSequentialAlternatives, req, start, input, zero, err, attempts > 1)
 }
 
-// Single wraps one variant as a non-redundant executor. Experiments use
-// it as the baseline against which the redundant patterns are compared.
+// Single runs one variant: with no retry policy it is the non-redundant
+// baseline against which experiments compare the redundant patterns;
+// NewRetry configures it as the retry technique.
 type Single[I, O any] struct {
 	cfg     config
 	variant core.Variant[I, O]
+	// name labels the executor's events: "single", or "retry" when built
+	// by NewRetry.
+	name string
+	// attempts is the total attempt count, the first included.
+	attempts int
 }
 
 var _ core.Executor[int, int] = (*Single[int, int])(nil)
 
-// NewSingle builds the baseline executor.
+// NewSingle builds the baseline executor. With a retry policy
+// (WithRetryPolicy) the variant is re-executed up to the policy's
+// MaxAttempts.
 func NewSingle[I, O any](v core.Variant[I, O], opts ...Option) (*Single[I, O], error) {
 	if v == nil {
 		return nil, core.ErrNoVariants
 	}
 	cfg := newConfig(opts)
 	cfg.bindResilience(nameSingle)
-	return &Single[I, O]{cfg: cfg, variant: v}, nil
+	attempts := 1
+	if cfg.retrier != nil {
+		attempts = cfg.retrier.MaxAttempts()
+	}
+	return &Single[I, O]{cfg: cfg, variant: v, name: nameSingle, attempts: attempts}, nil
 }
 
-// Execute implements core.Executor. With a retry policy configured
-// (WithRetryPolicy) the variant is re-executed up to MaxAttempts times,
-// with backoff pacing and budget accounting between attempts — temporal
-// redundancy for the baseline executor.
+// NewRetry builds the retry technique (the BPEL retry command): v is
+// re-executed up to retries times after a failed first attempt, and its
+// events carry the executor name "retry". A retry policy
+// (WithRetryPolicy) paces the re-executions and charges its budget; its
+// MaxAttempts is not consulted, retries fixes the count. With no policy
+// re-executions are immediate.
+func NewRetry[I, O any](v core.Variant[I, O], retries int, opts ...Option) (*Single[I, O], error) {
+	if v == nil {
+		return nil, core.ErrNoVariants
+	}
+	if retries < 0 {
+		return nil, errors.New("pattern: negative retries")
+	}
+	cfg := newConfig(opts)
+	cfg.bindResilience(nameRetry)
+	if cfg.retrier == nil {
+		cfg.retrier = resilience.NewRetrier(resilience.RetryPolicy{})
+	}
+	return &Single[I, O]{cfg: cfg, variant: v, name: nameRetry, attempts: retries + 1}, nil
+}
+
+// Execute implements core.Executor. Attempts beyond the first are paced
+// and budgeted by the retry policy — temporal redundancy for the
+// baseline executor. A request whose context ends stops before its next
+// attempt.
 func (s *Single[I, O]) Execute(ctx context.Context, input I) (O, error) {
-	ctx, req, start := s.cfg.startRequest(ctx, nameSingle)
-	ctx, done, admitErr := s.cfg.admit(ctx, nameSingle, req)
+	ctx, req, start := s.cfg.startRequest(ctx, s.name)
+	ctx, done, admitErr := s.cfg.admit(ctx, s.name, req)
 	if admitErr != nil {
 		var zero O
-		s.cfg.endRequest(nameSingle, req, start, false, false)
+		s.cfg.endRequest(s.name, req, start, false, false)
 		return zero, admitErr
 	}
 	defer done()
 	retrier := s.cfg.retrier
-	maxAttempts := 1
 	if retrier != nil {
-		maxAttempts = retrier.MaxAttempts()
 		if b := retrier.Budget(); b != nil {
 			b.Deposit()
 		}
@@ -836,72 +864,30 @@ func (s *Single[I, O]) Execute(ctx context.Context, input I) (O, error) {
 		r        core.Result[O]
 		attempts int
 	)
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
+	for attempt := 1; attempt <= s.attempts; attempt++ {
+		if err := ctx.Err(); err != nil {
+			r.Err = stopped(err, r.Err)
+			break
+		}
 		if attempt > 1 {
 			if b := retrier.Budget(); b != nil && !b.Withdraw() {
-				r.Err = fmt.Errorf("%w: %w", resilience.ErrRetryBudgetExhausted, r.Err)
+				r.Err = stopped(resilience.ErrRetryBudgetExhausted, r.Err)
 				break
 			}
 			if err := retrier.Pause(ctx, attempt); err != nil {
+				r.Err = stopped(err, r.Err)
 				break
 			}
 			if o := s.cfg.observer; o != nil && req != 0 {
-				o.RetryAttempt(nameSingle, s.variant.Name(), req, attempt)
+				o.RetryAttempt(s.name, s.variant.Name(), req, attempt)
 			}
 		}
 		attempts++
-		r = runVariant(ctx, s.cfg, nameSingle, req, s.variant, input)
+		r = runVariant(ctx, s.cfg, s.name, req, s.variant, input)
 		if r.OK() {
 			break
 		}
-		s.cfg.logVariantFailure(nameSingle, r.Variant, r.Err)
+		s.cfg.logVariantFailure(s.name, r.Variant, r.Err)
 	}
-	masked := r.OK() && attempts > 1
-	if r.OK() {
-		storeLastGood[I, O](s.cfg, r.Value)
-		s.cfg.logOutcome(nameSingle, masked, nil)
-		s.cfg.endRequest(nameSingle, req, start, true, masked)
-		return r.Value, nil
-	}
-	if v, ok := serveFallback[I, O](ctx, s.cfg, nameSingle, req, input); ok {
-		s.cfg.logOutcome(nameSingle, true, nil)
-		s.cfg.endRequest(nameSingle, req, start, true, true)
-		return v, nil
-	}
-	s.cfg.logOutcome(nameSingle, false, r.Err)
-	s.cfg.endRequest(nameSingle, req, start, false, true)
-	return r.Value, degradedError(s.cfg, r.Err)
-}
-
-// ObserverOf resolves the observer configured by a set of options. It
-// lets composition layers that hand-roll their own invocation loops
-// (e.g. internal/composite's retry) emit observation events consistent
-// with the pattern executors without access to the unexported config.
-func ObserverOf(opts ...Option) obs.Observer {
-	return newConfig(opts).observer
-}
-
-// Policies are the resilience policies resolved from a set of options.
-// Composition layers that hand-roll their own invocation loops
-// (internal/composite's retry and alternates) use it to honor the same
-// breakers, budgets, bulkheads and deadlines as the pattern executors.
-type Policies struct {
-	Observer obs.Observer
-	Breakers *resilience.Breakers
-	Retrier  *resilience.Retrier
-	Bulkhead *resilience.Bulkhead
-	Deadline resilience.DeadlinePolicy
-}
-
-// PoliciesOf resolves the resilience policies configured by a set of
-// options.
-func PoliciesOf(opts ...Option) Policies {
-	c := newConfig(opts)
-	return Policies{
-		Observer: c.observer,
-		Breakers: c.breakers,
-		Retrier:  c.retrier,
-		Bulkhead: c.bulkhead,
-		Deadline: c.deadline,
-	}
+	return finish(ctx, s.cfg, s.name, req, start, input, r.Value, r.Err, !r.OK() || attempts > 1)
 }

@@ -385,3 +385,43 @@ func TestExplicitVariantTimeoutWinsOverPolicy(t *testing.T) {
 		t.Fatalf("effective variant deadline = %v, want the explicit 5ms", got)
 	}
 }
+
+// TestDeadlineDuringBackoffKeepsBothCauses pins the error of a request
+// whose deadline expires while the retry policy is backing off: it is
+// the context's error and still wraps the failure that caused the retry.
+func TestDeadlineDuringBackoffKeepsBothCauses(t *testing.T) {
+	boom := errors.New("boom")
+	failing := func(name string) core.Variant[int, int] {
+		return core.NewVariant(name, func(context.Context, int) (int, error) { return 0, boom })
+	}
+	policy := WithRetryPolicy(resilience.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Hour})
+	for _, tc := range []struct {
+		name  string
+		build func() (core.Executor[int, int], error)
+	}{
+		{"single", func() (core.Executor[int, int], error) {
+			return NewSingle(failing("v"), policy)
+		}},
+		{"sequential-alternatives", func() (core.Executor[int, int], error) {
+			return NewSequentialAlternatives(
+				[]core.Variant[int, int]{failing("a1"), failing("a2")},
+				func(int, int) error { return nil }, nil, policy)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exec, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			_, err = exec.Execute(ctx, 1)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("Execute = %v, want DeadlineExceeded", err)
+			}
+			if !errors.Is(err, boom) {
+				t.Errorf("Execute = %v, want the failed attempt's boom kept", err)
+			}
+		})
+	}
+}

@@ -26,13 +26,13 @@ import (
 // The alternates receive the state by pointer and may mutate it; the
 // acceptance test sees the input and the produced output.
 type Block[S, I, O any] struct {
-	name       string
-	state      *S
-	store      *checkpoint.Store[S]
-	alternates []core.Variant[I, O]
-	test       core.AcceptanceTest[I, O]
-	metrics    *core.Metrics
-	observer   obs.Observer
+	name  string
+	state *S
+	store *checkpoint.Store[S]
+	seq   *pattern.SequentialAlternatives[I, O]
+
+	metrics  *core.Metrics
+	observer obs.Observer
 }
 
 var _ core.Executor[int, int] = (*Block[struct{}, int, int])(nil)
@@ -67,23 +67,36 @@ func NewBlock[S, I, O any](name string, state *S, test core.AcceptanceTest[I, O]
 	if len(variants) == 0 {
 		return nil, core.ErrNoVariants
 	}
-	vs := make([]core.Variant[I, O], len(variants))
-	copy(vs, variants)
 	b := &Block[S, I, O]{
-		name:       name,
-		state:      state,
-		store:      checkpoint.NewStore[S](1),
-		alternates: vs,
-		test:       test,
+		name:  name,
+		state: state,
+		store: checkpoint.NewStore[S](1),
 	}
 	for _, o := range opts {
 		o(b)
 	}
+	seq, err := pattern.NewSequentialAlternatives(variants, test, b.rollback,
+		pattern.WithMetrics(b.metrics), pattern.WithObserver(b.observer))
+	if err != nil {
+		return nil, err
+	}
+	b.seq = seq
 	return b, nil
 }
 
 // Name returns the block's name.
 func (b *Block[S, I, O]) Name() string { return b.name }
+
+// rollback restores the state to the recovery point: the store holds one
+// checkpoint, the one Execute saved on entry.
+func (b *Block[S, I, O]) rollback(context.Context) error {
+	restored, _, err := b.store.Latest()
+	if err != nil {
+		return err
+	}
+	*b.state = restored
+	return nil
+}
 
 // Execute implements core.Executor: it establishes the recovery point,
 // then runs the sequential-alternatives pattern with rollback to that
@@ -91,35 +104,14 @@ func (b *Block[S, I, O]) Name() string { return b.name }
 // to the recovery point and the error reports the exhausted block.
 func (b *Block[S, I, O]) Execute(ctx context.Context, input I) (O, error) {
 	var zero O
-	id, err := b.store.Save(*b.state)
-	if err != nil {
+	if _, err := b.store.Save(*b.state); err != nil {
 		return zero, fmt.Errorf("recovery point for block %s: %w", b.name, err)
 	}
-	rollback := func(context.Context) error {
-		restored, err := b.store.Restore(id)
-		if err != nil {
-			return err
-		}
-		*b.state = restored
-		return nil
-	}
-
-	var popts []pattern.Option
-	if b.metrics != nil {
-		popts = append(popts, pattern.WithMetrics(b.metrics))
-	}
-	if b.observer != nil {
-		popts = append(popts, pattern.WithObserver(b.observer))
-	}
-	seq, err := pattern.NewSequentialAlternatives(b.alternates, b.test, rollback, popts...)
-	if err != nil {
-		return zero, err
-	}
-	out, err := seq.Execute(ctx, input)
+	out, err := b.seq.Execute(ctx, input)
 	if err != nil {
 		// Leave the state as it was on entry: a failed block must not
 		// publish partial effects.
-		if rbErr := rollback(ctx); rbErr != nil {
+		if rbErr := b.rollback(ctx); rbErr != nil {
 			return zero, fmt.Errorf("block %s failed and rollback failed: %w", b.name, rbErr)
 		}
 		return zero, fmt.Errorf("recovery block %s exhausted: %w", b.name, err)

@@ -17,9 +17,10 @@ package selfcheck
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 
 	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/pattern"
 )
 
 // Component is a self-checking component: it computes a result and judges
@@ -69,10 +70,11 @@ func (c *testedComponent[I, O]) Run(ctx context.Context, input I) (O, error) {
 }
 
 // pairComponent is a pair of independently designed implementations with
-// a final comparison (implicit adjudicator).
+// a final comparison (implicit adjudicator): a two-variant parallel
+// evaluation whose adjudicator compares the halves.
 type pairComponent[I, O any] struct {
-	a, b core.Variant[I, O]
-	eq   core.Equal[O]
+	name string
+	pe   *pattern.ParallelEvaluation[I, O]
 }
 
 var _ Component[int, int] = (*pairComponent[int, int])(nil)
@@ -86,91 +88,80 @@ func Pair[I, O any](a, b core.Variant[I, O], eq core.Equal[O]) (Component[I, O],
 	if eq == nil {
 		return nil, fmt.Errorf("selfcheck: nil equality")
 	}
-	return &pairComponent[I, O]{a: a, b: b, eq: eq}, nil
+	name := a.Name() + "+" + b.Name()
+	compare := core.AdjudicatorFunc[O](func(rs []core.Result[O]) (O, error) {
+		var zero O
+		for _, r := range rs {
+			if r.Err != nil {
+				return zero, fmt.Errorf("half %s: %w", r.Variant, r.Err)
+			}
+		}
+		if !eq(rs[0].Value, rs[1].Value) {
+			return zero, fmt.Errorf("pair %s: %w", name, core.ErrDivergence)
+		}
+		return rs[0].Value, nil
+	})
+	pe, err := pattern.NewParallelEvaluation([]core.Variant[I, O]{a, b}, compare)
+	if err != nil {
+		return nil, err
+	}
+	return &pairComponent[I, O]{name: name, pe: pe}, nil
 }
 
-func (c *pairComponent[I, O]) Name() string {
-	return c.a.Name() + "+" + c.b.Name()
-}
+func (c *pairComponent[I, O]) Name() string { return c.name }
 
 func (c *pairComponent[I, O]) Run(ctx context.Context, input I) (O, error) {
-	var zero O
-	var (
-		wg         sync.WaitGroup
-		outA, outB O
-		errA, errB error
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		outA, errA = c.a.Execute(ctx, input)
-	}()
-	go func() {
-		defer wg.Done()
-		outB, errB = c.b.Execute(ctx, input)
-	}()
-	wg.Wait()
-	if errA != nil {
-		return zero, fmt.Errorf("half %s: %w", c.a.Name(), errA)
-	}
-	if errB != nil {
-		return zero, fmt.Errorf("half %s: %w", c.b.Name(), errB)
-	}
-	if !c.eq(outA, outB) {
-		return zero, fmt.Errorf("pair %s: %w", c.Name(), core.ErrDivergence)
-	}
-	return outA, nil
+	return c.pe.Execute(ctx, input)
 }
 
 // System executes self-checking components in parallel with hot-spare
 // promotion: the first configured healthy component is the acting one;
 // components whose self-check fails are discarded permanently, consuming
 // the initial redundancy, as the paper notes for deliberate code
-// redundancy.
+// redundancy. It is a parallel selection whose variants are the
+// components and whose acceptance tests accept everything, because each
+// component has already checked itself.
 type System[I, O any] struct {
-	metrics *core.Metrics
-
-	mu         sync.Mutex
-	components []Component[I, O]
-	discarded  map[string]bool
+	names []string
+	ps    *pattern.ParallelSelection[I, O]
 }
 
 var _ core.Executor[int, int] = (*System[int, int])(nil)
 
-// Option configures a System.
-type Option[I, O any] func(*System[I, O])
-
-// WithMetrics attaches a metrics collector.
-func WithMetrics[I, O any](m *core.Metrics) Option[I, O] {
-	return func(s *System[I, O]) { s.metrics = m }
-}
-
 // NewSystem builds a self-checking system; the first component acts, the
-// rest are hot spares in promotion order.
-func NewSystem[I, O any](components []Component[I, O], opts ...Option[I, O]) (*System[I, O], error) {
+// rest are hot spares in promotion order. Pattern options (observer,
+// metrics, resilience policies) configure the underlying parallel
+// selection.
+func NewSystem[I, O any](components []Component[I, O], opts ...pattern.Option) (*System[I, O], error) {
 	if len(components) == 0 {
 		return nil, core.ErrNoVariants
 	}
-	cs := make([]Component[I, O], len(components))
-	copy(cs, components)
-	s := &System[I, O]{
-		components: cs,
-		discarded:  make(map[string]bool),
+	names := make([]string, len(components))
+	variants := make([]core.Variant[I, O], len(components))
+	tests := make([]core.AcceptanceTest[I, O], len(components))
+	for i, c := range components {
+		names[i] = c.Name()
+		variants[i] = core.NewVariant(c.Name(), c.Run)
+		tests[i] = acceptChecked[I, O]
 	}
-	for _, o := range opts {
-		o(s)
+	ps, err := pattern.NewParallelSelection(variants, tests, opts...)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &System[I, O]{names: names, ps: ps}, nil
 }
+
+// acceptChecked is the system-level acceptance test: a component's result
+// has passed the component's own check.
+func acceptChecked[I, O any](I, O) error { return nil }
 
 // Acting returns the name of the current acting component, or "" if all
 // components have been discarded.
 func (s *System[I, O]) Acting() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.components {
-		if !s.discarded[c.Name()] {
-			return c.Name()
+	discarded := s.ps.Disabled()
+	for _, name := range s.names {
+		if !slices.Contains(discarded, name) {
+			return name
 		}
 	}
 	return ""
@@ -178,95 +169,12 @@ func (s *System[I, O]) Acting() string {
 
 // Discarded returns the names of discarded components in configuration
 // order.
-func (s *System[I, O]) Discarded() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var names []string
-	for _, c := range s.components {
-		if s.discarded[c.Name()] {
-			names = append(names, c.Name())
-		}
-	}
-	return names
-}
+func (s *System[I, O]) Discarded() []string { return s.ps.Disabled() }
 
 // Execute implements core.Executor: all healthy components run in
 // parallel; the acting component's result is delivered if its self-check
 // passes, otherwise the component is discarded and the next healthy
 // spare's result is delivered, and so on.
 func (s *System[I, O]) Execute(ctx context.Context, input I) (O, error) {
-	var zero O
-
-	s.mu.Lock()
-	var live []Component[I, O]
-	for _, c := range s.components {
-		if !s.discarded[c.Name()] {
-			live = append(live, c)
-		}
-	}
-	s.mu.Unlock()
-
-	if s.metrics != nil {
-		s.metrics.RecordRequest()
-		s.metrics.RecordVariantExecutions(len(live))
-	}
-	if len(live) == 0 {
-		if s.metrics != nil {
-			s.metrics.RecordFailure()
-		}
-		return zero, fmt.Errorf("all self-checking components discarded: %w", core.ErrAllVariantsFailed)
-	}
-
-	type outcome struct {
-		value O
-		err   error
-	}
-	outcomes := make([]outcome, len(live))
-	var wg sync.WaitGroup
-	for i, c := range live {
-		wg.Add(1)
-		go func(i int, c Component[I, O]) {
-			defer wg.Done()
-			v, err := c.Run(ctx, input)
-			outcomes[i] = outcome{value: v, err: err}
-		}(i, c)
-	}
-	wg.Wait()
-
-	delivered := false
-	var value O
-	failures := 0
-	for i, c := range live {
-		if outcomes[i].err != nil {
-			failures++
-			s.discard(c.Name())
-			continue
-		}
-		if !delivered {
-			delivered = true
-			value = outcomes[i].value
-		}
-	}
-
-	if s.metrics != nil {
-		if failures > 0 {
-			s.metrics.RecordFailureDetected()
-		}
-		switch {
-		case !delivered:
-			s.metrics.RecordFailure()
-		case failures > 0:
-			s.metrics.RecordFailureMasked()
-		}
-	}
-	if !delivered {
-		return zero, core.ErrAllVariantsFailed
-	}
-	return value, nil
-}
-
-func (s *System[I, O]) discard(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.discarded[name] = true
+	return s.ps.Execute(ctx, input)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/pattern"
 )
 
 func impl(name string, v int, fail bool) core.Variant[int, int] {
@@ -130,7 +131,7 @@ func TestSystemHotSparePromotion(t *testing.T) {
 		mustWithTest(t, impl("acting", 0, true), acceptAll),
 		mustWithTest(t, impl("spare1", 2, false), acceptAll),
 		mustWithTest(t, impl("spare2", 3, false), acceptAll),
-	}, WithMetrics[int, int](&m))
+	}, pattern.WithMetrics(&m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSystemRedundancyExhaustion(t *testing.T) {
 	var m core.Metrics
 	sys, err := NewSystem([]Component[int, int]{
 		mustWithTest(t, impl("a", 0, true), acceptAll),
-	}, WithMetrics[int, int](&m))
+	}, pattern.WithMetrics(&m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,5 +233,23 @@ func TestSystemMixedComponentKinds(t *testing.T) {
 func TestNewSystemEmpty(t *testing.T) {
 	if _, err := NewSystem[int, int](nil); !errors.Is(err, core.ErrNoVariants) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+func TestSystemDiscardsPanickingComponent(t *testing.T) {
+	panicking := core.NewVariant("panics", func(context.Context, int) (int, error) { panic("boom") })
+	sys, err := NewSystem([]Component[int, int]{
+		mustWithTest(t, panicking, acceptAll),
+		mustWithTest(t, impl("spare", 2, false), acceptAll),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.Execute(context.Background(), 0)
+	if err != nil || got != 2 {
+		t.Errorf("= (%d, %v), want the spare's result 2", got, err)
+	}
+	if d := sys.Discarded(); len(d) != 1 || d[0] != "panics" {
+		t.Errorf("Discarded = %v, want [panics]", d)
 	}
 }

@@ -142,7 +142,7 @@ func runCostsExperiment(seed uint64) ([]*stats.Table, error) {
 		for i := 0; i < trials; i++ {
 			// Rebuild per request: the experiment measures per-request
 			// cost, not redundancy depletion.
-			sys, err := selfcheck.NewSystem(comps, selfcheck.WithMetrics[int, int](&mSC))
+			sys, err := selfcheck.NewSystem(comps, pattern.WithMetrics(&mSC))
 			if err != nil {
 				return nil, err
 			}
