@@ -166,7 +166,14 @@ func Guard[I, O any](v Variant[I, O]) Variant[I, O] {
 
 func (g *guarded[I, O]) Name() string { return g.inner.Name() }
 
-func (g *guarded[I, O]) Execute(ctx context.Context, input I) (out O, err error) {
+func (g *guarded[I, O]) Execute(ctx context.Context, input I) (O, error) {
+	return ExecuteGuarded(ctx, g.inner, input)
+}
+
+// ExecuteGuarded executes v with Guard's panic containment, and the
+// same error, without wrapping v: the pattern executors call it on
+// every variant execution.
+func ExecuteGuarded[I, O any](ctx context.Context, v Variant[I, O], input I) (out O, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			var zero O
@@ -174,11 +181,11 @@ func (g *guarded[I, O]) Execute(ctx context.Context, input I) (out O, err error)
 			// An error-typed panic value (e.g. an injected fault's
 			// ActivatedError) stays in the chain for errors.Is/As.
 			if e, ok := r.(error); ok {
-				err = fmt.Errorf("variant %s: %w: %w", g.inner.Name(), e, ErrVariantPanicked)
+				err = fmt.Errorf("variant %s: %w: %w", v.Name(), e, ErrVariantPanicked)
 			} else {
-				err = fmt.Errorf("variant %s: %v: %w", g.inner.Name(), r, ErrVariantPanicked)
+				err = fmt.Errorf("variant %s: %v: %w", v.Name(), r, ErrVariantPanicked)
 			}
 		}
 	}()
-	return g.inner.Execute(ctx, input)
+	return v.Execute(ctx, input)
 }

@@ -508,3 +508,53 @@ func TestServerCallTimeoutBoundsWedgedVariant(t *testing.T) {
 		t.Fatalf("server CallTimeout did not bound the call: took %v", elapsed)
 	}
 }
+
+// TestCallContextShutdownDuringCall: a variant waiting on its served
+// call's context when the server shuts down sees it end with Canceled, and the server
+// does not wait out CallTimeout for it.
+func TestCallContextShutdownDuringCall(t *testing.T) {
+	network := NewPipeNetwork()
+	ln, err := network.Listen("r1")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	entered, seen := make(chan struct{}), make(chan error, 1)
+	srv := NewServer(core.NewVariant("waits", func(ctx context.Context, _ int) (int, error) {
+		close(entered)
+		<-ctx.Done()
+		seen <- ctx.Err()
+		return 0, ctx.Err()
+	}), ln, ServerConfig{CallTimeout: time.Hour})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(context.Background()) }()
+	remote, err := NewRemote[int, int]("caller", RemoteConfig{CallTimeout: time.Hour}, Endpoint{Name: "r1", Dial: network.Dial("r1")})
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	defer remote.Close()
+	called := make(chan error, 1)
+	go func() {
+		_, err := remote.Execute(context.Background(), 1)
+		called <- err
+	}()
+	<-entered
+	start := time.Now()
+	go srv.Close() // waits for the variant
+	select {
+	case err := <-seen:
+		if err != context.Canceled {
+			t.Fatalf("variant's context ended with %v, want Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("shutdown did not end the variant's context")
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve = %v after Close", err)
+	}
+	if err := <-called; err == nil {
+		t.Fatal("a call cut off by shutdown succeeded")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("shutdown took %v", elapsed)
+	}
+}

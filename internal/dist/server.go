@@ -9,6 +9,7 @@ import (
 
 	"github.com/softwarefaults/redundancy/internal/core"
 	"github.com/softwarefaults/redundancy/internal/obs"
+	"github.com/softwarefaults/redundancy/internal/resilience"
 	"github.com/softwarefaults/redundancy/internal/supervise"
 )
 
@@ -36,8 +37,9 @@ const defaultServerCallTimeout = 30 * time.Second
 
 // Server exposes one core.Variant as a remote replica: it accepts
 // framed connections from a net.Listener and answers calls by executing
-// the variant (panic-contained via core.Guard) and pings by echoing a
-// pong, which is what the failure detector's heartbeats measure.
+// the variant (panic-contained via core.ExecuteGuarded) and pings by
+// echoing a pong, which is what the failure detector's heartbeats
+// measure.
 //
 // Connections are handled serially — one in-flight request per
 // connection — matching the client's pooled one-round-trip-at-a-time
@@ -47,9 +49,8 @@ const defaultServerCallTimeout = 30 * time.Second
 // streams may have fallen out of step with the client's.
 type Server[I, O any] struct {
 	variant core.Variant[I, O]
-	// guarded is core.Guard(variant) and executor "replica:<name>",
-	// both built once rather than on every call.
-	guarded  core.Variant[I, O]
+	// executor is "replica:<name>", built once rather than on every
+	// call.
 	executor string
 	ln       net.Listener
 	cfg      ServerConfig
@@ -77,7 +78,6 @@ func NewServer[I, O any](variant core.Variant[I, O], ln net.Listener, cfg Server
 	}
 	return &Server[I, O]{
 		variant:  variant,
-		guarded:  core.Guard(variant),
 		executor: "replica:" + cfg.Name,
 		ln:       ln,
 		cfg:      cfg,
@@ -110,7 +110,7 @@ func (s *Server[I, O]) Serve(ctx context.Context) error {
 	s.mu.Unlock()
 	stop := context.AfterFunc(ctx, s.shutdown)
 	defer stop()
-	base := newCallBase(ctx)
+	base := resilience.NewDeadlineSource(ctx)
 	var failure error
 	for {
 		conn, err := s.ln.Accept()
@@ -215,7 +215,7 @@ func (s *Server[I, O]) untrack(c net.Conn) {
 // handle serves one connection: framed envelopes in, framed envelopes
 // out, until the peer hangs up, the stream corrupts, or the
 // connection's value streams are poisoned.
-func (s *Server[I, O]) handle(base *callBase, conn net.Conn) {
+func (s *Server[I, O]) handle(base *resilience.DeadlineSource, conn net.Conn) {
 	wc := newWireConn(conn)
 	for {
 		env, err := wc.recv()
@@ -251,7 +251,7 @@ func (s *Server[I, O]) handle(base *callBase, conn net.Conn) {
 // trace carried by the envelope (its parent is the client attempt span
 // that sent the call), so the per-process trace exports assemble into
 // one causal tree.
-func (s *Server[I, O]) call(base *callBase, wc *wireConn, env *envelope) bool {
+func (s *Server[I, O]) call(base *resilience.DeadlineSource, wc *wireConn, env *envelope) bool {
 	abort := func(err error) bool {
 		wc.send(&envelope{Kind: kindAbort, ID: env.ID, Err: err.Error()}) // closing anyway
 		return false
@@ -260,8 +260,8 @@ func (s *Server[I, O]) call(base *callBase, wc *wireConn, env *envelope) bool {
 	if err != nil {
 		return abort(err)
 	}
-	cc := base.call(s.cfg.CallTimeout)
-	defer cc.end()
+	cc := base.Start(s.cfg.CallTimeout)
+	defer cc.End()
 	var callCtx context.Context = cc
 	executor := s.executor
 	o := s.cfg.Observer
@@ -277,7 +277,7 @@ func (s *Server[I, O]) call(base *callBase, wc *wireConn, env *envelope) bool {
 		o.VariantStart(executor, s.variant.Name(), req)
 	}
 	start := time.Now()
-	value, err := s.guarded.Execute(callCtx, input)
+	value, err := core.ExecuteGuarded(callCtx, s.variant, input)
 	if o != nil {
 		latency := time.Since(start)
 		o.VariantEnd(executor, s.variant.Name(), req, latency, err)

@@ -16,8 +16,21 @@
 // fixed number of times), the executor behind composite.Retry.
 //
 // All executors manage their goroutines: Execute never returns while a
-// worker goroutine it spawned is still running, and workers receive a
-// cancelable context so that canceled variants can stop early.
+// goroutine it spawned is still running. The parallel executors run the
+// first attempt on the caller's goroutine and each other attempt on a
+// goroutine of its own, all concurrently; Single and
+// SequentialAlternatives run every attempt on the caller's goroutine.
+//
+// A variant sees the request's context: the caller's, bounded by
+// WithDeadline's Request bound when there is one. A caller context
+// with no Done is bounded lazily (resilience.WithLazyTimeout: no
+// channel or timer until a variant watches it), one that can be
+// cancelled by context.WithTimeout. A variant gets a context of its own
+// only when its deadline (WithVariantTimeout, or WithDeadline's Variant
+// bound) is tighter than the request's; that context ends when the
+// variant returns. Every variant context ends when its request's
+// deadline passes or the caller cancels, so variants that honor their
+// context stop early.
 //
 // Every executor is observable: WithObserver attaches an obs.Observer
 // that receives request/variant spans, adjudication decisions and
@@ -125,12 +138,8 @@ func rankLive[I, O any](r Ranker, executor string, vs []core.Variant[I, O], live
 
 // rankVariants returns variants reordered by the ranker's preference.
 func rankVariants[I, O any](r Ranker, executor string, vs []core.Variant[I, O]) []core.Variant[I, O] {
-	live := make([]int, len(vs))
-	for i := range vs {
-		live[i] = i
-	}
 	out := make([]core.Variant[I, O], len(vs))
-	for i, idx := range rankLive(r, executor, vs, live) {
+	for i, idx := range rankLive(r, executor, vs, allIndices(len(vs))) {
 		out[i] = vs[idx]
 	}
 	return out
@@ -261,42 +270,60 @@ func (c *config) bindResilience(executor string) {
 	}
 }
 
-// noopDone is the zero-cost admission cleanup used when no admission
-// policy is configured.
-var noopDone = func() {}
+// admission is what an admitted request holds until it settles: its
+// bulkhead slot and its deadline. The zero value holds nothing.
+type admission struct {
+	bulkhead *resilience.Bulkhead
+	// The request deadline: lazy under a caller context that cannot be
+	// cancelled, context.WithTimeout's under one that can.
+	lazy   *resilience.DeadlineContext
+	cancel context.CancelFunc
+}
+
+// release gives back the bulkhead slot and ends the request deadline.
+func (a admission) release() {
+	if a.bulkhead != nil {
+		a.bulkhead.Release()
+	}
+	if a.lazy != nil {
+		a.lazy.End()
+	}
+	if a.cancel != nil {
+		a.cancel()
+	}
+}
 
 // admit runs the resilience front of one Execute call: the request
 // deadline and bulkhead admission. It returns the (possibly bounded)
-// context and a cleanup to defer; a non-nil error means the request was
-// shed (RequestShed emitted) and must fail fast without executing.
-func (c config) admit(ctx context.Context, executor string, req uint64) (context.Context, func(), error) {
-	if c.deadline.Request <= 0 && c.bulkhead == nil {
-		return ctx, noopDone, nil
-	}
-	cancel := context.CancelFunc(nil)
+// context and the admission to release; a non-nil error means the
+// request was shed (RequestShed emitted) and must fail fast without
+// executing.
+//
+// A caller context with no Done is bounded by a lazy deadline context,
+// which costs one object until something watches it. One that can be
+// cancelled keeps context.WithTimeout, whose Cause is the caller's
+// cause when the caller ends the request.
+func (c *config) admit(ctx context.Context, executor string, req uint64) (context.Context, admission, error) {
+	var a admission
 	if c.deadline.Request > 0 {
-		ctx, cancel = context.WithTimeout(ctx, c.deadline.Request)
+		if ctx.Done() == nil {
+			a.lazy = resilience.WithLazyTimeout(ctx, c.deadline.Request)
+			ctx = a.lazy
+		} else {
+			ctx, a.cancel = context.WithTimeout(ctx, c.deadline.Request)
+		}
 	}
 	if c.bulkhead != nil {
 		if err := c.bulkhead.Acquire(ctx); err != nil {
-			if cancel != nil {
-				cancel()
-			}
+			a.release()
 			if o := c.observer; o != nil && req != 0 {
 				obs.Emit(o, obs.RequestShed(executor, req))
 			}
-			return ctx, noopDone, err
+			return ctx, admission{}, err
 		}
+		a.bulkhead = c.bulkhead
 	}
-	bulkhead, cf := c.bulkhead, cancel
-	return ctx, func() {
-		if bulkhead != nil {
-			bulkhead.Release()
-		}
-		if cf != nil {
-			cf()
-		}
-	}, nil
+	return ctx, a, nil
 }
 
 // storeLastGood feeds an accepted result into the configured
@@ -418,8 +445,9 @@ func outcomeOf(accepted, failureDetected bool) obs.Outcome {
 // timeout, and panic containment: a panicking variant yields an ordinary
 // failed Result instead of crashing the executor. When req is a live
 // request ID the execution is bracketed by VariantStart/VariantEnd
-// observation events.
-func runVariant[I, O any](ctx context.Context, cfg config, executor string, req uint64, v core.Variant[I, O], input I) core.Result[O] {
+// observation events. The variant runs under ctx itself unless its own
+// deadline is tighter than ctx's.
+func runVariant[I, O any](ctx context.Context, cfg *config, executor string, req uint64, v core.Variant[I, O], input I) core.Result[O] {
 	var (
 		brk *resilience.Breaker
 		tok resilience.Token
@@ -436,13 +464,15 @@ func runVariant[I, O any](ctx context.Context, cfg config, executor string, req 
 	if o := cfg.observer; o != nil && req != 0 {
 		o.VariantStart(executor, v.Name(), req)
 	}
-	if d := cfg.deadline.VariantDeadline(cfg.variantTimeout); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
 	start := time.Now()
-	value, err := core.Guard(v).Execute(ctx, input)
+	if d := cfg.deadline.VariantDeadline(cfg.variantTimeout); d > 0 {
+		if end, ok := ctx.Deadline(); !ok || start.Add(d).Before(end) {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, start.Add(d))
+			defer cancel()
+		}
+	}
+	value, err := core.ExecuteGuarded(ctx, v, input)
 	r := core.Result[O]{
 		Variant: v.Name(),
 		Value:   value,
@@ -458,21 +488,59 @@ func runVariant[I, O any](ctx context.Context, cfg config, executor string, req 
 	return r
 }
 
+// inlineResults is how many results a batch holds without a second
+// allocation: Figure 1's three versions.
+const inlineResults = 3
+
+// batch is one request's parallel launch: what every attempt shares and
+// where each leaves its result.
+type batch[I, O any] struct {
+	ctx      context.Context
+	cfg      *config
+	executor string
+	req      uint64
+	vs       []core.Variant[I, O]
+	idx      []int
+	input    I
+
+	wg      sync.WaitGroup
+	results []core.Result[O]
+	inline  [inlineResults]core.Result[O]
+}
+
+// run runs the attempt in slot and counts it done.
+func (b *batch[I, O]) run(slot int) {
+	defer b.wg.Done()
+	b.results[slot] = runVariant(b.ctx, b.cfg, b.executor, b.req, b.vs[b.idx[slot]], b.input)
+}
+
 // runAll runs vs[i] for every i in idx concurrently and returns the
 // results in idx order. It is the one launch loop of the parallel
-// executors.
+// executors: attempts 2..n get a goroutine each, attempt 1 runs on the
+// caller's, and runAll returns once every attempt has.
 func runAll[I, O any](ctx context.Context, cfg *config, executor string, req uint64, vs []core.Variant[I, O], idx []int, input I) []core.Result[O] {
-	results := make([]core.Result[O], len(idx))
-	var wg sync.WaitGroup
-	for slot, i := range idx {
-		wg.Add(1)
-		go func(out *core.Result[O], v core.Variant[I, O]) {
-			defer wg.Done()
-			*out = runVariant(ctx, *cfg, executor, req, v, input)
-		}(&results[slot], vs[i])
+	b := &batch[I, O]{ctx: ctx, cfg: cfg, executor: executor, req: req, vs: vs, idx: idx, input: input}
+	if len(idx) <= inlineResults {
+		b.results = b.inline[:len(idx)]
+	} else {
+		b.results = make([]core.Result[O], len(idx))
 	}
-	wg.Wait()
-	return results
+	b.wg.Add(len(idx))
+	for slot := 1; slot < len(idx); slot++ {
+		go b.run(slot)
+	}
+	b.run(0)
+	b.wg.Wait()
+	return b.results
+}
+
+// allIndices returns 0..n-1.
+func allIndices(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // ParallelEvaluation is the Figure 1a executor: it runs every variant on
@@ -497,25 +565,21 @@ func NewParallelEvaluation[I, O any](variants []core.Variant[I, O], adj core.Adj
 	}
 	vs := make([]core.Variant[I, O], len(variants))
 	copy(vs, variants)
-	all := make([]int, len(vs))
-	for i := range all {
-		all[i] = i
-	}
 	cfg := newConfig(opts)
 	cfg.bindResilience(nameParallelEvaluation)
-	return &ParallelEvaluation[I, O]{cfg: cfg, variants: vs, all: all, adjudicator: adj}, nil
+	return &ParallelEvaluation[I, O]{cfg: cfg, variants: vs, all: allIndices(len(vs)), adjudicator: adj}, nil
 }
 
 // Execute implements core.Executor.
 func (p *ParallelEvaluation[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	ctx, req, start := p.cfg.startRequest(ctx, nameParallelEvaluation)
-	ctx, done, admitErr := p.cfg.admit(ctx, nameParallelEvaluation, req)
+	ctx, adm, admitErr := p.cfg.admit(ctx, nameParallelEvaluation, req)
 	if admitErr != nil {
 		var zero O
 		p.cfg.endRequest(nameParallelEvaluation, req, start, false, false)
 		return zero, admitErr
 	}
-	defer done()
+	defer adm.release()
 	results := p.executeAll(ctx, input, req)
 	value, err := p.adjudicator.Adjudicate(results)
 	anyFailed := false
@@ -549,6 +613,7 @@ func (p *ParallelEvaluation[I, O]) executeAll(ctx context.Context, input I, req 
 type ParallelSelection[I, O any] struct {
 	cfg      config
 	variants []core.Variant[I, O]
+	all      []int // every variant index, the launch list while none is disabled
 	tests    []core.AcceptanceTest[I, O]
 
 	mu       sync.Mutex
@@ -575,6 +640,7 @@ func NewParallelSelection[I, O any](variants []core.Variant[I, O], tests []core.
 	return &ParallelSelection[I, O]{
 		cfg:      cfg,
 		variants: vs,
+		all:      allIndices(len(vs)),
 		tests:    ts,
 		disabled: make(map[string]bool),
 	}, nil
@@ -609,18 +675,21 @@ func (p *ParallelSelection[I, O]) Reset() {
 func (p *ParallelSelection[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	var zero O
 	ctx, req, start := p.cfg.startRequest(ctx, nameParallelSelection)
-	ctx, done, admitErr := p.cfg.admit(ctx, nameParallelSelection, req)
+	ctx, adm, admitErr := p.cfg.admit(ctx, nameParallelSelection, req)
 	if admitErr != nil {
 		p.cfg.endRequest(nameParallelSelection, req, start, false, false)
 		return zero, admitErr
 	}
-	defer done()
+	defer adm.release()
 
 	p.mu.Lock()
-	var live []int
-	for i, v := range p.variants {
-		if !p.disabled[v.Name()] {
-			live = append(live, i)
+	live := p.all
+	if len(p.disabled) > 0 {
+		live = nil
+		for i, v := range p.variants {
+			if !p.disabled[v.Name()] {
+				live = append(live, i)
+			}
 		}
 	}
 	p.mu.Unlock()
@@ -718,12 +787,12 @@ func NewSequentialAlternatives[I, O any](variants []core.Variant[I, O], test cor
 func (s *SequentialAlternatives[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	var zero O
 	ctx, req, start := s.cfg.startRequest(ctx, nameSequentialAlternatives)
-	ctx, done, admitErr := s.cfg.admit(ctx, nameSequentialAlternatives, req)
+	ctx, adm, admitErr := s.cfg.admit(ctx, nameSequentialAlternatives, req)
 	if admitErr != nil {
 		s.cfg.endRequest(nameSequentialAlternatives, req, start, false, false)
 		return zero, admitErr
 	}
-	defer done()
+	defer adm.release()
 	o := s.cfg.observer
 	variants := s.variants
 	if s.cfg.ranker != nil {
@@ -771,7 +840,7 @@ func (s *SequentialAlternatives[I, O]) Execute(ctx context.Context, input I) (O,
 			o.RetryAttempt(nameSequentialAlternatives, v.Name(), req, i+1)
 		}
 		attempts++
-		r := runVariant(ctx, s.cfg, nameSequentialAlternatives, req, v, input)
+		r := runVariant(ctx, &s.cfg, nameSequentialAlternatives, req, v, input)
 		err := r.Err
 		if err == nil {
 			err = s.test(input, r.Value)
@@ -847,13 +916,13 @@ func NewRetry[I, O any](v core.Variant[I, O], retries int, opts ...Option) (*Sin
 // attempt.
 func (s *Single[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	ctx, req, start := s.cfg.startRequest(ctx, s.name)
-	ctx, done, admitErr := s.cfg.admit(ctx, s.name, req)
+	ctx, adm, admitErr := s.cfg.admit(ctx, s.name, req)
 	if admitErr != nil {
 		var zero O
 		s.cfg.endRequest(s.name, req, start, false, false)
 		return zero, admitErr
 	}
-	defer done()
+	defer adm.release()
 	retrier := s.cfg.retrier
 	if retrier != nil {
 		if b := retrier.Budget(); b != nil {
@@ -883,7 +952,7 @@ func (s *Single[I, O]) Execute(ctx context.Context, input I) (O, error) {
 			}
 		}
 		attempts++
-		r = runVariant(ctx, s.cfg, s.name, req, s.variant, input)
+		r = runVariant(ctx, &s.cfg, s.name, req, s.variant, input)
 		if r.OK() {
 			break
 		}

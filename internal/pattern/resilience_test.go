@@ -10,6 +10,7 @@ import (
 	"github.com/softwarefaults/redundancy/internal/core"
 	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/resilience"
+	"github.com/softwarefaults/redundancy/internal/vote"
 )
 
 // snapshotOf returns the collector snapshot of one executor.
@@ -26,10 +27,11 @@ func snapshotOf(t *testing.T, c *obs.Collector, executor string) obs.ExecutorSna
 
 // TestNoPolicyExecutorsAllocateNothingExtra pins the zero-overhead
 // guarantee of the resilience layer: executors with no policies
-// configured keep the legacy fast path — one allocation per Execute for
-// the sequential executors (the admission fast path, breaker skip, and
-// fallback skip must all be free), and exactly the same count as an
-// executor carrying explicit zero-value policy options.
+// configured keep the legacy fast path — no allocation per Execute for
+// the sequential executors (the admission fast path, breaker skip,
+// fallback skip and panic containment must all be free), and exactly
+// the same count as an executor carrying explicit zero-value policy
+// options.
 func TestNoPolicyExecutorsAllocateNothingExtra(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -52,18 +54,63 @@ func TestNoPolicyExecutorsAllocateNothingExtra(t *testing.T) {
 	}
 
 	base := testing.AllocsPerRun(200, func() { single.Execute(ctx, 1) })
-	if base > 1 {
-		t.Errorf("Single with no policies: %v allocs/request, want <= 1", base)
+	if base > 0 {
+		t.Errorf("Single with no policies: %v allocs/request, want 0", base)
 	}
 	zero := testing.AllocsPerRun(200, func() { singleZero.Execute(ctx, 1) })
 	if zero != base {
 		t.Errorf("Single with zero-value deadline policy: %v allocs, baseline %v", zero, base)
 	}
 	saAllocs := testing.AllocsPerRun(200, func() { sa.Execute(ctx, 1) })
-	if saAllocs > 1 {
-		t.Errorf("SequentialAlternatives with no policies: %v allocs/request, want <= 1", saAllocs)
+	if saAllocs > 0 {
+		t.Errorf("SequentialAlternatives with no policies: %v allocs/request, want 0", saAllocs)
 	}
 }
+
+// TestParallelEvaluationAllocBudget pins what a Figure 1a vote allocates
+// per request: the batch, one goroutine launch per variant beyond the
+// first and the majority vote's tally when unobserved, plus the lazy
+// request deadline under the
+// benchmark's nvp_local_faulty stack (breakers, bulkhead, a request and
+// variant deadline, a collector) with a caller context that has no
+// Done. A regression back to per-variant contexts, per-variant panic
+// wrappers or a per-request admission closure fails it.
+func TestParallelEvaluationAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under -race")
+	}
+	ctx := context.Background()
+	measure := func(opts ...Option) float64 {
+		pe, err := NewParallelEvaluation(benchVariants(3), vote.Majority(core.EqualOf[int]()), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pe.Execute(ctx, 1) // warm the collector's per-variant state
+		return testing.AllocsPerRun(200, func() {
+			if _, err := pe.Execute(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got := measure(); got > unobservedVoteAllocs {
+		t.Errorf("unobserved n=3 vote: %v allocs/request, want <= %d", got, unobservedVoteAllocs)
+	}
+	stack := measure(
+		WithBreaker(resilience.NewBreakers(resilience.BreakerConfig{ConsecutiveFailures: 5, OpenFor: time.Second})),
+		WithBulkhead(resilience.NewBulkhead(resilience.BulkheadConfig{MaxConcurrent: 8, MaxWaiting: 8})),
+		WithDeadline(resilience.DeadlinePolicy{Request: 5 * time.Second, Variant: 5 * time.Second}),
+		WithObserver(obs.NewCollector()))
+	if stack > policyVoteAllocs {
+		t.Errorf("n=3 vote under the nvp_local_faulty stack: %v allocs/request, want <= %d", stack, policyVoteAllocs)
+	}
+}
+
+// The measured budgets of TestParallelEvaluationAllocBudget (12 and 26
+// before the first attempt ran on the caller's goroutine).
+const (
+	unobservedVoteAllocs = 4
+	policyVoteAllocs     = 5
+)
 
 func TestSequentialBreakerStopsHammeringFailingVariant(t *testing.T) {
 	var primaryRuns atomic.Int64

@@ -91,7 +91,7 @@ func (l *Ladder[I, O]) Serve(ctx context.Context, input I) (O, string, error) {
 		return value, "cache", nil
 	}
 	if degraded != nil {
-		out, err := core.Guard(degraded).Execute(ctx, input)
+		out, err := core.ExecuteGuarded(ctx, degraded, input)
 		if err == nil {
 			l.degradedServes.Add(1)
 			return out, "degraded-variant", nil

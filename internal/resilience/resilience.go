@@ -30,10 +30,7 @@
 // chaos campaigns of internal/faultmodel exactly reproducible.
 package resilience
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // Typed policy errors. Executors wrap them, so test with errors.Is.
 var (
@@ -51,30 +48,3 @@ var (
 	// denies further re-execution.
 	ErrRetryBudgetExhausted = errors.New("resilience: retry budget exhausted")
 )
-
-// DeadlinePolicy bounds execution time so that a hung variant (the
-// faultmodel FailHang manifestation) can never wedge an executor even
-// when the caller forgot a context deadline. Both bounds are optional;
-// a tighter deadline inherited from the request context always wins
-// (context.WithTimeout keeps the sooner of parent and child deadlines).
-type DeadlinePolicy struct {
-	// Request bounds one whole Execute call: variant executions,
-	// queueing at the bulkhead, and adjudication.
-	Request time.Duration
-	// Variant is the default per-variant deadline, used when the
-	// executor has no explicit per-variant timeout configured
-	// (pattern.WithVariantTimeout takes precedence).
-	Variant time.Duration
-}
-
-// VariantDeadline resolves the effective per-variant deadline given an
-// explicitly configured timeout (zero means none).
-func (p DeadlinePolicy) VariantDeadline(explicit time.Duration) time.Duration {
-	if explicit > 0 {
-		return explicit
-	}
-	return p.Variant
-}
-
-// Zero reports whether the policy imposes no bound at all.
-func (p DeadlinePolicy) Zero() bool { return p.Request <= 0 && p.Variant <= 0 }
