@@ -43,6 +43,45 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(latencies[len(latencies)*99/100].Nanoseconds()), "p99_ns")
 }
 
+// BenchmarkRPCRoundTrip4K is BenchmarkRPCRoundTrip with a 4 KiB
+// {Seq, Data} value each way, the shape of quorum_bulk_pipe's values:
+// its bytes and allocs per op are what the plain value codec costs to
+// move a bulk value through both peers.
+func BenchmarkRPCRoundTrip4K(b *testing.B) {
+	network := NewPipeNetwork()
+	ln, err := network.Listen("r1")
+	if err != nil {
+		b.Fatalf("Listen: %v", err)
+	}
+	echo := core.NewVariant("echo", func(_ context.Context, v blob) (blob, error) { return v, nil })
+	srv := NewServer(echo, ln, ServerConfig{})
+	go srv.Serve(context.Background())
+	defer srv.Close()
+	remote, err := NewRemote[blob, blob]("bench-4k", RemoteConfig{},
+		Endpoint{Name: "r1", Dial: network.Dial("r1")})
+	if err != nil {
+		b.Fatalf("NewRemote: %v", err)
+	}
+	defer remote.Close()
+	in := blob{Data: make([]byte, 4096)}
+	for i := range in.Data {
+		in.Data[i] = byte(i)
+	}
+	latencies := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.Seq = uint64(i)
+		start := time.Now()
+		if _, err := remote.Execute(context.Background(), in); err != nil {
+			b.Fatalf("Execute: %v", err)
+		}
+		latencies = append(latencies, time.Since(start))
+	}
+	b.StopTimer()
+	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	b.ReportMetric(float64(latencies[len(latencies)*99/100].Nanoseconds()), "p99_ns")
+}
+
 // BenchmarkTracedRPCRoundTrip is BenchmarkRPCRoundTrip with full trace
 // recording on both sides: trace-recording observers on client and
 // server, a traced caller context, and per-attempt spans on the wire.

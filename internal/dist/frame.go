@@ -43,7 +43,10 @@ const frameHeaderSize = 9
 //	2 — version byte added; gob envelope carries TraceID/SpanID
 //	3 — binary envelope, per-connection value streams
 //	4 — fixed-layout int payloads (8 bytes big-endian), no gob
-const frameVersion = 4
+//	5 — plain values (bools, numbers, strings, and arrays, slices and
+//	    structs of them) in a compiled binary layout; gob only for the
+//	    other types
+const frameVersion = 5
 
 // MaxFrameSize bounds one frame's body so a corrupt or hostile length
 // prefix cannot make a reader allocate without bound.

@@ -15,8 +15,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"strconv"
 	"testing"
+
+	"github.com/softwarefaults/redundancy/internal/xrand"
 )
 
 func FuzzDecodeFrame(f *testing.F) {
@@ -24,14 +27,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	// where parser bugs live, and with one frame per envelope defect so
 	// each rejection is exercised even without -fuzz.
 	seed := func(e *envelope) []byte { return frameOf(f, appendEnvelope(nil, e)) }
+	ints := codecFor[int]()
 	traced := &envelope{
 		ID: 7, Kind: kindCall, Payload: []byte("input"),
 		TraceID: 0xdeadbeefcafe, SpanID: 0x1234,
 	}
 	f.Add(seed(&envelope{ID: 1, Kind: kindPing}))
 	f.Add(seed(traced))
-	f.Add(seed(&envelope{ID: 2, Kind: kindCall, Payload: appendInt(nil, -21)}))
-	f.Add(seed(&envelope{ID: 2, Kind: kindReply, Payload: appendInt(nil, 42)}))
+	f.Add(seed(&envelope{ID: 2, Kind: kindCall, Payload: ints.put(nil, -21)}))
+	f.Add(seed(&envelope{ID: 2, Kind: kindReply, Payload: ints.put(nil, 42)}))
 	f.Add(seed(&envelope{ID: 7, Kind: kindReply, Err: "variant failed"}))
 	f.Add(seed(&envelope{ID: 8, Kind: kindAbort, Err: "no such type"}))
 	f.Add(frameOf(f, []byte("hello"))) // shorter than the fixed envelope header
@@ -39,7 +43,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})                        // old wire version 1
 	f.Add([]byte{frameVersion, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // hostile length
-	for _, old := range []byte{2, 3} {                              // v3 shares v4's layout but not its int payloads
+	for _, old := range []byte{2, 3, 4} {                           // v3 and v4 share v5's envelope, not its value payloads
 		f.Add(append([]byte{old}, seed(traced)[1:]...))
 	}
 	unknownKind := appendEnvelope(nil, traced)
@@ -116,16 +120,17 @@ func FuzzDecodeFrame(f *testing.F) {
 // bytes, or is rejected as ErrBadFrame — never a panic, never a second
 // encoding of one value.
 func FuzzIntValue(f *testing.F) {
-	for _, v := range []int{0, 1, -1, 42, 1 << 40, -1 << 62} {
-		f.Add(appendInt(nil, v))
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 42, 0}) // a trailing byte
-	f.Add([]byte{0, 0, 0, 42})                // too short
+	const intSize = 8
 	vc := codecFor[int]()
 	if vc.get == nil {
 		f.Fatal("int values go through gob")
 	}
+	for _, v := range []int{0, 1, -1, 42, 1 << 40, -1 << 62} {
+		f.Add(vc.put(nil, v))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 42, 0}) // a trailing byte
+	f.Add([]byte{0, 0, 0, 42})                // too short
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		v, err := vc.get(payload)
 		if err != nil {
@@ -141,4 +146,50 @@ func FuzzIntValue(f *testing.F) {
 			t.Fatalf("payload %x decoded to %d, which encodes as %x", payload, v, again)
 		}
 	})
+}
+
+// FuzzPlainValue checks the compiled plain codec against arbitrary
+// payloads, for a bulk {Seq, Data} value and for a nested record of
+// every plain kind: a payload either decodes to a value that
+// re-encodes to exactly the same bytes — the encoding is canonical —
+// or is rejected as ErrBadFrame, never with a panic.
+func FuzzPlainValue(f *testing.F) {
+	blobs, records := codecFor[blob](), codecFor[record]()
+	if blobs.get == nil || records.get == nil {
+		f.Fatal("a plain test type goes through gob")
+	}
+	rng := xrand.New(5)
+	for range 4 {
+		var b blob
+		var r record
+		fillRandom(reflect.ValueOf(&b).Elem(), rng)
+		fillRandom(reflect.ValueOf(&r).Elem(), rng)
+		f.Add(blobs.put(nil, b))
+		f.Add(records.put(nil, r))
+	}
+	f.Add(blobs.put(nil, blob{}))
+	f.Add(records.put(nil, record{}))
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0x80, 0})                   // an overlong length
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 1}) // a length beyond the payload
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkCanonical(t, blobs, payload)
+		checkCanonical(t, records, payload)
+	})
+}
+
+// checkCanonical decodes payload with vc: it must fail with ErrBadFrame
+// or re-encode to exactly payload.
+func checkCanonical[T any](t *testing.T, vc valueCodec[T], payload []byte) {
+	t.Helper()
+	v, err := vc.get(payload)
+	if err != nil {
+		if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%T from %d bytes: untyped error %v", v, len(payload), err)
+		}
+		return
+	}
+	if again := vc.put(nil, v); !bytes.Equal(again, payload) {
+		t.Fatalf("%T payload %x decoded to %+v, which encodes as %x", v, payload, v, again)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"time"
 )
 
@@ -100,46 +101,49 @@ func parseEnvelope(body []byte) (envelope, error) {
 }
 
 // valueCodec is how values of type T travel as a frame's payload. It is
-// picked once per client or server, by the type alone (codecFor): an
-// int is a fixed 8-byte big-endian word appended straight into the
-// frame being built and read back by value, so it never goes through
-// an interface or gob; every other type goes through the connection's
-// gob streams (sendValue, decode). A connection that carries only ints
-// never builds its gob streams.
+// picked once per client or server, by the type alone (codecFor). A
+// plain type (see compilePlain) is appended straight into the frame
+// being built and copied back out of the received frame by a codec
+// compiled from its reflect.Type; it keeps no state between values, so
+// a connection that carries only plain values never builds its gob
+// streams. Every other type goes through the connection's gob streams
+// (sendValue, decode).
+//
+// Both peers must use the same type: a plain payload carries values,
+// not field names or a type descriptor, so it is only as portable as
+// the type's layout.
 type valueCodec[T any] struct {
 	// put and get are nil for a gob-coded type.
 	put func(b []byte, v T) []byte
 	get func(payload []byte) (T, error)
 }
 
-// codecFor returns T's value codec. Only T itself counts: a named type
-// over int goes through gob.
+// codecFor returns T's value codec: the plain codec if T is plain, gob
+// otherwise. A T that is one fixed-size scalar whose memory layout is
+// its wire layout (an int on a 64-bit platform, a named float64, …)
+// is copied as a machine word and never escapes to the heap; any
+// other plain T is walked through reflect, which costs the value one
+// heap copy per encode and per decode.
 func codecFor[T any]() valueCodec[T] {
-	switch any(*new(T)).(type) {
-	case int: // so T is int, and these are the int functions' own types
-		return valueCodec[T]{put: any(appendInt).(func([]byte, T) []byte), get: any(parseInt).(func([]byte) (T, error))}
+	t := reflect.TypeFor[T]()
+	c, ok := compilePlain(t, nil)
+	if !ok {
+		return valueCodec[T]{}
 	}
-	return valueCodec[T]{}
-}
-
-// intSize is the size of an int payload.
-const intSize = 8
-
-// appendInt appends v's payload, 8 bytes big-endian, to b.
-func appendInt(b []byte, v int) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
-
-// parseInt decodes an int payload. Anything but exactly 8 bytes — or,
-// where int is narrower than 64 bits, a word it cannot hold — is a
-// corrupt frame for classification purposes.
-func parseInt(payload []byte) (int, error) {
-	if len(payload) != intSize {
-		return 0, fmt.Errorf("%w: int value: %d bytes, want %d", ErrBadFrame, len(payload), intSize)
+	if w, ok := wordCodec[T](t); ok {
+		return w
 	}
-	u := binary.BigEndian.Uint64(payload)
-	if v := int(u); uint64(v) == u {
-		return v, nil
+	return valueCodec[T]{
+		put: func(b []byte, v T) []byte { return c.enc(b, reflect.ValueOf(&v).Elem()) },
+		get: func(payload []byte) (T, error) {
+			var v T
+			rest, err := c.dec(reflect.ValueOf(&v).Elem(), payload)
+			if err == nil && len(rest) != 0 {
+				err = fmt.Errorf("%w: value: %d trailing bytes", ErrBadFrame, len(rest))
+			}
+			return v, err
+		},
 	}
-	return 0, fmt.Errorf("%w: int value %#x out of range", ErrBadFrame, u)
 }
 
 // send is c.send with v as the payload (e.Payload must be empty). An
@@ -149,7 +153,7 @@ func (vc valueCodec[T]) send(c *wireConn, e *envelope, v T) error {
 		return c.sendValue(e, v)
 	}
 	c.begin(e)
-	c.wbuf.Write(vc.put(c.wbuf.AvailableBuffer(), v))
+	c.wbuf = vc.put(c.wbuf, v)
 	return c.flush()
 }
 
@@ -199,7 +203,7 @@ type wireConn struct {
 	net.Conn
 	br   *bufio.Reader
 	rbuf []byte       // body of the last frame read
-	wbuf bytes.Buffer // the frame being sent
+	wbuf frameBuf     // the frame being sent
 	in   bytes.Reader // the payload being decoded
 	enc  *gob.Encoder // appends to wbuf
 	dec  *gob.Decoder // reads from in
@@ -248,6 +252,15 @@ func (c *wireConn) disarm(stop func() bool) bool {
 // expire pushes the connection's deadline into the distant past.
 func (c *wireConn) expire() { c.Conn.SetDeadline(time.Unix(1, 0)) }
 
+// frameBuf is the scratch buffer a frame is built in: appended to
+// directly, and written to by the gob encoder.
+type frameBuf []byte
+
+func (f *frameBuf) Write(p []byte) (int, error) {
+	*f = append(*f, p...)
+	return len(p), nil
+}
+
 // frameHeaderSpace reserves a frame's header in the scratch buffer.
 var frameHeaderSpace [frameHeaderSize]byte
 
@@ -275,14 +288,12 @@ func (c *wireConn) sendValue(e *envelope, value any) error {
 // begin starts a frame in the scratch buffer: reserved header, then
 // the envelope.
 func (c *wireConn) begin(e *envelope) {
-	c.wbuf.Reset()
-	c.wbuf.Write(frameHeaderSpace[:])
-	c.wbuf.Write(appendEnvelope(c.wbuf.AvailableBuffer(), e))
+	c.wbuf = appendEnvelope(append(c.wbuf[:0], frameHeaderSpace[:]...), e)
 }
 
 // flush seals the frame built in the scratch buffer and writes it.
 func (c *wireConn) flush() error {
-	frame := c.wbuf.Bytes()
+	frame := c.wbuf
 	if err := sealFrame(frame); err != nil {
 		return err
 	}

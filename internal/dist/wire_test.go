@@ -86,7 +86,7 @@ func idle[I, O any](r *Remote[I, O]) int {
 }
 
 // serve is startReplica for any value types.
-func serve[I, O any](t *testing.T, network *PipeNetwork, name string, fn func(I) (O, error)) {
+func serve[I, O any](t *testing.T, network *PipeNetwork, name string, fn func(I) (O, error)) *Server[I, O] {
 	t.Helper()
 	ln, err := network.Listen(name)
 	if err != nil {
@@ -95,29 +95,38 @@ func serve[I, O any](t *testing.T, network *PipeNetwork, name string, fn func(I)
 	srv := NewServer(core.NewVariant(name, func(_ context.Context, in I) (O, error) { return fn(in) }), ln, ServerConfig{Name: name})
 	go srv.Serve(context.Background())
 	t.Cleanup(func() { srv.Close() })
+	return srv
 }
 
-// point is a struct-typed RPC value: unlike an int, gob describes its
-// type on the wire before the first value.
+// point is a struct-typed RPC value, and a plain one (codec.go).
 type point struct{ X, Y int }
 
 func mirror(p point) (point, error) { return point{X: p.Y, Y: p.X}, nil }
 
+// tagged is a struct value that still goes through gob — a map is not
+// plain — so gob describes its type on the wire before the first value.
+type tagged struct {
+	X, Y int
+	Tags map[string]int
+}
+
+func swapTagged(v tagged) (tagged, error) { return tagged{X: v.Y, Y: v.X, Tags: v.Tags}, nil }
+
 func TestValueTypeCrossesOncePerConnection(t *testing.T) {
 	network := NewPipeNetwork()
-	serve(t, network, "r1", mirror)
+	serve(t, network, "r1", swapTagged)
 	var tp tap
-	remote, err := NewRemote[point, point]("mirror", RemoteConfig{}, Endpoint{Name: "r1", Dial: tp.wrap(network.Dial("r1"))})
+	remote, err := NewRemote[tagged, tagged]("swap", RemoteConfig{}, Endpoint{Name: "r1", Dial: tp.wrap(network.Dial("r1"))})
 	if err != nil {
 		t.Fatalf("NewRemote: %v", err)
 	}
 	defer remote.Close()
 	if remote.in.put != nil || remote.out.get != nil {
-		t.Fatal("point values skip gob: this test needs a gob-coded type")
+		t.Fatal("tagged values skip gob: this test needs a gob-coded type")
 	}
 	for i := 1; i <= 2; i++ {
-		got, err := remote.Execute(context.Background(), point{X: i, Y: -i})
-		if err != nil || got != (point{X: -i, Y: i}) {
+		got, err := remote.Execute(context.Background(), tagged{X: i, Y: -i, Tags: map[string]int{"call": i}})
+		if err != nil || got.X != -i || got.Y != i || len(got.Tags) != 1 || got.Tags["call"] != i {
 			t.Fatalf("call %d = %+v, %v", i, got, err)
 		}
 	}
@@ -130,33 +139,54 @@ func TestValueTypeCrossesOncePerConnection(t *testing.T) {
 	}
 }
 
-// TestIntValuesSkipGob: an int call is a fixed-size frame — header,
-// envelope and an 8-byte payload — from the first call on, and neither
-// peer ever builds a gob stream for it; a struct value goes through gob.
-func TestIntValuesSkipGob(t *testing.T) {
-	if codecFor[point]().put != nil || codecFor[picky]().put != nil {
-		t.Fatal("struct values skip gob")
+// TestPlainValuesSkipGob: a plain value — an int, a named int, a
+// struct of ints — is a fixed-layout payload from the first call on,
+// and neither peer ever builds a gob stream for it; a type with its own
+// gob methods, or with a field that is not plain, still goes through
+// gob.
+func TestPlainValuesSkipGob(t *testing.T) {
+	type celsius int
+	if codecFor[point]().put == nil || codecFor[celsius]().put == nil {
+		t.Fatal("a plain value type goes through gob")
 	}
-	type celsius int // a named int is another type: gob
-	if codecFor[celsius]().put != nil {
-		t.Fatal("a named int type skips gob")
+	if codecFor[picky]().put != nil || codecFor[tagged]().put != nil {
+		t.Fatal("a gob-coded type skips gob")
 	}
+	t.Run("int", func(t *testing.T) {
+		plainCalls(t, func(x int) (int, error) { return 2 * x, nil }, []int{21, -1 << 40, 0}, 8)
+	})
+	t.Run("struct", func(t *testing.T) {
+		plainCalls(t, mirror, []point{{1, -1}, {-1 << 40, 7}, {}}, 16)
+	})
+}
+
+// plainCalls calls a replica serving fn with each of inputs, and checks
+// the answers, that every call wrote one frame with a payload of size
+// bytes, and that both peers code T without gob: the server by its
+// codecs, the client by its connections, none of which built a gob
+// stream.
+func plainCalls[T comparable](t *testing.T, fn func(T) (T, error), inputs []T, size int) {
+	t.Helper()
 	network := NewPipeNetwork()
-	srv := startReplica(t, network, "r1", double())
+	srv := serve(t, network, "r1", fn)
+	if srv.in.get == nil || srv.out.put == nil {
+		t.Fatal("the server codes its values with gob")
+	}
 	var tp tap
-	remote, err := NewRemote[int, int]("doubler", RemoteConfig{}, Endpoint{Name: "r1", Dial: tp.wrap(network.Dial("r1"))})
+	remote, err := NewRemote[T, T]("plain", RemoteConfig{}, Endpoint{Name: "r1", Dial: tp.wrap(network.Dial("r1"))})
 	if err != nil {
 		t.Fatalf("NewRemote: %v", err)
 	}
 	defer remote.Close()
-	for _, in := range []int{21, -1 << 40, 0} {
-		if got, err := remote.Execute(context.Background(), in); err != nil || got != 2*in {
-			t.Fatalf("Execute(%d) = %d, %v", in, got, err)
+	for _, in := range inputs {
+		want, _ := fn(in)
+		if got, err := remote.Execute(context.Background(), in); err != nil || got != want {
+			t.Fatalf("Execute(%+v) = %+v, %v; want %+v", in, got, err, want)
 		}
 	}
 	_, writes := tp.snapshot()
 	for i, n := range writes {
-		if want := frameHeaderSize + envelopeFixedSize + intSize; n != want {
+		if want := frameHeaderSize + envelopeFixedSize + size; n != want {
 			t.Fatalf("call %d wrote %d bytes, want %d", i+1, n, want)
 		}
 	}
@@ -165,11 +195,8 @@ func TestIntValuesSkipGob(t *testing.T) {
 	defer p.mu.Unlock()
 	for c := range p.all {
 		if c.enc != nil || c.dec != nil {
-			t.Fatal("an int-only client connection built a gob stream")
+			t.Fatal("a plain-only client connection built a gob stream")
 		}
-	}
-	if srv.in.get == nil || srv.out.put == nil {
-		t.Fatal("the int server codes its values with gob")
 	}
 }
 
@@ -331,54 +358,71 @@ func TestCancelledAttemptCostsNothing(t *testing.T) {
 }
 
 // TestDuplicatedAndReorderedFrames drives calls through the fault
-// injector's connection. A duplicated or held-back frame leaves the
-// peers' streams out of step; the call that notices must fail and drop
-// its connection, and no call may ever return a wrong value.
+// injector's connection, once with a plain value type and once with a
+// gob-coded one. A duplicated or held-back frame answers the wrong
+// call, and leaves gob streams out of step; the call that notices must
+// fail and drop its connection, and no call may ever return a wrong
+// value.
 func TestDuplicatedAndReorderedFrames(t *testing.T) {
 	for _, phase := range []faultmodel.NetworkPhase{
 		{Name: "duplicate", Duplicate: 0.5},
 		{Name: "reorder", Reorder: 0.5},
 	} {
+		phase.Duration = faultmodel.Duration(time.Hour)
 		t.Run(phase.Name, func(t *testing.T) {
-			network := NewPipeNetwork()
-			serve(t, network, "r1", mirror)
-			phase.Duration = faultmodel.Duration(time.Hour)
-			campaign := &faultmodel.NetworkCampaign{Name: phase.Name, Seed: 7, Phases: []faultmodel.NetworkPhase{phase}}
-			var tp tap
-			// The tap sits inside the injector, so it sees what reaches
-			// the pipe. The deadline is short because on a synchronous
-			// pipe a disturbed exchange ends in both peers blocked.
-			remote, err := NewRemote[point, point]("mirror", RemoteConfig{CallTimeout: 50 * time.Millisecond},
-				Endpoint{Name: "r1", Dial: campaign.Wrap("r1", tp.wrap(network.Dial("r1")))})
-			if err != nil {
-				t.Fatalf("NewRemote: %v", err)
-			}
-			defer remote.Close()
-			campaign.Start()
-			failures, lastFailed := 0, false
-			for i := 1; i <= 24; i++ {
-				got, err := remote.Execute(context.Background(), point{X: i, Y: -i})
-				lastFailed = err != nil
-				if err != nil {
-					failures++
-					if n := idle(remote); n != 0 {
-						t.Fatalf("call %d failed (%v) and left %d connections pooled", i, err, n)
-					}
-				} else if got != (point{X: -i, Y: i}) {
-					t.Fatalf("call %d returned the wrong value %+v", i, got)
-				}
-			}
-			if failures == 0 || failures == 24 {
-				t.Fatalf("%d of 24 calls failed; the schedule should disturb some and spare some", failures)
-			}
-			want := 1 + failures
-			if lastFailed {
-				want-- // nothing redialed after it
-			}
-			if dials, _ := tp.snapshot(); dials != want {
-				t.Fatalf("%d dials for %d failures, want %d: one fresh connection per dropped one", dials, failures, want)
-			}
+			t.Run("plain", func(t *testing.T) {
+				disturbedCalls(t, phase, mirror, func(i int) point { return point{X: i, Y: -i} },
+					func(i int, got point) bool { return got == point{X: -i, Y: i} })
+			})
+			t.Run("gob", func(t *testing.T) {
+				disturbedCalls(t, phase, swapTagged, func(i int) tagged { return tagged{X: i, Y: -i} },
+					func(i int, got tagged) bool { return got.X == -i && got.Y == i && got.Tags == nil })
+			})
 		})
+	}
+}
+
+// disturbedCalls makes 24 calls, the i-th with input(i), to a replica
+// serving fn behind a connection disturbed by phase, and checks every
+// answer with ok.
+func disturbedCalls[T any](t *testing.T, phase faultmodel.NetworkPhase, fn func(T) (T, error), input func(int) T, ok func(int, T) bool) {
+	t.Helper()
+	network := NewPipeNetwork()
+	serve(t, network, "r1", fn)
+	campaign := &faultmodel.NetworkCampaign{Name: phase.Name, Seed: 7, Phases: []faultmodel.NetworkPhase{phase}}
+	var tp tap
+	// The tap sits inside the injector, so it sees what reaches
+	// the pipe. The deadline is short because on a synchronous
+	// pipe a disturbed exchange ends in both peers blocked.
+	remote, err := NewRemote[T, T]("disturbed", RemoteConfig{CallTimeout: 50 * time.Millisecond},
+		Endpoint{Name: "r1", Dial: campaign.Wrap("r1", tp.wrap(network.Dial("r1")))})
+	if err != nil {
+		t.Fatalf("NewRemote: %v", err)
+	}
+	defer remote.Close()
+	campaign.Start()
+	failures, lastFailed := 0, false
+	for i := 1; i <= 24; i++ {
+		got, err := remote.Execute(context.Background(), input(i))
+		lastFailed = err != nil
+		if err != nil {
+			failures++
+			if n := idle(remote); n != 0 {
+				t.Fatalf("call %d failed (%v) and left %d connections pooled", i, err, n)
+			}
+		} else if !ok(i, got) {
+			t.Fatalf("call %d returned the wrong value %+v", i, got)
+		}
+	}
+	if failures == 0 || failures == 24 {
+		t.Fatalf("%d of 24 calls failed; the schedule should disturb some and spare some", failures)
+	}
+	want := 1 + failures
+	if lastFailed {
+		want-- // nothing redialed after it
+	}
+	if dials, _ := tp.snapshot(); dials != want {
+		t.Fatalf("%d dials for %d failures, want %d: one fresh connection per dropped one", dials, failures, want)
 	}
 }
 
