@@ -58,6 +58,31 @@ func TestULIDMonotonicSameMillisecond(t *testing.T) {
 	}
 }
 
+// FuzzValidateULID: the run-ID validator never panics, and an ID it
+// accepts also yields its timestamp, a millisecond count of at most 48
+// bits.
+func FuzzValidateULID(f *testing.F) {
+	for _, id := range []string{
+		MakeULID(time.UnixMilli(1723200000123), [10]byte{1, 2, 3}),
+		"", "SHORT", "8ZZZZZZZZZZZZZZZZZZZZZZZZZ", "7ZZZZZZZZZZZZZZZZZZZZZZZZZ",
+		"01ARZ3NDEKTSV4RRFFQ69G5FA!", "01arz3ndektsv4rrffq69g5fav", "0000000000000000000000000\xff",
+	} {
+		f.Add(id)
+	}
+	f.Fuzz(func(t *testing.T, id string) {
+		if ValidateULID(id) != nil {
+			return
+		}
+		at, err := ULIDTime(id)
+		if err != nil {
+			t.Fatalf("ValidateULID accepted %q, but ULIDTime fails: %v", id, err)
+		}
+		if ms := at.UnixMilli(); ms < 0 || ms >= 1<<48 {
+			t.Fatalf("ULIDTime(%q) = %d ms, beyond 48 bits", id, ms)
+		}
+	})
+}
+
 func TestValidateULIDRejects(t *testing.T) {
 	for _, bad := range []string{
 		"",

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"unsafe"
@@ -30,14 +29,53 @@ import (
 // or slice decodes as the zero value, nil for a slice, as under gob.
 // Decoding fills a zero value and copies out of the payload, so the
 // value keeps no reference to the frame it came in.
+//
+// The codec is a program compiled once from the type: one op per
+// scalar, string, byte slice, byte array, array or slice in the value,
+// each at its offset from the value's start, a struct flattened into
+// its fields' ops. put and get run the program over a pointer to the
+// value, reading and storing each field through its offset, so the
+// value itself is never boxed and stays wherever its caller keeps it.
 type plainCodec struct {
-	enc func(b []byte, v reflect.Value) []byte
-	// dec decodes a value from the front of p into v, a settable zero
-	// value, and returns what is left of p.
-	dec func(v reflect.Value, p []byte) ([]byte, error)
+	ops []op
+	// size is the type's size in memory, the stride of an element.
+	size uintptr
 	// min is the fewest bytes a value encodes to; a slice's elements
 	// must have min > 0, which bounds a decoded length by the payload.
 	min int
+}
+
+type opKind uint8
+
+const (
+	opBool opKind = iota
+	opInt         // a signed int, sign-extended between mem and wire bytes
+	opUint        // an unsigned int, or a float's bits
+	opString
+	opBytes     // a slice of a byte kind
+	opByteArray // an array of n of a byte kind
+	opArray     // an array of n elements coded by elem
+	opSlice     // a slice of elements coded by elem
+)
+
+// op codes one field of a value: the one at off bytes from its start.
+type op struct {
+	kind opKind
+	// mem and wire are an int's or uint's width in memory and on the
+	// wire; they differ only for int and uint on a 32-bit platform.
+	mem, wire uint8
+	off       uintptr
+	n         int
+	elem      *plainCodec
+	// typ is the field's type: an int's is named when a decoded value
+	// does not fit, a slice's is grown to the decoded length.
+	typ reflect.Type
+}
+
+// sliceHeader is the memory layout of every slice.
+type sliceHeader struct {
+	data     unsafe.Pointer
+	len, cap int
 }
 
 // gobCustom lists the interfaces gob honours in place of a type's
@@ -63,64 +101,239 @@ func customCoded(t reflect.Type) bool {
 // outer holds the composite types t is nested in: a type met again
 // inside itself is recursive, and not plain.
 func compilePlain(t reflect.Type, outer []reflect.Type) (plainCodec, bool) {
-	if slices.Contains(outer, t) || customCoded(t) {
+	ops, least, ok := appendOps(nil, t, 0, outer)
+	if !ok {
 		return plainCodec{}, false
 	}
+	return plainCodec{ops: ops, size: t.Size(), min: least}, true
+}
+
+// appendOps appends to ops the ops of a t at offset off, and returns
+// them with the fewest bytes a t encodes to; false means t is not
+// plain.
+func appendOps(ops []op, t reflect.Type, off uintptr, outer []reflect.Type) ([]op, int, bool) {
+	if slices.Contains(outer, t) || customCoded(t) {
+		return nil, 0, false
+	}
+	o := op{off: off, typ: t}
+	least := 1 // a bool's byte, or a string's or slice's length
 	switch t.Kind() {
 	case reflect.Bool:
-		return plainCodec{enc: encBool, dec: decBool, min: 1}, true
+		o.kind = opBool
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return intCodec(wireSize(t)), true
+		o.kind, o.mem, o.wire = opInt, uint8(t.Size()), wireSize(t)
+		least = int(o.wire)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return uintCodec(wireSize(t)), true
-	case reflect.Float32:
-		return plainCodec{enc: encFloat32, dec: decFloat32, min: 4}, true
-	case reflect.Float64:
-		return plainCodec{enc: encFloat64, dec: decFloat64, min: 8}, true
+		o.kind, o.mem, o.wire = opUint, uint8(t.Size()), wireSize(t)
+		least = int(o.wire)
+	case reflect.Float32, reflect.Float64:
+		// Copied as its bits: a conversion through float64 may quiet a
+		// signalling NaN and so change the bits a value encodes to.
+		o.kind, o.mem, o.wire = opUint, uint8(t.Size()), uint8(t.Size())
+		least = int(o.wire)
 	case reflect.String:
-		return plainCodec{enc: encString, dec: decString, min: 1}, true
+		o.kind = opString
 	case reflect.Slice:
 		elem, ok := compilePlain(t.Elem(), append(outer, t))
 		if !ok || elem.min == 0 {
-			return plainCodec{}, false
+			return nil, 0, false
 		}
+		o.kind, o.elem = opSlice, &elem
 		if t.Elem().Kind() == reflect.Uint8 {
-			return plainCodec{enc: encBytes, dec: decBytes, min: 1}, true
+			o.kind, o.elem = opBytes, nil
 		}
-		return sliceCodec(elem), true
 	case reflect.Array:
 		elem, ok := compilePlain(t.Elem(), append(outer, t))
 		if !ok {
-			return plainCodec{}, false
+			return nil, 0, false
 		}
+		if t.Len() == 0 {
+			return ops, 0, true
+		}
+		o.kind, o.n, o.elem = opArray, t.Len(), &elem
 		if t.Elem().Kind() == reflect.Uint8 {
-			return byteArrayCodec(t.Len()), true
+			o.kind, o.elem = opByteArray, nil
 		}
-		return arrayCodec(elem, t.Len()), true
+		return append(ops, o), o.n * elem.min, true
 	case reflect.Struct:
-		fields := make([]plainCodec, t.NumField())
-		for i := range fields {
+		least = 0
+		for i := range t.NumField() {
 			f := t.Field(i)
 			if !f.IsExported() {
-				return plainCodec{}, false
+				return nil, 0, false
 			}
-			field, ok := compilePlain(f.Type, append(outer, t))
-			if !ok {
-				return plainCodec{}, false
+			var field int
+			var ok bool
+			if ops, field, ok = appendOps(ops, f.Type, off+f.Offset, append(outer, t)); !ok {
+				return nil, 0, false
 			}
-			fields[i] = field
+			least += field
 		}
-		return structCodec(fields), true
+		return ops, least, true
+	default:
+		return nil, 0, false
 	}
-	return plainCodec{}, false
+	return append(ops, o), least, true
 }
 
 // wireSize is the width of an int or uint kind on the wire.
-func wireSize(t reflect.Type) int {
+func wireSize(t reflect.Type) uint8 {
 	if k := t.Kind(); k == reflect.Int || k == reflect.Uint {
 		return 8
 	}
-	return int(t.Size())
+	return uint8(t.Size())
+}
+
+// put appends the encoding of the value at v to b.
+func (c *plainCodec) put(b []byte, v unsafe.Pointer) []byte {
+	for i := range c.ops {
+		o := &c.ops[i]
+		p := unsafe.Add(v, o.off)
+		switch o.kind {
+		case opBool:
+			if *(*bool)(p) {
+				b = append(b, 1)
+			} else {
+				b = append(b, 0)
+			}
+		case opInt:
+			b = appendWord(b, uint64(loadInt(p, o.mem)), o.wire)
+		case opUint:
+			b = appendWord(b, loadUint(p, o.mem), o.wire)
+		case opString:
+			s := *(*string)(p)
+			b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+		case opBytes:
+			s := *(*[]byte)(p)
+			b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+		case opByteArray:
+			b = append(b, unsafe.Slice((*byte)(p), o.n)...)
+		case opArray:
+			b = o.elem.putN(b, p, o.n)
+		case opSlice:
+			s := (*sliceHeader)(p)
+			b = o.elem.putN(binary.AppendUvarint(b, uint64(s.len)), s.data, s.len)
+		}
+	}
+	return b
+}
+
+// putN appends the n values laid out from v.
+func (c *plainCodec) putN(b []byte, v unsafe.Pointer, n int) []byte {
+	for i := range n {
+		b = c.put(b, unsafe.Add(v, uintptr(i)*c.size))
+	}
+	return b
+}
+
+// get decodes a value from the front of b into v, a zero value, and
+// returns what is left of b.
+func (c *plainCodec) get(v unsafe.Pointer, b []byte) ([]byte, error) {
+	for i := range c.ops {
+		o := &c.ops[i]
+		p := unsafe.Add(v, o.off)
+		switch o.kind {
+		case opBool:
+			if len(b) < 1 {
+				return nil, short(b, 1)
+			}
+			if b[0] > 1 {
+				return nil, fmt.Errorf("%w: value: bool byte %d", ErrBadFrame, b[0])
+			}
+			*(*bool)(p) = b[0] == 1
+			b = b[1:]
+		case opInt, opUint:
+			u, rest, err := readWord(b, o.wire)
+			if err != nil {
+				return nil, err
+			}
+			if u, err = o.fit(u); err != nil {
+				return nil, err
+			}
+			storeWord(p, o.mem, u)
+			b = rest
+		case opString:
+			n, rest, err := readLen(b, 1)
+			if err != nil {
+				return nil, err
+			}
+			if n > 0 {
+				*(*string)(p) = string(rest[:n])
+			}
+			b = rest[n:]
+		case opBytes:
+			n, rest, err := readLen(b, 1)
+			if err != nil {
+				return nil, err
+			}
+			if n > 0 {
+				s := make([]byte, n)
+				copy(s, rest)
+				*(*[]byte)(p) = s
+			}
+			b = rest[n:]
+		case opByteArray:
+			if len(b) < o.n {
+				return nil, short(b, o.n)
+			}
+			copy(unsafe.Slice((*byte)(p), o.n), b)
+			b = b[o.n:]
+		case opArray:
+			var err error
+			if b, err = o.elem.getN(p, o.n, b); err != nil {
+				return nil, err
+			}
+		case opSlice:
+			n, rest, err := readLen(b, o.elem.min)
+			if err != nil {
+				return nil, err
+			}
+			if n > 0 {
+				s := reflect.NewAt(o.typ, p).Elem()
+				s.Grow(n)
+				s.SetLen(n)
+				if rest, err = o.elem.getN((*sliceHeader)(p).data, n, rest); err != nil {
+					return nil, err
+				}
+			}
+			b = rest
+		}
+	}
+	return b, nil
+}
+
+// getN decodes n values from the front of b into the zero values laid
+// out from v.
+func (c *plainCodec) getN(v unsafe.Pointer, n int, b []byte) (rest []byte, err error) {
+	rest = b
+	for i := range n {
+		if rest, err = c.get(unsafe.Add(v, uintptr(i)*c.size), rest); err != nil {
+			return nil, err
+		}
+	}
+	return rest, nil
+}
+
+// fit converts u, an int or uint read off the wire, to the 64-bit
+// pattern of its value, and checks that the value fits o.mem bytes.
+func (o *op) fit(u uint64) (uint64, error) {
+	if o.kind == opInt {
+		x := signExtend(u, o.wire)
+		if o.mem < o.wire && signExtend(uint64(x), o.mem) != x {
+			return 0, fmt.Errorf("%w: value: %d out of range for %s", ErrBadFrame, x, o.typ)
+		}
+		return uint64(x), nil
+	}
+	if o.mem < o.wire && u>>(8*uint(o.mem)) != 0 {
+		return 0, fmt.Errorf("%w: value: %d out of range for %s", ErrBadFrame, u, o.typ)
+	}
+	return u, nil
+}
+
+// signExtend is the value of u's low size bytes as a signed int.
+func signExtend(u uint64, size uint8) int64 {
+	shift := 64 - 8*uint(size)
+	return int64(u<<shift) >> shift
 }
 
 // short reports a payload that ended inside a value.
@@ -128,7 +341,45 @@ func short(p []byte, want int) error {
 	return fmt.Errorf("%w: value: %d bytes left, need %d", ErrBadFrame, len(p), want)
 }
 
-func appendWord(b []byte, u uint64, size int) []byte {
+func loadInt(p unsafe.Pointer, size uint8) int64 {
+	switch size {
+	case 1:
+		return int64(*(*int8)(p))
+	case 2:
+		return int64(*(*int16)(p))
+	case 4:
+		return int64(*(*int32)(p))
+	}
+	return *(*int64)(p)
+}
+
+func loadUint(p unsafe.Pointer, size uint8) uint64 {
+	switch size {
+	case 1:
+		return uint64(*(*uint8)(p))
+	case 2:
+		return uint64(*(*uint16)(p))
+	case 4:
+		return uint64(*(*uint32)(p))
+	}
+	return *(*uint64)(p)
+}
+
+// storeWord stores u's low size bytes at p.
+func storeWord(p unsafe.Pointer, size uint8, u uint64) {
+	switch size {
+	case 1:
+		*(*uint8)(p) = uint8(u)
+	case 2:
+		*(*uint16)(p) = uint16(u)
+	case 4:
+		*(*uint32)(p) = uint32(u)
+	default:
+		*(*uint64)(p) = u
+	}
+}
+
+func appendWord(b []byte, u uint64, size uint8) []byte {
 	switch size {
 	case 1:
 		return append(b, byte(u))
@@ -141,9 +392,9 @@ func appendWord(b []byte, u uint64, size int) []byte {
 }
 
 // readWord reads a size-byte word off the front of p.
-func readWord(p []byte, size int) (uint64, []byte, error) {
-	if len(p) < size {
-		return 0, nil, short(p, size)
+func readWord(p []byte, size uint8) (uint64, []byte, error) {
+	if len(p) < int(size) {
+		return 0, nil, short(p, int(size))
 	}
 	var u uint64
 	switch size {
@@ -159,95 +410,10 @@ func readWord(p []byte, size int) (uint64, []byte, error) {
 	return u, p[size:], nil
 }
 
-func encBool(b []byte, v reflect.Value) []byte {
-	if v.Bool() {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func decBool(v reflect.Value, p []byte) ([]byte, error) {
-	if len(p) < 1 {
-		return nil, short(p, 1)
-	}
-	if p[0] > 1 {
-		return nil, fmt.Errorf("%w: value: bool byte %d", ErrBadFrame, p[0])
-	}
-	v.SetBool(p[0] == 1)
-	return p[1:], nil
-}
-
-func intCodec(size int) plainCodec {
-	shift := 64 - 8*size // sign-extends a size-byte word
-	return plainCodec{
-		enc: func(b []byte, v reflect.Value) []byte { return appendWord(b, uint64(v.Int()), size) },
-		dec: func(v reflect.Value, p []byte) ([]byte, error) {
-			u, rest, err := readWord(p, size)
-			if err != nil {
-				return nil, err
-			}
-			x := int64(u<<shift) >> shift
-			if v.OverflowInt(x) { // an int narrower than 64 bits
-				return nil, fmt.Errorf("%w: value: %d out of range for %s", ErrBadFrame, x, v.Type())
-			}
-			v.SetInt(x)
-			return rest, nil
-		},
-		min: size,
-	}
-}
-
-func uintCodec(size int) plainCodec {
-	return plainCodec{
-		enc: func(b []byte, v reflect.Value) []byte { return appendWord(b, v.Uint(), size) },
-		dec: func(v reflect.Value, p []byte) ([]byte, error) {
-			u, rest, err := readWord(p, size)
-			if err != nil {
-				return nil, err
-			}
-			if v.OverflowUint(u) {
-				return nil, fmt.Errorf("%w: value: %d out of range for %s", ErrBadFrame, u, v.Type())
-			}
-			v.SetUint(u)
-			return rest, nil
-		},
-		min: size,
-	}
-}
-
-// A float32 is read and written as its bits: reflect's Float and
-// SetFloat convert through float64, which may quiet a signalling NaN
-// and so change the bits a value encodes to.
-func encFloat32(b []byte, v reflect.Value) []byte {
-	return binary.BigEndian.AppendUint32(b, *(*uint32)(v.Addr().UnsafePointer()))
-}
-
-func decFloat32(v reflect.Value, p []byte) ([]byte, error) {
-	u, rest, err := readWord(p, 4)
-	if err != nil {
-		return nil, err
-	}
-	*(*uint32)(v.Addr().UnsafePointer()) = uint32(u)
-	return rest, nil
-}
-
-func encFloat64(b []byte, v reflect.Value) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(v.Float()))
-}
-
-func decFloat64(v reflect.Value, p []byte) ([]byte, error) {
-	u, rest, err := readWord(p, 8)
-	if err != nil {
-		return nil, err
-	}
-	v.SetFloat(math.Float64frombits(u))
-	return rest, nil
-}
-
 // readLen reads a length prefix off the front of p: the shortest
-// uvarint, counting values of at least min bytes each that the rest of
-// p can hold, at each bytes a value. A corrupt length therefore never
-// sizes an allocation beyond the payload.
+// uvarint, counting values of at least each bytes that the rest of p
+// can hold. A corrupt length therefore never sizes an allocation
+// beyond the payload.
 func readLen(p []byte, each int) (int, []byte, error) {
 	n, k := binary.Uvarint(p)
 	switch {
@@ -261,182 +427,4 @@ func readLen(p []byte, each int) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: value: length %d exceeds the %d bytes left", ErrBadFrame, n, len(rest))
 	}
 	return int(n), rest, nil
-}
-
-func encString(b []byte, v reflect.Value) []byte {
-	s := v.String()
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func decString(v reflect.Value, p []byte) ([]byte, error) {
-	n, rest, err := readLen(p, 1)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		v.SetString(string(rest[:n]))
-	}
-	return rest[n:], nil
-}
-
-// encBytes and decBytes code a slice of a byte kind in one copy.
-func encBytes(b []byte, v reflect.Value) []byte {
-	bs := v.Bytes()
-	return append(binary.AppendUvarint(b, uint64(len(bs))), bs...)
-}
-
-func decBytes(v reflect.Value, p []byte) ([]byte, error) {
-	n, rest, err := readLen(p, 1)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		bs := make([]byte, n)
-		copy(bs, rest)
-		v.SetBytes(bs)
-	}
-	return rest[n:], nil
-}
-
-func byteArrayCodec(n int) plainCodec {
-	return plainCodec{
-		enc: func(b []byte, v reflect.Value) []byte { return append(b, v.Bytes()...) },
-		dec: func(v reflect.Value, p []byte) ([]byte, error) {
-			if len(p) < n {
-				return nil, short(p, n)
-			}
-			copy(v.Bytes(), p)
-			return p[n:], nil
-		},
-		min: n,
-	}
-}
-
-func sliceCodec(elem plainCodec) plainCodec {
-	return plainCodec{
-		enc: func(b []byte, v reflect.Value) []byte {
-			b = binary.AppendUvarint(b, uint64(v.Len()))
-			for i := range v.Len() {
-				b = elem.enc(b, v.Index(i))
-			}
-			return b
-		},
-		dec: func(v reflect.Value, p []byte) ([]byte, error) {
-			n, rest, err := readLen(p, elem.min)
-			if err != nil || n == 0 {
-				return rest, err
-			}
-			v.Grow(n)
-			v.SetLen(n)
-			for i := range n {
-				if rest, err = elem.dec(v.Index(i), rest); err != nil {
-					return nil, err
-				}
-			}
-			return rest, nil
-		},
-		min: 1,
-	}
-}
-
-func arrayCodec(elem plainCodec, n int) plainCodec {
-	return plainCodec{
-		enc: func(b []byte, v reflect.Value) []byte {
-			for i := range n {
-				b = elem.enc(b, v.Index(i))
-			}
-			return b
-		},
-		dec: func(v reflect.Value, p []byte) (rest []byte, err error) {
-			rest = p
-			for i := range n {
-				if rest, err = elem.dec(v.Index(i), rest); err != nil {
-					return nil, err
-				}
-			}
-			return rest, nil
-		},
-		min: n * elem.min,
-	}
-}
-
-func structCodec(fields []plainCodec) plainCodec {
-	size := 0
-	for _, f := range fields {
-		size += f.min
-	}
-	return plainCodec{
-		enc: func(b []byte, v reflect.Value) []byte {
-			for i, f := range fields {
-				b = f.enc(b, v.Field(i))
-			}
-			return b
-		},
-		dec: func(v reflect.Value, p []byte) (rest []byte, err error) {
-			rest = p
-			for i, f := range fields {
-				if rest, err = f.dec(v.Field(i), rest); err != nil {
-					return nil, err
-				}
-			}
-			return rest, nil
-		},
-		min: size,
-	}
-}
-
-// wordCodec is the codec of a plain T that is one bool, int, uint or
-// float whose size in memory is its size on the wire: the value is
-// copied as a machine word of that size, so it is never handed to
-// reflect and stays off the heap. Its payload is exactly that word.
-func wordCodec[T any](t reflect.Type) (valueCodec[T], bool) {
-	switch t.Kind() {
-	case reflect.Bool:
-		return valueCodec[T]{put: putWord[T, uint8], get: getBool[T]}, true
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64:
-		if wireSize(t) != int(t.Size()) {
-			return valueCodec[T]{}, false
-		}
-	default:
-		return valueCodec[T]{}, false
-	}
-	switch t.Size() {
-	case 1:
-		return valueCodec[T]{put: putWord[T, uint8], get: getWord[T, uint8]}, true
-	case 2:
-		return valueCodec[T]{put: putWord[T, uint16], get: getWord[T, uint16]}, true
-	case 4:
-		return valueCodec[T]{put: putWord[T, uint32], get: getWord[T, uint32]}, true
-	}
-	return valueCodec[T]{put: putWord[T, uint64], get: getWord[T, uint64]}, true
-}
-
-// word is the unsigned integer a wordCodec value is copied as.
-type word interface {
-	uint8 | uint16 | uint32 | uint64
-}
-
-func putWord[T any, W word](b []byte, v T) []byte {
-	return appendWord(b, uint64(*(*W)(unsafe.Pointer(&v))), int(unsafe.Sizeof(W(0))))
-}
-
-func getWord[T any, W word](payload []byte) (T, error) {
-	var v T
-	size := int(unsafe.Sizeof(W(0)))
-	if len(payload) != size {
-		return v, fmt.Errorf("%w: value: %d bytes, want %d", ErrBadFrame, len(payload), size)
-	}
-	u, _, _ := readWord(payload, size)
-	*(*W)(unsafe.Pointer(&v)) = W(u)
-	return v, nil
-}
-
-func getBool[T any](payload []byte) (T, error) {
-	if len(payload) == 1 && payload[0] > 1 {
-		var v T
-		return v, fmt.Errorf("%w: value: bool byte %d", ErrBadFrame, payload[0])
-	}
-	return getWord[T, uint8](payload)
 }

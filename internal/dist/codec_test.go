@@ -7,6 +7,7 @@ package dist
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -38,6 +39,35 @@ type record struct {
 	Tags  []string
 	Spots []point
 	Inner blob
+}
+
+// padded has padding between its fields and after the last, which
+// the codec must step over by the fields' offsets.
+type padded struct {
+	A int8
+	B int64
+	C int16
+}
+
+// narrow is a struct of 4-byte ints; narrowCodec codes it the way int
+// and uint are coded on a 32-bit platform, 8 bytes on the wire.
+type narrow struct {
+	N int32
+	U uint32
+}
+
+// narrowCodec is narrow's codec with every int widened to 8 bytes on
+// the wire, so that a value off the wire may not fit in memory.
+func narrowCodec() valueCodec[narrow] {
+	c, ok := compilePlain(reflect.TypeFor[narrow](), nil)
+	if !ok {
+		panic("narrow is not plain")
+	}
+	for i := range c.ops {
+		c.ops[i].wire = 8
+	}
+	c.min = 16
+	return plainValues[narrow](&c)
 }
 
 // Types gob must keep: each implements one of the interfaces gob
@@ -121,14 +151,58 @@ func TestPlainMatchesGob(t *testing.T) {
 	matchesGob[blob](t, rng)
 	matchesGob[record](t, rng)
 	matchesGob[point](t, rng)
+	matchesGob[padded](t, rng)
+	matchesGob[[3]padded](t, rng)
+	matchesGob[[2]blob](t, rng)
 	matchesGob[[3]float64](t, rng)
 	matchesGob[[]string](t, rng)
+	matchesGob[[][]string](t, rng)
+	matchesGob[[][]int16](t, rng)
+	matchesGob[[]padded](t, rng)
 	matchesGob[string](t, rng)
 	matchesGob[bool](t, rng)
 	matchesGob[float64](t, rng)
 	matchesGob[float32](t, rng)
 	matchesGob[int16](t, rng)
 	matchesGob[int](t, rng)
+	t.Run("narrow ints", func(t *testing.T) { narrowMatchesGob(t, rng) })
+}
+
+// narrowMatchesGob decodes 8-byte ints into 4-byte ones with
+// narrowCodec and with gob: a value that fits must decode to itself
+// under both, one that does not must be ErrBadFrame where gob fails.
+func narrowMatchesGob(t *testing.T, rng *xrand.Rand) {
+	type wide struct {
+		N int64
+		U uint64
+	}
+	wides, narrows := codecFor[wide](), narrowCodec()
+	edges := []int64{0, 1, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1, math.MaxUint32, math.MaxUint32 + 1, math.MaxInt64, math.MinInt64}
+	pick := func() int64 {
+		if rng.Intn(2) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return int64(rng.Uint64()) >> rng.Intn(64)
+	}
+	for i := range 1000 {
+		w := wide{N: pick(), U: uint64(pick())}
+		fits := w.N == int64(int32(w.N)) && w.U == uint64(uint32(w.U))
+		got, err := narrows.get(wides.put(nil, w))
+		var buf bytes.Buffer
+		var want narrow
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			t.Fatalf("value %d: gob encode: %v", i, err)
+		}
+		gobErr := gob.NewDecoder(&buf).Decode(&want)
+		switch {
+		case fits && (err != nil || got != narrow{int32(w.N), uint32(w.U)}):
+			t.Fatalf("value %d: %+v decodes as %+v, %v", i, w, got, err)
+		case !fits && !errors.Is(err, ErrBadFrame):
+			t.Fatalf("value %d: %+v out of range decodes as %+v, %v; want ErrBadFrame", i, w, got, err)
+		case (err == nil) != (gobErr == nil) || err == nil && got != want:
+			t.Fatalf("value %d: %+v decodes as %+v, %v; gob %+v, %v", i, w, got, err, want, gobErr)
+		}
+	}
 }
 
 func matchesGob[T any](t *testing.T, rng *xrand.Rand) {
@@ -153,10 +227,10 @@ func matchesGob[T any](t *testing.T, rng *xrand.Rand) {
 			if err := gob.NewDecoder(&buf).Decode(&want); err != nil {
 				t.Fatalf("value %d: gob decode: %v", i, err)
 			}
-			if !sameBits(reflect.ValueOf(got), reflect.ValueOf(v), true) {
+			if !sameBits(reflect.ValueOf(&got).Elem(), reflect.ValueOf(&v).Elem(), true) {
 				t.Fatalf("value %d: %+v decodes as %+v", i, v, got)
 			}
-			if !sameBits(reflect.ValueOf(got), reflect.ValueOf(want), false) {
+			if !sameBits(reflect.ValueOf(&got).Elem(), reflect.ValueOf(&want).Elem(), false) {
 				t.Fatalf("value %d: plain decodes %+v, gob %+v", i, got, want)
 			}
 			if again := vc.put(nil, got); !bytes.Equal(again, payload) {
@@ -166,16 +240,19 @@ func matchesGob[T any](t *testing.T, rng *xrand.Rand) {
 	})
 }
 
-// sameBits is reflect.DeepEqual with floats compared by their bits, so
-// a NaN equals itself; -0 differs from 0 if signedZero.
-func sameBits(a, b reflect.Value, signedZero bool) bool {
+// sameBits is reflect.DeepEqual over two addressable values with
+// floats compared by their bits, so a NaN equals itself. Unless exact,
+// it forgives what gob does to a float: -0 equals 0, since gob omits a
+// zero field, and a float32 NaN equals any other, since gob converts a
+// float32 through float64, which quiets a signalling NaN.
+func sameBits(a, b reflect.Value, exact bool) bool {
 	switch a.Kind() {
 	case reflect.Float32, reflect.Float64:
 		x, y := a.Float(), b.Float()
-		if x == 0 && y == 0 && !signedZero {
+		if !exact && (x == 0 && y == 0 || a.Kind() == reflect.Float32 && math.IsNaN(x) && math.IsNaN(y)) {
 			return true
 		}
-		return math.Float64bits(x) == math.Float64bits(y)
+		return floatBits(a) == floatBits(b)
 	case reflect.Slice:
 		if a.IsNil() != b.IsNil() {
 			return false
@@ -186,20 +263,29 @@ func sameBits(a, b reflect.Value, signedZero bool) bool {
 			return false
 		}
 		for i := range a.Len() {
-			if !sameBits(a.Index(i), b.Index(i), signedZero) {
+			if !sameBits(a.Index(i), b.Index(i), exact) {
 				return false
 			}
 		}
 		return true
 	case reflect.Struct:
 		for i := range a.NumField() {
-			if !sameBits(a.Field(i), b.Field(i), signedZero) {
+			if !sameBits(a.Field(i), b.Field(i), exact) {
 				return false
 			}
 		}
 		return true
 	}
 	return a.Interface() == b.Interface()
+}
+
+// floatBits is the bits of v, an addressable float, read from memory:
+// v.Float converts a float32 through float64, which may quiet a NaN.
+func floatBits(v reflect.Value) uint64 {
+	if v.Kind() == reflect.Float32 {
+		return uint64(*(*uint32)(v.Addr().UnsafePointer()))
+	}
+	return math.Float64bits(v.Float())
 }
 
 // fillRandom sets v, a settable zero value of a plain type, to a
@@ -215,7 +301,12 @@ func fillRandom(v reflect.Value, rng *xrand.Rand) {
 		v.SetUint(rng.Uint64() >> rng.Intn(64))
 	case reflect.Float32, reflect.Float64:
 		specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat32}
-		if rng.Intn(3) == 0 {
+		if v.Kind() == reflect.Float32 && rng.Intn(6) == 0 {
+			// A signalling NaN: the quiet bit clear, the payload not
+			// zero, either sign. Only its bits can set it.
+			bits := 0x7f800000 | uint32(1+rng.Intn(0x3fffff)) | uint32(rng.Intn(2))<<31
+			*(*uint32)(v.Addr().UnsafePointer()) = bits
+		} else if rng.Intn(3) == 0 {
 			v.SetFloat(specials[rng.Intn(len(specials))])
 		} else {
 			v.SetFloat(rng.NormFloat64() * 1e6)
@@ -254,4 +345,35 @@ func randomLen(rng *xrand.Rand) int {
 		return 128 + rng.Intn(200)
 	}
 	return 1 + rng.Intn(6)
+}
+
+// TestPlainCodecAllocs: the plain codec reads and writes a value
+// through its fields' offsets, so the value itself never escapes.
+// Encoding into a buffer with room allocates nothing; decoding
+// allocates only the copies of the value's strings and slices — one
+// for a blob's Data, none for a point or an int.
+func TestPlainCodecAllocs(t *testing.T) {
+	b := blob{Seq: 9, Data: make([]byte, 4096)}
+	p := point{X: 1, Y: -1}
+	blobs, points, ints := codecFor[blob](), codecFor[point](), codecFor[int]()
+	buf := make([]byte, 0, 8192)
+	for _, tc := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"put blob", 0, func() { buf = blobs.put(buf[:0], b) }},
+		{"put point", 0, func() { buf = points.put(buf[:0], p) }},
+		{"put int", 0, func() { buf = ints.put(buf[:0], 42) }},
+		{"get blob", 1, func() { b, _ = blobs.get(blobs.put(buf[:0], b)) }},
+		{"get point", 0, func() { p, _ = points.get(points.put(buf[:0], p)) }},
+		{"get int", 0, func() { _, _ = ints.get(ints.put(buf[:0], 42)) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.f); got != tc.want {
+			t.Errorf("%s: %v allocs, want %v", tc.name, got, tc.want)
+		}
+	}
+	if b.Seq != 9 || len(b.Data) != 4096 || p != (point{1, -1}) {
+		t.Fatalf("round trips changed the values: seq %d, %d bytes, %+v", b.Seq, len(b.Data), p)
+	}
 }

@@ -14,7 +14,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strconv"
 	"testing"
@@ -125,7 +127,7 @@ func FuzzIntValue(f *testing.F) {
 	if vc.get == nil {
 		f.Fatal("int values go through gob")
 	}
-	for _, v := range []int{0, 1, -1, 42, 1 << 40, -1 << 62} {
+	for _, v := range []int{0, 1, -1, 42, math.MaxInt, math.MinInt} {
 		f.Add(vc.put(nil, v))
 	}
 	f.Add([]byte{})
@@ -149,33 +151,58 @@ func FuzzIntValue(f *testing.F) {
 }
 
 // FuzzPlainValue checks the compiled plain codec against arbitrary
-// payloads, for a bulk {Seq, Data} value and for a nested record of
-// every plain kind: a payload either decodes to a value that
-// re-encodes to exactly the same bytes — the encoding is canonical —
-// or is rejected as ErrBadFrame, never with a panic.
+// payloads, for a bulk {Seq, Data} value, a nested record of every
+// plain kind, and one type per op shape besides: a padded struct, an
+// array of structs, a float32 (whose signalling NaNs must keep their
+// bits), slices of strings and of slices, and 8-byte ints decoded into
+// 4-byte ones (narrowCodec, as int is on a 32-bit platform). A payload
+// either decodes to a value that re-encodes to exactly the same bytes —
+// the encoding is canonical — or is rejected as ErrBadFrame, never
+// with a panic.
 func FuzzPlainValue(f *testing.F) {
 	blobs, records := codecFor[blob](), codecFor[record]()
-	if blobs.get == nil || records.get == nil {
-		f.Fatal("a plain test type goes through gob")
-	}
+	paddeds, rows := codecFor[padded](), codecFor[[2]padded]()
+	floats, words, grids := codecFor[float32](), codecFor[[]string](), codecFor[[][]int16]()
+	narrows := narrowCodec()
 	rng := xrand.New(5)
 	for range 4 {
-		var b blob
-		var r record
-		fillRandom(reflect.ValueOf(&b).Elem(), rng)
-		fillRandom(reflect.ValueOf(&r).Elem(), rng)
-		f.Add(blobs.put(nil, b))
-		f.Add(records.put(nil, r))
+		f.Add(randomPayload(blobs, rng))
+		f.Add(randomPayload(records, rng))
+		f.Add(randomPayload(paddeds, rng))
+		f.Add(randomPayload(rows, rng))
+		f.Add(randomPayload(floats, rng))
+		f.Add(randomPayload(words, rng))
+		f.Add(randomPayload(grids, rng))
+		f.Add(randomPayload(narrows, rng))
 	}
 	f.Add(blobs.put(nil, blob{}))
 	f.Add(records.put(nil, record{}))
+	f.Add(floats.put(nil, math.Float32frombits(0x7f800001))) // a signalling NaN
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0x80, 0})                   // an overlong length
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 1}) // a length beyond the payload
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})    // an int past 32 bits
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0, 0, 0, 0, 0, 0, 0}) // a uint past 32 bits
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkCanonical(t, blobs, payload)
 		checkCanonical(t, records, payload)
+		checkCanonical(t, paddeds, payload)
+		checkCanonical(t, rows, payload)
+		checkCanonical(t, floats, payload)
+		checkCanonical(t, words, payload)
+		checkCanonical(t, grids, payload)
+		checkCanonical(t, narrows, payload)
 	})
+}
+
+// randomPayload encodes a random T with vc.
+func randomPayload[T any](vc valueCodec[T], rng *xrand.Rand) []byte {
+	if vc.put == nil {
+		panic(fmt.Sprintf("%T goes through gob", *new(T)))
+	}
+	var v T
+	fillRandom(reflect.ValueOf(&v).Elem(), rng)
+	return vc.put(nil, v)
 }
 
 // checkCanonical decodes payload with vc: it must fail with ErrBadFrame

@@ -11,6 +11,7 @@ import (
 	"net"
 	"reflect"
 	"time"
+	"unsafe"
 )
 
 // Message kinds carried in the envelope.
@@ -103,7 +104,7 @@ func parseEnvelope(body []byte) (envelope, error) {
 // valueCodec is how values of type T travel as a frame's payload. It is
 // picked once per client or server, by the type alone (codecFor). A
 // plain type (see compilePlain) is appended straight into the frame
-// being built and copied back out of the received frame by a codec
+// being built and copied back out of the received frame by the program
 // compiled from its reflect.Type; it keeps no state between values, so
 // a connection that carries only plain values never builds its gob
 // streams. Every other type goes through the connection's gob streams
@@ -119,25 +120,25 @@ type valueCodec[T any] struct {
 }
 
 // codecFor returns T's value codec: the plain codec if T is plain, gob
-// otherwise. A T that is one fixed-size scalar whose memory layout is
-// its wire layout (an int on a 64-bit platform, a named float64, …)
-// is copied as a machine word and never escapes to the heap; any
-// other plain T is walked through reflect, which costs the value one
-// heap copy per encode and per decode.
+// otherwise. The plain codec reads and writes the value through a
+// pointer to the put or get call's own copy of it, so the value never
+// escapes to the heap: a value costs only what its strings and slices
+// copy.
 func codecFor[T any]() valueCodec[T] {
-	t := reflect.TypeFor[T]()
-	c, ok := compilePlain(t, nil)
+	c, ok := compilePlain(reflect.TypeFor[T](), nil)
 	if !ok {
 		return valueCodec[T]{}
 	}
-	if w, ok := wordCodec[T](t); ok {
-		return w
-	}
+	return plainValues[T](&c)
+}
+
+// plainValues is the value codec that codes T's values with c.
+func plainValues[T any](c *plainCodec) valueCodec[T] {
 	return valueCodec[T]{
-		put: func(b []byte, v T) []byte { return c.enc(b, reflect.ValueOf(&v).Elem()) },
+		put: func(b []byte, v T) []byte { return c.put(b, unsafe.Pointer(&v)) },
 		get: func(payload []byte) (T, error) {
 			var v T
-			rest, err := c.dec(reflect.ValueOf(&v).Elem(), payload)
+			rest, err := c.get(unsafe.Pointer(&v), payload)
 			if err == nil && len(rest) != 0 {
 				err = fmt.Errorf("%w: value: %d trailing bytes", ErrBadFrame, len(rest))
 			}

@@ -3,6 +3,7 @@ package faultmodel
 import (
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 
 	"github.com/softwarefaults/redundancy/internal/core"
@@ -36,6 +37,38 @@ func TestParseAdversarySpec(t *testing.T) {
 				tt.spec, strategy, count, tt.strategy, tt.count)
 		}
 	}
+}
+
+// FuzzParseAdversarySpec: the -adversary flag parser never panics, and
+// a spec it accepts names a known strategy with a count of at least 1
+// that survives a round trip through the canonical "strategy:count"
+// form.
+func FuzzParseAdversarySpec(f *testing.F) {
+	for _, spec := range []string{
+		"always", "intermittent", "collude:2", "always:3", "bogus",
+		"collude:0", "collude:-1", "collude:x", "collude:+2", "collude:007",
+		"always:9223372036854775808", "collude:2:3", ":2", "always:", "",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		strategy, count, err := ParseAdversarySpec(spec)
+		if err != nil {
+			return
+		}
+		if _, err := ParseAdversaryStrategy(string(strategy)); err != nil {
+			t.Fatalf("ParseAdversarySpec(%q) accepted unknown strategy %q", spec, strategy)
+		}
+		if count < 1 {
+			t.Fatalf("ParseAdversarySpec(%q) accepted count %d", spec, count)
+		}
+		canonical := string(strategy) + ":" + strconv.Itoa(count)
+		s2, c2, err := ParseAdversarySpec(canonical)
+		if err != nil || s2 != strategy || c2 != count {
+			t.Fatalf("ParseAdversarySpec(%q) = (%v, %d), but its canonical form %q re-parses to (%v, %d, %v)",
+				spec, strategy, count, canonical, s2, c2, err)
+		}
+	})
 }
 
 // testAdversary builds an adversary over a correct doubling base.

@@ -41,9 +41,11 @@ type group[O any] struct {
 }
 
 // classes partitions the successful results into equivalence classes
-// under eq, preserving first-seen order.
-func classes[O any](results []core.Result[O], eq core.Equal[O]) []group[O] {
-	var gs []group[O]
+// under eq, preserving first-seen order: each result joins the first
+// class whose representative, its first member, it equals. The classes
+// are appended to gs, which callers make with room for four, so a vote
+// over up to four results keeps its classes on the stack.
+func classes[O any](gs []group[O], results []core.Result[O], eq core.Equal[O]) []group[O] {
 outer:
 	for _, r := range results {
 		if !r.OK() {
@@ -89,7 +91,7 @@ func Majority[O any](eq core.Equal[O]) core.Adjudicator[O] {
 			return zero, core.ErrNoVariants
 		}
 		quorum := len(results)/2 + 1
-		for _, g := range classes(results, eq) {
+		for _, g := range classes(make([]group[O], 0, 4), results, eq) {
 			if g.count >= quorum {
 				return g.value, nil
 			}
@@ -109,7 +111,7 @@ func Plurality[O any](eq core.Equal[O]) core.Adjudicator[O] {
 		if len(results) == 0 {
 			return zero, core.ErrNoVariants
 		}
-		gs := classes(results, eq)
+		gs := classes(make([]group[O], 0, 4), results, eq)
 		idx, unique := largest(gs)
 		if idx < 0 {
 			return zero, fmt.Errorf("all %d variants failed: %w",
@@ -137,7 +139,7 @@ func Unanimity[O any](eq core.Equal[O]) core.Adjudicator[O] {
 				return zero, fmt.Errorf("variant %s failed: %w", r.Variant, core.ErrDivergence)
 			}
 		}
-		gs := classes(results, eq)
+		gs := classes(make([]group[O], 0, 4), results, eq)
 		if len(gs) != 1 {
 			return zero, fmt.Errorf("%d distinct outputs: %w", len(gs), core.ErrDivergence)
 		}
@@ -159,7 +161,7 @@ func MOfN[O any](m int, eq core.Equal[O]) core.Adjudicator[O] {
 		}
 		best := -1
 		bestCount := 0
-		gs := classes(results, eq)
+		gs := classes(make([]group[O], 0, 4), results, eq)
 		for i, g := range gs {
 			if g.count >= m && g.count > bestCount {
 				best, bestCount = i, g.count

@@ -1,6 +1,7 @@
 package vote
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -447,5 +448,55 @@ func TestChained(t *testing.T) {
 	empty := Chained[int]()
 	if _, err := empty.Adjudicate([]core.Result[int]{ok("a", 1)}); !errors.Is(err, core.ErrNoConsensus) {
 		t.Errorf("empty chain err = %v", err)
+	}
+}
+
+// blob is a bulk result: a sequence number and a payload, equal when
+// both are.
+type blob struct {
+	Seq  uint64
+	Data []byte
+}
+
+func blobEq(a, b blob) bool { return a.Seq == b.Seq && bytes.Equal(a.Data, b.Data) }
+
+// TestMajorityAllocatesNothing: an adjudication that reaches a verdict
+// over up to four results tallies them on the stack, for a word-sized
+// result and for one that holds a slice. Every result set has a unique
+// largest class of at least two, and a failed or dissenting member.
+func TestMajorityAllocatesNothing(t *testing.T) {
+	ints := [][]core.Result[int]{
+		{ok("a", 1), ok("b", 1)},
+		{ok("a", 1), ok("b", 2), ok("c", 1)},
+		{failed("a"), ok("b", 1), ok("c", 1)},
+		{ok("a", 2), ok("b", 1), ok("c", 1), ok("d", 1)},
+		{ok("a", 1), ok("b", 2), ok("c", 3), ok("d", 1)}, // a plurality, not a majority
+	}
+	data := []byte("payload")
+	blobs := make([][]core.Result[blob], len(ints))
+	for i, rs := range ints {
+		for _, r := range rs {
+			blobs[i] = append(blobs[i], core.Result[blob]{Variant: r.Variant, Value: blob{uint64(r.Value), data}, Err: r.Err})
+		}
+	}
+	blobs[1][1].Value.Data = []byte("forged!")
+	eq := core.EqualOf[int]()
+	checkNoAllocs(t, "Majority", Majority(eq), ints[:4])
+	checkNoAllocs(t, "Plurality", Plurality(eq), ints)
+	checkNoAllocs(t, "MOfN", MOfN(2, eq), ints)
+	checkNoAllocs(t, "Majority", Majority(blobEq), blobs[:4])
+	checkNoAllocs(t, "Plurality", Plurality(blobEq), blobs)
+	checkNoAllocs(t, "MOfN", MOfN(2, blobEq), blobs)
+}
+
+func checkNoAllocs[O any](t *testing.T, name string, adj core.Adjudicator[O], sets [][]core.Result[O]) {
+	t.Helper()
+	for _, rs := range sets {
+		if _, err := adj.Adjudicate(rs); err != nil {
+			t.Fatalf("%s[%T] over %d results: %v", name, rs[0].Value, len(rs), err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = adj.Adjudicate(rs) }); n != 0 {
+			t.Errorf("%s[%T] over %d results: %v allocs, want 0", name, rs[0].Value, len(rs), n)
+		}
 	}
 }
