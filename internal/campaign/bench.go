@@ -57,6 +57,9 @@ type legacyBenchRow struct {
 }
 
 // ReadBenchFile loads one benchmark file, auto-detecting the schema.
+// Either way the records come back sorted by (benchmark, metric), each
+// a metric benchUnits knows, in that metric's unit: a normalized file
+// with any other row is not a bench file this package can diff.
 func ReadBenchFile(path string) ([]BenchRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -66,6 +69,10 @@ func ReadBenchFile(path string) ([]BenchRecord, error) {
 	// rows with empty Benchmark/Metric, which we treat as a miss.
 	var recs []BenchRecord
 	if err := json.Unmarshal(data, &recs); err == nil && normalized(recs) {
+		for i := range recs {
+			recs[i].Unit = benchUnits[recs[i].Metric].Unit
+		}
+		sortBench(recs)
 		return recs, nil
 	}
 	var legacy []legacyBenchRow
@@ -93,27 +100,38 @@ func ReadBenchFile(path string) ([]BenchRecord, error) {
 			out = append(out, BenchRecord{Benchmark: name, Metric: metric, Value: *v, Unit: benchUnits[metric].Unit})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Benchmark != out[j].Benchmark {
-			return out[i].Benchmark < out[j].Benchmark
-		}
-		return out[i].Metric < out[j].Metric
-	})
+	sortBench(out)
 	return out, nil
 }
 
 // normalized reports whether decoded rows carry the normalized schema's
-// required fields.
+// required fields, each a known metric in its own unit or in none (the
+// unit is optional; the reader fills it in).
 func normalized(recs []BenchRecord) bool {
 	if len(recs) == 0 {
 		return false
 	}
 	for _, r := range recs {
-		if r.Benchmark == "" || r.Metric == "" {
+		u, known := benchUnits[r.Metric]
+		if r.Benchmark == "" || !known || (r.Unit != "" && r.Unit != u.Unit) {
 			return false
 		}
 	}
 	return true
+}
+
+// sortBench orders records by (benchmark, metric), keeping file order
+// among duplicates.
+func sortBench(recs []BenchRecord) {
+	sort.SliceStable(recs, func(i, j int) bool { return benchKeyLess(recs[i], recs[j]) })
+}
+
+// benchKeyLess orders records by benchmark, then metric.
+func benchKeyLess(a, b BenchRecord) bool {
+	if a.Benchmark != b.Benchmark {
+		return a.Benchmark < b.Benchmark
+	}
+	return a.Metric < b.Metric
 }
 
 // BenchDelta is one (benchmark, metric) comparison.

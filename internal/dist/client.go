@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,6 +125,13 @@ type Remote[I, O any] struct {
 	// racing counts the racing requests in flight; it bounds how many
 	// connections abandoned attempts may hold (see roundTrip).
 	racing atomic.Int64
+	// racers is the recycler of racing requests' state (see racer): a
+	// stack, so any goroutine's release feeds the next borrow. (A
+	// sync.Pool keeps a released racer in the releasing P's private
+	// slot, where a borrow on another P misses it: a straggler's worker
+	// usually releases last.)
+	racersMu sync.Mutex
+	racers   []*racer[I, O]
 	// in and out carry the input and output values on the wire.
 	in  valueCodec[I]
 	out valueCodec[O]
@@ -209,6 +215,10 @@ type attempt struct {
 	tc  obs.TraceContext
 	brk *resilience.Breaker
 	tok resilience.Token
+	// conn is the idle connection a racing launch took for the attempt
+	// and handed to its worker; nil when the attempt gets one from the
+	// pool itself (see roundTrip).
+	conn *wireConn
 }
 
 // attemptRecord is one launched attempt's lineage as the observer will
@@ -242,9 +252,13 @@ type attemptResult[O any] struct {
 // (see roundTrip).
 //
 // With hedging off and no quorum at most one attempt is ever in flight,
-// so the attempts run one after another on the caller's goroutine; only
-// a request that may race attempts pays for goroutines, a results
-// channel and a cancelable context.
+// so the attempts run one after another on the caller's goroutine. A
+// request that may race attempts borrows recycled state from the Remote
+// (see racer) and hands each attempt to the long-lived worker of the
+// idle connection it takes, so on a warm pool its fan-out allocates
+// nothing either: no goroutine, channel, timer or cancelable context
+// per request. Only a launch that finds no idle connection starts a
+// goroutine, to dial.
 //
 // With an observer attached the fan-out is one observed request: a
 // RequestStart/RequestEnd span under the client's name, an Adjudicated
@@ -259,11 +273,8 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 		var zero O
 		return zero, ErrClientClosed
 	}
-	// Two fanout variables, because the racing one is shared with attempt
-	// goroutines and so lives on the heap; the sequential one need not.
 	if hedgeAfter := time.Duration(r.hedgeAfter.Load()); hedgeAfter > 0 || r.rule != nil {
-		f := r.newFanout(ctx, input)
-		return f.race(ctx, hedgeAfter)
+		return r.borrow(ctx, input).race(hedgeAfter)
 	}
 	f := r.newFanout(ctx, input)
 	return f.sequential(ctx)
@@ -272,8 +283,9 @@ func (r *Remote[I, O]) Execute(ctx context.Context, input I) (O, error) {
 // fanout is the state of one Execute call: the captured endpoint view
 // and routing order, the observed request, the per-attempt records, and
 // under a quorum rule the ballot. Only the goroutine running Execute
-// touches it; attempt goroutines of a racing request get their attempt
-// by value and report through the results channel.
+// writes it; the workers running a racing request's attempts get their
+// attempt by value, read the request's fixed fields (endpoint view,
+// input, observer) and report through the racer's results channel.
 type fanout[I, O any] struct {
 	r *Remote[I, O]
 	// One immutable endpoint view per request: a controller splicing
@@ -306,11 +318,23 @@ type fanout[I, O any] struct {
 	slate   []core.Result[O]
 	replies int
 	need    int
+	// ranked and class are rank's scratch, kept across the requests a
+	// recycled racer serves.
+	ranked, class []int
 }
 
 func (r *Remote[I, O]) newFanout(ctx context.Context, input I) fanout[I, O] {
-	v := r.view()
-	f := fanout[I, O]{r: r, v: v, order: r.ordered(v), input: input, o: r.cfg.Observer}
+	var f fanout[I, O]
+	f.open(r, ctx, input)
+	return f
+}
+
+// open starts a request on f, which holds nothing of an earlier one but
+// its scratch: it captures the endpoint view, ranks it, opens the
+// observed request and, under a quorum rule, the ballot.
+func (f *fanout[I, O]) open(r *Remote[I, O], ctx context.Context, input I) {
+	f.r, f.v, f.input, f.o = r, r.view(), input, r.cfg.Observer
+	f.rank()
 	if f.o != nil {
 		f.req = obs.NextRequestID()
 		f.o.RequestStart(r.name, f.req)
@@ -330,7 +354,6 @@ func (r *Remote[I, O]) newFanout(ctx context.Context, input I) fanout[I, O] {
 	if r.rule != nil {
 		f.openBallot()
 	}
-	return f
 }
 
 // sequential tries the endpoints in ranked order, one at a time, until
@@ -347,82 +370,6 @@ func (f *fanout[I, O]) sequential(ctx context.Context) (O, error) {
 		}
 		if err := ctx.Err(); err != nil {
 			return f.fail(err)
-		}
-	}
-	return f.exhausted()
-}
-
-// race runs attempts concurrently. A quorum launches every endpoint at
-// once; otherwise one attempt leads, the hedge timer launches the next
-// while the in-flight ones are slow, and a failure with nothing else in
-// flight launches it at once. Results settle as they arrive, and the one
-// that decides the request ends it: live is cancelled, so no attempt
-// starts after the decision, while the ones already on the wire finish
-// their exchange on their own goroutines (see roundTrip) and report into
-// the results channel, which has room for every send.
-func (f *fanout[I, O]) race(ctx context.Context, hedgeAfter time.Duration) (O, error) {
-	f.racing = true
-	f.r.racing.Add(1)
-	defer f.r.racing.Add(-1)
-	live, decide := context.WithCancel(ctx)
-	defer decide()
-
-	// Sized to the number of sends: one per endpoint at most.
-	results := make(chan attemptResult[O], len(f.order))
-	pending := 0
-	// launchNext starts the next attempt in ranked order. Breaker-open
-	// endpoints complete instantly as failed attempts (without dialing),
-	// so the loop below immediately moves past them.
-	launchNext := func() {
-		if f.launched >= len(f.order) {
-			return
-		}
-		a, err := f.launch()
-		pending++
-		if err != nil {
-			results <- attemptResult[O]{err: err, attempt: a.n, ep: a.ep}
-			return
-		}
-		go func() { results <- f.run(ctx, live, a) }()
-	}
-	launchNext()
-	for f.r.rule != nil && f.launched < len(f.order) {
-		launchNext()
-	}
-
-	// The timer is armed only while spare endpoints and hedge budget
-	// remain.
-	maxHedges := min(f.r.cfg.MaxHedges, len(f.order)-f.launched)
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	if hedgeAfter > 0 && maxHedges > 0 {
-		timer = time.NewTimer(hedgeAfter)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	for hedges := 0; pending > 0; {
-		select {
-		case <-timerC:
-			if hedges < maxHedges && f.launched < len(f.order) {
-				hedges++
-				launchNext()
-			}
-			if hedges < maxHedges && f.launched < len(f.order) {
-				timer.Reset(hedgeAfter)
-			} else {
-				timerC = nil
-			}
-		case res := <-results:
-			pending--
-			if value, done := f.settle(res); done {
-				decide()
-				return value, nil
-			}
-			if pending == 0 && ctx.Err() == nil {
-				launchNext() // failure-triggered failover, uncapped
-			}
-		case <-ctx.Done():
-			return f.fail(ctx.Err())
 		}
 	}
 	return f.exhausted()
@@ -573,22 +520,26 @@ func (f *fanout[I, O]) finish(err error) {
 	f.o.RequestEnd(name, f.req, time.Since(f.start), outcome)
 }
 
-// ordered returns endpoint indexes (into the captured view) ranked for
-// this request. The failure detector supplies the liveness class
-// (alive before suspect before dead); the ejector then sinks ejected
-// latency outliers below everything else — unless this decision grants
-// one of them a trickle probe, which is promoted to primary — and
-// finally picks the primary among the leading equal-class endpoints by
-// power of two choices over the latency EWMAs. Without a detector or
-// ejector the configured order stands, and the view's shared slice is
-// returned: callers only read the result.
-func (r *Remote[I, O]) ordered(v *epSet) []int {
-	det, ej := r.cfg.Detector, r.cfg.Ejector
+// rank sets the request's endpoint order: indexes into the captured
+// view, ranked for this request. The failure detector supplies the
+// liveness class (alive before suspect before dead); the ejector then
+// sinks ejected latency outliers below everything else — unless this
+// decision grants one of them a trickle probe, which is promoted to
+// primary — and finally picks the primary among the leading equal-class
+// endpoints by power of two choices over the latency EWMAs. Without a
+// detector or ejector the configured order stands, and the view's
+// shared slice is used: the fan-out only reads its order. Otherwise the
+// order is built in f's scratch.
+func (f *fanout[I, O]) rank() {
+	v := f.v
+	det, ej := f.r.cfg.Detector, f.r.cfg.Ejector
 	if det == nil && ej == nil {
-		return v.configured
+		f.order = v.configured
+		return
 	}
-	order := append([]int(nil), v.configured...)
-	class := make([]int, len(order))
+	order := append(f.ranked[:0], v.configured...)
+	class := append(f.class[:0], make([]int, len(order))...)
+	f.ranked, f.class, f.order = order, class, order
 	if det != nil {
 		for i := range order {
 			class[i] = int(det.State(v.endpoints[i].Name))
@@ -599,9 +550,13 @@ func (r *Remote[I, O]) ordered(v *epSet) []int {
 	if ej != nil {
 		probe = ej.route(len(order), epName, class)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return class[order[a]] < class[order[b]]
-	})
+	// A stable insertion sort by class: a handful of endpoints, and no
+	// allocation.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && class[order[j]] < class[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
 	if probe >= 0 {
 		// The probe leads; everyone else keeps rank order behind it, so
 		// a hedge rescues the request if the probed endpoint is still
@@ -616,5 +571,4 @@ func (r *Remote[I, O]) ordered(v *epSet) []int {
 	} else if ej != nil {
 		ej.p2cFront(order, class, epName)
 	}
-	return order
 }

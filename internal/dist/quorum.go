@@ -175,7 +175,8 @@ func (q *Quorum[I, O]) Endpoints() []string { return q.r.Endpoints() }
 // unblock with a connection error. Idempotent.
 func (q *Quorum[I, O]) Close() error { return q.r.Close() }
 
-// openBallot sets up one request's ballot: every endpoint's slot starts
+// openBallot sets up one request's ballot, in the slate a recycled
+// racer kept if it is large enough: every endpoint's slot starts
 // pending, and MinReplies resolves against this request's fleet size.
 func (f *fanout[I, O]) openBallot() {
 	n := len(f.v.endpoints)
@@ -184,11 +185,14 @@ func (f *fanout[I, O]) openBallot() {
 		f.need = n - f.r.rule.faults
 	}
 	f.need = min(f.need, n)
-	f.slate = make([]core.Result[O], n)
+	if cap(f.slate) < n {
+		f.slate = make([]core.Result[O], n)
+	}
+	f.slate = f.slate[:n]
 	for ep := range f.slate {
 		f.slate[ep] = core.Result[O]{Variant: f.v.endpoints[ep].Name, Err: errStragglerPending}
 	}
-	if f.o != nil {
+	if f.o != nil && cap(f.records) < n {
 		f.records = make([]attemptRecord, 0, n)
 	}
 }

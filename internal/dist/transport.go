@@ -131,7 +131,8 @@ func (r *Remote[I, O]) removeEndpoint(name string, minLeft int) error {
 
 // Close releases every pooled and in-flight connection; blocked calls
 // unblock with a connection error, and abandoned attempts still reading
-// a late reply end with them. Idempotent.
+// a late reply end with them, as do the connections' workers — which a
+// Remote dropped without Close leaves parked. Idempotent.
 func (r *Remote[I, O]) Close() error {
 	if r.closed.Swap(true) {
 		return nil
@@ -151,20 +152,22 @@ func (r *Remote[I, O]) Close() error {
 var errDecided = fmt.Errorf("dist: request decided before the attempt was sent: %w", context.Canceled)
 
 // roundTrip performs one RPC attempt against its endpoint of the
-// request's captured snapshot: pooled connection (or fresh dial), framed
-// call out, framed reply in, all before one deadline fixed when the
-// attempt starts — the caller's, or CallTimeout from now if that comes
-// first. The attempt span tc (zero when untraced) rides the envelope so
-// the replica continues the trace.
+// request's captured snapshot: the connection the launch took for it,
+// or else a pooled one (or fresh dial), framed call out, framed reply
+// in, all before one deadline fixed when the attempt starts — the
+// caller's, or CallTimeout from now if that comes first. The attempt
+// span tc (zero when untraced) rides the envelope so the replica
+// continues the trace.
 //
 // Two contexts bound it. live is the request's: once the fan-out has
 // decided, an attempt that has not yet written its call does not start
-// (connPool.get refuses it, and the attempt ends with errDecided unless
-// the caller gave up too). ctx is the caller's: only its
-// cancellation, or the deadline passing, expires the connection so
-// blocked I/O returns promptly. The fan-out deciding does not — a hedge
-// loser or quorum straggler already on the wire keeps reading, and its
-// connection goes back to the pool with its streams still in step.
+// (connPool.get refuses it, or a connection taken for it goes back to
+// the pool unused, and the attempt ends with errDecided unless the
+// caller gave up too). ctx is the caller's: only its cancellation, or
+// the deadline passing, expires the connection so blocked I/O returns
+// promptly. The fan-out deciding does not — a hedge loser or quorum
+// straggler already on the wire keeps reading, and its connection goes
+// back to the pool with its streams still in step.
 //
 // Salvage is bounded: when more of the endpoint's connections are in
 // flight than the racing requests plus maxStragglers, the attempt is
@@ -182,7 +185,12 @@ func (f *fanout[I, O]) roundTrip(ctx, live context.Context, a attempt) (out O, e
 		deadline = d
 	}
 	pool, name := f.v.pools[a.ep], f.v.endpoints[a.ep].Name
-	conn, err := pool.get(live, deadline, f.v.endpoints[a.ep].Dial)
+	conn := a.conn
+	if conn == nil {
+		conn, err = pool.get(live, deadline, f.v.endpoints[a.ep].Dial)
+	} else if err = live.Err(); err != nil {
+		pool.put(conn)
+	}
 	if err != nil {
 		if live.Err() != nil && ctx.Err() == nil {
 			return out, errDecided
@@ -230,6 +238,12 @@ func (f *fanout[I, O]) roundTrip(ctx, live context.Context, a attempt) (out O, e
 // connPool is one endpoint's connection pool. It tracks every live
 // connection it handed out — pooled and in-flight alike — so closing
 // the pool unblocks calls stuck on a partitioned network.
+//
+// A connection that served a racing request has a worker (see
+// wireConn.work). Whoever takes a connection out of the pool for good
+// — put when the pool is full or closed, drop, close for the idle ones
+// — retires it, which ends its worker; an in-flight connection is
+// retired by its attempt, when it comes back.
 type connPool struct {
 	mu     sync.Mutex
 	free   []*wireConn
@@ -288,6 +302,21 @@ func (p *connPool) get(ctx context.Context, deadline time.Time, dial DialFunc) (
 	return c, nil
 }
 
+// take pops an idle connection for a racing attempt about to be handed
+// to the connection's worker, or returns nil: none is idle, or the pool
+// is closed. Unlike get it does not check the request's decision; the
+// worker does, before it writes the call (see roundTrip).
+func (p *connPool) take() *wireConn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 && !p.closed {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		return c
+	}
+	return nil
+}
+
 // busy returns how many of the pool's connections are in flight.
 func (p *connPool) busy() int {
 	p.mu.Lock()
@@ -302,7 +331,7 @@ func (p *connPool) put(c *wireConn) {
 	if p.closed || len(p.free) >= maxIdleConns {
 		delete(p.all, c)
 		p.mu.Unlock()
-		c.Close()
+		c.retire()
 		return
 	}
 	p.free = append(p.free, c)
@@ -321,10 +350,11 @@ func (p *connPool) drop(c *wireConn) {
 		}
 	}
 	p.mu.Unlock()
-	c.Close()
+	c.retire()
 }
 
-// close closes every tracked connection; subsequent gets fail fast.
+// close closes every tracked connection and retires the idle ones;
+// subsequent gets fail fast.
 func (p *connPool) close() {
 	p.mu.Lock()
 	p.closed = true
@@ -332,10 +362,29 @@ func (p *connPool) close() {
 	for c := range p.all {
 		conns = append(conns, c)
 	}
+	idle := p.free
 	p.all = make(map[*wireConn]struct{})
 	p.free = nil
 	p.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
 	}
+	for _, c := range idle {
+		c.retire()
+	}
+}
+
+// job is one racing attempt handed to a connection's worker; a.conn is
+// the connection.
+type job struct {
+	req attemptRunner
+	a   attempt
+}
+
+// attemptRunner is a racing request as the workers running its
+// attempts see it.
+type attemptRunner interface {
+	// runAttempt runs a, reports its result to the request and lets go
+	// of the request.
+	runAttempt(a attempt)
 }

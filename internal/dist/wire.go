@@ -211,6 +211,9 @@ type wireConn struct {
 	// timer bounds the exchange in progress (see arm): created on the
 	// first one, re-armed for each later one.
 	timer *time.Timer
+	// jobs is the one-slot queue of the connection's worker: nil until
+	// a racing attempt first takes the connection (see assign).
+	jobs chan job
 }
 
 func newWireConn(c net.Conn) *wireConn {
@@ -248,6 +251,39 @@ func (c *wireConn) disarm(stop func() bool) bool {
 		clean = false
 	}
 	return clean
+}
+
+// assign hands j to the connection's worker, starting the worker if the
+// connection has none yet. The caller took the connection from its
+// pool, so it alone may touch it and the queue's slot is free: the
+// worker took the last job before the connection went back to the pool.
+func (c *wireConn) assign(j job) {
+	if c.jobs == nil {
+		c.jobs = make(chan job, 1)
+		go c.work()
+	}
+	c.jobs <- j
+}
+
+// work is the connection's worker: one long-lived goroutine, parked
+// between attempts, that runs the racing attempts handed to it, each
+// returning the connection to the pool or dropping it, until the
+// connection is retired.
+func (c *wireConn) work() {
+	for j := range c.jobs {
+		j.req.runAttempt(j.a)
+	}
+}
+
+// retire closes a connection that has left its pool for good, and ends
+// its worker, if it has one. Only the connection's holder, or the pool
+// for an idle one, retires it, so nothing can be handed to the worker
+// after.
+func (c *wireConn) retire() {
+	c.Close()
+	if c.jobs != nil {
+		close(c.jobs)
+	}
 }
 
 // expire pushes the connection's deadline into the distant past.

@@ -154,12 +154,11 @@ func (b *Breaker) Opens() uint64 {
 // one probe is admitted at a time.
 func (b *Breaker) Allow() (Token, error) {
 	b.mu.Lock()
-	now := b.cfg.Now()
 	switch b.state {
 	case obs.BreakerClosed:
 		if b.cfg.Health != nil && b.cfg.HealthBelow > 0 {
 			if b.cfg.Health(b.variant) < b.cfg.HealthBelow {
-				tr := b.transitionLocked(obs.BreakerOpen, now)
+				tr := b.transitionLocked(obs.BreakerOpen, b.cfg.Now())
 				b.mu.Unlock()
 				b.emit(tr)
 				return Token{}, b.openErr()
@@ -169,7 +168,7 @@ func (b *Breaker) Allow() (Token, error) {
 		b.mu.Unlock()
 		return tok, nil
 	case obs.BreakerOpen:
-		if now.Sub(b.openedAt) >= b.cfg.OpenFor {
+		if now := b.cfg.Now(); now.Sub(b.openedAt) >= b.cfg.OpenFor {
 			tr := b.transitionLocked(obs.BreakerHalfOpen, now)
 			b.probing = true
 			tok := Token{gen: b.gen, probe: true, ok: true}
@@ -205,14 +204,13 @@ func (b *Breaker) Record(tok Token, err error) {
 		b.mu.Unlock()
 		return
 	}
-	now := b.cfg.Now()
 	var tr transition
 	fired := false
 	switch b.state {
 	case obs.BreakerClosed:
 		b.observeLocked(success)
 		if !success && b.tripLocked() {
-			tr, fired = b.transitionLocked(obs.BreakerOpen, now), true
+			tr, fired = b.transitionLocked(obs.BreakerOpen, b.cfg.Now()), true
 		}
 	case obs.BreakerHalfOpen:
 		if tok.probe {
@@ -220,10 +218,10 @@ func (b *Breaker) Record(tok Token, err error) {
 			if success {
 				b.probeSuccesses++
 				if b.probeSuccesses >= b.cfg.HalfOpenSuccesses {
-					tr, fired = b.transitionLocked(obs.BreakerClosed, now), true
+					tr, fired = b.transitionLocked(obs.BreakerClosed, b.cfg.Now()), true
 				}
 			} else {
-				tr, fired = b.transitionLocked(obs.BreakerOpen, now), true
+				tr, fired = b.transitionLocked(obs.BreakerOpen, b.cfg.Now()), true
 			}
 		}
 	}

@@ -200,6 +200,37 @@ func TestBreakerStaleTokenDropped(t *testing.T) {
 	}
 }
 
+// TestClosedBreakerReadsNoClock: only a transition needs the time, so a
+// closed breaker admitting and recording calls, failures below the trip
+// included, never reads its clock. The trip that follows does.
+func TestClosedBreakerReadsNoClock(t *testing.T) {
+	var reads atomic.Int64
+	clk := newFakeClock()
+	b := NewBreaker("v", BreakerConfig{
+		ConsecutiveFailures: 3,
+		Now: func() time.Time {
+			reads.Add(1)
+			return clk.Now()
+		},
+	})
+	for i := 0; i < 1000; i++ {
+		var err error
+		if i%2 == 0 {
+			err = errFail
+		}
+		record(t, b, err)
+	}
+	if n := reads.Load(); n != 0 {
+		t.Fatalf("closed breaker read its clock %d times over 1000 Allow/Record pairs, want 0", n)
+	}
+	for i := 0; i < 3; i++ {
+		record(t, b, errFail)
+	}
+	if b.State() != obs.BreakerOpen || reads.Load() == 0 {
+		t.Fatalf("after the trip: state %v, %d clock reads; want open and at least one read", b.State(), reads.Load())
+	}
+}
+
 func TestBreakerHealthFeedTrips(t *testing.T) {
 	clk := newFakeClock()
 	health := 1.0
