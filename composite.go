@@ -35,9 +35,9 @@ func RetryInvoke[T any](v Variant[T, T], retries int) (Executor[T, T], error) {
 	return composite.Retry(v, retries)
 }
 
-// RetryInvokeOpts is RetryInvoke with pattern options: WithObserver and
-// WithMetrics see each attempt as a variant span and re-invocations as
-// retry events.
+// RetryInvokeOpts is RetryInvoke with pattern options: an observer
+// attached with WithObserver sees each attempt as a variant span and
+// re-invocations as retry events.
 func RetryInvokeOpts[T any](v Variant[T, T], retries int, opts ...PatternOption) (Executor[T, T], error) {
 	return composite.Retry(v, retries, opts...)
 }

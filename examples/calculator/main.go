@@ -43,9 +43,9 @@ func run(args []string) error {
 	if len(exprs) == 0 {
 		exprs = []string{"1+2*3", "(1+2)*3", "10-2*3", "2*3+4*5", "7"}
 	}
-	var metrics redundancy.Metrics
+	collector := redundancy.NewCollector()
 	sys, err := redundancy.NewNVersion(versions(), redundancy.EqualOf[int64](),
-		redundancy.WithMetrics(&metrics))
+		redundancy.WithObserver(collector))
 	if err != nil {
 		return err
 	}
@@ -69,7 +69,7 @@ func run(args []string) error {
 		}
 		fmt.Println()
 	}
-	s := metrics.Snapshot()
+	s := collector.Executor("parallel-evaluation")
 	fmt.Printf("\n%d expressions, %.0f version executions each, reliability %.2f\n",
 		s.Requests, s.ExecutionsPerRequest(), s.Reliability())
 	return nil

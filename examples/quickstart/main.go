@@ -49,9 +49,9 @@ func main() {
 }
 
 func run() error {
-	var metrics redundancy.Metrics
+	collector := redundancy.NewCollector()
 	system, err := redundancy.NewNVersion(versions(), redundancy.EqualOf[int](),
-		redundancy.WithMetrics(&metrics))
+		redundancy.WithObserver(collector))
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func run() error {
 		fmt.Println()
 	}
 
-	s := metrics.Snapshot()
+	s := collector.Executor("parallel-evaluation")
 	fmt.Printf("\n%d requests, %.0f executions/request, reliability %.2f\n",
 		s.Requests, s.ExecutionsPerRequest(), s.Reliability())
 	return nil

@@ -101,18 +101,18 @@ func TestNVersionOverAgingProcesses(t *testing.T) {
 		return redundancy.NewVariant(name, r.Execute)
 	}
 	serve := func(policy redundancy.RejuvenationPolicy) float64 {
-		var m redundancy.Metrics
+		collector := redundancy.NewCollector()
 		sys, err := redundancy.NewNVersion(
 			[]redundancy.Variant[int, int]{build(policy, 1), build(policy, 2), build(policy, 3)},
 			redundancy.EqualOf[int](),
-			redundancy.WithMetrics(&m))
+			redundancy.WithObserver(collector))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 400; i++ {
 			_, _ = sys.Execute(context.Background(), i)
 		}
-		return m.Snapshot().Reliability()
+		return collector.Executor("parallel-evaluation").Reliability()
 	}
 	rejuvenated := serve(redundancy.PeriodicRejuvenation{Every: 30})
 	unmaintained := serve(redundancy.NeverRejuvenate{})

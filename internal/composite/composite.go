@@ -15,8 +15,8 @@
 // a service orchestration.
 //
 // The composition layer participates in the observation layer: the
-// strategy helpers accept pattern options (so pattern.WithObserver and
-// pattern.WithMetrics flow through to the underlying executors), and a
+// strategy helpers accept pattern options (so pattern.WithObserver flows
+// through to the underlying executors), and a
 // Process itself can be observed with Observe — each step becomes a
 // variant span and compensation handlers are reported as rollbacks.
 package composite

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -170,61 +169,6 @@ func TestPatternString(t *testing.T) {
 		if got := tt.v.String(); got != tt.want {
 			t.Errorf("String() = %q, want %q", got, tt.want)
 		}
-	}
-}
-
-func TestMetricsCounters(t *testing.T) {
-	var m Metrics
-	m.RecordRequest()
-	m.RecordRequest()
-	m.RecordVariantExecutions(3)
-	m.RecordVariantExecutions(1)
-	m.RecordFailureDetected()
-	m.RecordFailureMasked()
-	m.RecordFailure()
-	s := m.Snapshot()
-	if s.Requests != 2 || s.VariantExecutions != 4 || s.FailuresDetected != 1 ||
-		s.FailuresMasked != 1 || s.Failures != 1 {
-		t.Errorf("snapshot = %+v", s)
-	}
-	if got := s.ExecutionsPerRequest(); got != 2 {
-		t.Errorf("ExecutionsPerRequest = %f", got)
-	}
-	if got := s.Reliability(); got != 0.5 {
-		t.Errorf("Reliability = %f", got)
-	}
-}
-
-func TestMetricsZeroRequests(t *testing.T) {
-	var s Snapshot
-	if s.ExecutionsPerRequest() != 0 {
-		t.Error("zero-request snapshot should report zero execution cost")
-	}
-	// No observed requests means no observed failures: an idle executor
-	// reads as fully reliable, not broken.
-	if s.Reliability() != 1 {
-		t.Errorf("zero-request Reliability = %f, want 1", s.Reliability())
-	}
-}
-
-func TestMetricsConcurrency(t *testing.T) {
-	var m Metrics
-	var wg sync.WaitGroup
-	const workers, each = 8, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				m.RecordRequest()
-				m.RecordVariantExecutions(2)
-			}
-		}()
-	}
-	wg.Wait()
-	s := m.Snapshot()
-	if s.Requests != workers*each || s.VariantExecutions != 2*workers*each {
-		t.Errorf("lost updates: %+v", s)
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/pattern"
 	"github.com/softwarefaults/redundancy/internal/xrand"
 )
@@ -95,7 +96,7 @@ func NewRetryBlock[I, O any](program core.Variant[I, O], test core.AcceptanceTes
 		})
 	}
 	r := &RetryBlock[I, O]{variants: variants}
-	r.SetMetrics(nil)
+	r.SetObserver(nil)
 	return r, nil
 }
 
@@ -113,13 +114,15 @@ func runTested[I, O any](ctx context.Context, program core.Variant[I, O], test c
 	return out, nil
 }
 
-// SetMetrics attaches a metrics collector (nil detaches it).
-func (r *RetryBlock[I, O]) SetMetrics(m *core.Metrics) {
+// SetObserver attaches an observer (nil detaches it). It sees the block
+// as a sequential-alternatives executor: each attempt a variant span,
+// each re-expressed retry a retry event.
+func (r *RetryBlock[I, O]) SetObserver(o obs.Observer) {
 	// Every variant tests its own result, so the executor's test accepts.
 	// The error is dropped because the constructor fails only on an empty
 	// variant list or a nil test, and NewRetryBlock rules out both.
 	r.seq, _ = pattern.NewSequentialAlternatives(r.variants,
-		func(I, O) error { return nil }, nil, pattern.WithMetrics(m))
+		func(I, O) error { return nil }, nil, pattern.WithObserver(o))
 }
 
 // Execute implements core.Executor.
@@ -137,7 +140,6 @@ type NCopy[I, O any] struct {
 	n       int
 	adj     core.Adjudicator[O]
 	rng     *xrand.Rand
-	metrics *core.Metrics
 }
 
 var _ core.Executor[int, int] = (*NCopy[int, int])(nil)
@@ -169,18 +171,11 @@ func NewNCopy[I, O any](program core.Variant[I, O], res []Reexpression[I], n int
 	return &NCopy[I, O]{program: program, res: rs, n: n, adj: adj, rng: rng}, nil
 }
 
-// SetMetrics attaches a metrics collector.
-func (c *NCopy[I, O]) SetMetrics(m *core.Metrics) { c.metrics = m }
-
 // Execute implements core.Executor. Copies run sequentially over the
 // deterministic rng (data diversity replicates data, not processes; the
 // single program is the unit of execution).
 func (c *NCopy[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	var zero O
-	if c.metrics != nil {
-		c.metrics.RecordRequest()
-		c.metrics.RecordVariantExecutions(c.n)
-	}
 	results := make([]core.Result[O], c.n)
 	for i := 0; i < c.n; i++ {
 		if err := ctx.Err(); err != nil {
@@ -196,24 +191,5 @@ func (c *NCopy[I, O]) Execute(ctx context.Context, input I) (O, error) {
 		out, err := c.program.Execute(ctx, in)
 		results[i] = core.Result[O]{Variant: name, Value: out, Err: err}
 	}
-	value, err := c.adj.Adjudicate(results)
-	if c.metrics != nil {
-		anyFailed := false
-		for _, r := range results {
-			if !r.OK() {
-				anyFailed = true
-				break
-			}
-		}
-		if anyFailed {
-			c.metrics.RecordFailureDetected()
-		}
-		switch {
-		case err != nil:
-			c.metrics.RecordFailure()
-		case anyFailed:
-			c.metrics.RecordFailureMasked()
-		}
-	}
-	return value, err
+	return c.adj.Adjudicate(results)
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/vote"
 	"github.com/softwarefaults/redundancy/internal/xrand"
 )
@@ -72,21 +73,21 @@ func TestRetryBlockSucceedsOnCleanInput(t *testing.T) {
 }
 
 func TestRetryBlockEscapesFailureRegion(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	rb, err := NewRetryBlock(wrappedProgram(), acceptAnything[divInput](),
 		[]Reexpression[divInput]{shiftBy(20)}, 3, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb.SetMetrics(&m)
+	rb.SetObserver(c)
 	// x=105 is inside the failure region; shifted to 125 it succeeds, and
 	// the exact re-expression makes the corrected output equal 2*105.
 	got, err := rb.Execute(context.Background(), divInput{X: 105})
 	if err != nil || got != 210 {
 		t.Errorf("= (%d, %v), want (210, nil)", got, err)
 	}
-	s := m.Snapshot()
-	if s.VariantExecutions != 2 || s.FailuresMasked != 1 {
+	s := c.Executor("sequential-alternatives")
+	if s.Executions() != 2 || s.FailuresMasked != 1 {
 		t.Errorf("metrics = %+v", s)
 	}
 }
@@ -146,7 +147,7 @@ func TestRetryBlockAcceptanceRejection(t *testing.T) {
 }
 
 func TestRetryBlockPanickingProgramIsAFailedAttempt(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	// The program panics inside the failure region instead of returning
 	// an error; the shifted re-expression escapes it.
 	prog := core.NewVariant("panics", func(_ context.Context, in divInput) (int, error) {
@@ -160,12 +161,12 @@ func TestRetryBlockPanickingProgramIsAFailedAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb.SetMetrics(&m)
+	rb.SetObserver(c)
 	got, err := rb.Execute(context.Background(), divInput{X: 105})
 	if err != nil || got != 210 {
 		t.Errorf("= (%d, %v), want (210, nil)", got, err)
 	}
-	if s := m.Snapshot(); s.VariantExecutions != 2 || s.FailuresMasked != 1 {
+	if s := c.Executor("sequential-alternatives"); s.Executions() != 2 || s.FailuresMasked != 1 {
 		t.Errorf("metrics = %+v, want the panic counted as one failed attempt", s)
 	}
 }
@@ -192,7 +193,6 @@ func TestRetryBlockConstructorValidation(t *testing.T) {
 }
 
 func TestNCopyVotesAcrossCopies(t *testing.T) {
-	var m core.Metrics
 	nc, err := NewNCopy(wrappedProgram(),
 		[]Reexpression[divInput]{shiftBy(20), shiftBy(40)},
 		3,
@@ -201,15 +201,11 @@ func TestNCopyVotesAcrossCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc.SetMetrics(&m)
 	// Original input 105 fails; both re-expressed copies succeed and
 	// agree on the corrected output 210.
 	got, err := nc.Execute(context.Background(), divInput{X: 105})
 	if err != nil || got != 210 {
 		t.Errorf("= (%d, %v), want (210, nil)", got, err)
-	}
-	if s := m.Snapshot(); s.FailuresMasked != 1 || s.VariantExecutions != 3 {
-		t.Errorf("metrics = %+v", s)
 	}
 }
 

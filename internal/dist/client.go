@@ -459,10 +459,11 @@ func (f *fanout[I, O]) settle(res attemptResult[O]) (O, bool) {
 	}
 	if ej != nil {
 		// The abandoned losers feed their elapsed time as censored
-		// (at-least-this-slow) samples.
-		for _, rec := range f.records {
+		// (at-least-this-slow) samples; those launched before the winner
+		// were overtaken by it.
+		for j, rec := range f.records {
 			if !rec.settled {
-				ej.ObserveCensored(rec.Endpoint, time.Since(rec.launched))
+				ej.ObserveCensored(rec.Endpoint, time.Since(rec.launched), j < i)
 			}
 		}
 	}

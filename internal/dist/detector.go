@@ -325,31 +325,41 @@ func (d *Detector) ping(ctx context.Context, dial DialFunc) error {
 	return nil
 }
 
-// record folds one heartbeat outcome into a member's state, emitting a
-// ReplicaStateChanged event on transitions.
+// record folds one heartbeat outcome into a member's state. Outcomes
+// for a name no longer watched are dropped.
 func (d *Detector) record(name string, ok bool) {
+	d.file(name, false, func(m *member) {
+		if ok {
+			m.misses = 0
+			m.lastSeen = time.Now()
+		} else {
+			m.misses++
+		}
+	})
+}
+
+// file is the one way evidence reaches a member: under d.mu it applies
+// evidence to the named member and recomputes its state, and after
+// releasing the lock (observers must not run under it) it emits a
+// ReplicaStateChanged event if the state moved. An unwatched name is
+// registered, with no dialer, when register is set, and ignored
+// otherwise.
+func (d *Detector) file(name string, register bool, evidence func(*member)) {
 	d.mu.Lock()
 	m, found := d.members[name]
 	if !found {
-		d.mu.Unlock()
-		return
+		if !register {
+			d.mu.Unlock()
+			return
+		}
+		m = &member{name: name, state: obs.ReplicaAlive}
+		d.members[name] = m
 	}
 	from := m.state
-	if ok {
-		m.misses = 0
-		m.lastSeen = time.Now()
-	} else {
-		m.misses++
-	}
+	evidence(m)
 	m.recompute(d.cfg)
 	to := m.state
 	d.mu.Unlock()
-	d.transitioned(name, from, to)
-}
-
-// transitioned emits a ReplicaStateChanged event if a member's state
-// moved. Called after d.mu is released: observers must not run under it.
-func (d *Detector) transitioned(name string, from, to obs.ReplicaState) {
 	if from != to {
 		obs.Emit(d.cfg.Observer, obs.ReplicaStateChanged(d.cfg.Name, name, from, to))
 	}
@@ -364,18 +374,7 @@ func (d *Detector) transitioned(name string, from, to obs.ReplicaState) {
 // name registers it (with no dialer) so purely quorum-driven fleets
 // still converge on a verdict about their liars.
 func (d *Detector) Accuse(name string) {
-	d.mu.Lock()
-	m, found := d.members[name]
-	if !found {
-		m = &member{name: name, state: obs.ReplicaAlive}
-		d.members[name] = m
-	}
-	from := m.state
-	m.accusations++
-	m.recompute(d.cfg)
-	to := m.state
-	d.mu.Unlock()
-	d.transitioned(name, from, to)
+	d.file(name, true, func(m *member) { m.accusations++ })
 }
 
 // Forget drops a replica from the membership along with all evidence
@@ -395,18 +394,7 @@ func (d *Detector) Forget(name string) {
 // reversible through ClearSlow: limps are frequently environmental and
 // the recovered replica should serve again.
 func (d *Detector) ReportSlow(name string) {
-	d.mu.Lock()
-	m, found := d.members[name]
-	if !found {
-		m = &member{name: name, state: obs.ReplicaAlive}
-		d.members[name] = m
-	}
-	from := m.state
-	m.slowness++
-	m.recompute(d.cfg)
-	to := m.state
-	d.mu.Unlock()
-	d.transitioned(name, from, to)
+	d.file(name, true, func(m *member) { m.slowness++ })
 }
 
 // ClearSlow withdraws all slowness evidence against a replica — the
@@ -414,18 +402,7 @@ func (d *Detector) ReportSlow(name string) {
 // recovered and it is reinstated. Misses and accusations are
 // untouched; only the timing track is exculpable.
 func (d *Detector) ClearSlow(name string) {
-	d.mu.Lock()
-	m, found := d.members[name]
-	if !found {
-		d.mu.Unlock()
-		return
-	}
-	from := m.state
-	m.slowness = 0
-	m.recompute(d.cfg)
-	to := m.state
-	d.mu.Unlock()
-	d.transitioned(name, from, to)
+	d.file(name, false, func(m *member) { m.slowness = 0 })
 }
 
 // Evidence returns the detector's current evidence against a replica:

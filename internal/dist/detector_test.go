@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -228,5 +229,77 @@ func TestReplicaStateString(t *testing.T) {
 		if got := state.String(); got != want {
 			t.Fatalf("ReplicaState(%d).String() = %q, want %q", state, got, want)
 		}
+	}
+}
+
+// transitionLog records every ReplicaStateChanged event in emission
+// order as "replica:from>to".
+type transitionLog struct {
+	obs.Nop
+	mu  sync.Mutex
+	log []string
+}
+
+func (l *transitionLog) Event(ev obs.Event) {
+	if ev.Kind != obs.KindReplicaStateChanged {
+		return
+	}
+	l.mu.Lock()
+	l.log = append(l.log, ev.Subject+":"+obs.ReplicaState(ev.From).String()+">"+obs.ReplicaState(ev.To).String())
+	l.mu.Unlock()
+}
+
+func TestDetectorFilingRegistersOnlyAccusersOfFault(t *testing.T) {
+	det := NewDetector(DetectorConfig{SuspectAfter: 1, DeadAfter: 2})
+	// A heartbeat outcome or a cleared limp for a name nobody watches is
+	// dropped: neither is evidence worth a membership entry.
+	det.record("ghost", false)
+	det.ClearSlow("ghost")
+	if states := det.States(); len(states) != 0 {
+		t.Fatalf("States after record/ClearSlow on unwatched names = %v, want empty", states)
+	}
+	// Accusations and slowness reports register the name they accuse.
+	det.Accuse("liar")
+	det.ReportSlow("limper")
+	states := det.States()
+	if len(states) != 2 || states["liar"] != obs.ReplicaAlive || states["limper"] != obs.ReplicaAlive {
+		t.Fatalf("States = %v, want map[liar:alive limper:alive]", states)
+	}
+	if misses, accusations, slowness := det.Evidence("liar"); misses != 0 || accusations != 1 || slowness != 0 {
+		t.Fatalf("Evidence(liar) = %d/%d/%d, want 0/1/0", misses, accusations, slowness)
+	}
+	if misses, accusations, slowness := det.Evidence("limper"); misses != 0 || accusations != 0 || slowness != 1 {
+		t.Fatalf("Evidence(limper) = %d/%d/%d, want 0/0/1", misses, accusations, slowness)
+	}
+}
+
+func TestDetectorTransitionsEmittedInOrder(t *testing.T) {
+	events := &transitionLog{}
+	det := NewDetector(DetectorConfig{
+		SuspectAfter: 1, DeadAfter: 2,
+		AccuseSuspectAfter: 1, AccuseDeadAfter: 2,
+		SlowSuspectAfter: 1, SlowDeadAfter: 2,
+		Observer: events,
+	})
+	det.Watch("r1", func(ctx context.Context) (net.Conn, error) { return nil, ErrReplicaUnavailable })
+
+	det.record("r1", false) // alive > suspect
+	det.record("r1", false) // suspect > dead
+	det.record("r1", true)  // dead > alive
+	det.record("r1", true)  // no transition
+	det.ReportSlow("r1")    // alive > suspect
+	det.ReportSlow("r1")    // suspect > dead
+	det.ClearSlow("r1")     // dead > alive
+	det.Accuse("r1")        // alive > suspect
+	det.ClearSlow("r1")     // no transition: accusations stand
+	det.Accuse("r1")        // suspect > dead
+
+	want := []string{
+		"r1:alive>suspect", "r1:suspect>dead", "r1:dead>alive",
+		"r1:alive>suspect", "r1:suspect>dead", "r1:dead>alive",
+		"r1:alive>suspect", "r1:suspect>dead",
+	}
+	if !reflect.DeepEqual(events.log, want) {
+		t.Fatalf("transitions = %v, want %v", events.log, want)
 	}
 }

@@ -242,23 +242,27 @@ func (e *Ejector) Observe(endpoint string, latency time.Duration) {
 		}
 		return
 	}
-	e.maybeEject(endpoint, p, float64(latency))
+	e.maybeEject(endpoint, p, float64(latency), false)
 }
 
 // ObserveCensored feeds an abandoned attempt: the request was settled
-// by another endpoint (a hedge won) while this one was still in
-// flight after elapsed time. The true latency is unknown but at least
-// elapsed, so the sample only ever pushes the EWMA up — without it a
-// limper that loses every hedge race would never accumulate evidence,
-// because its attempts never complete. For an ejected endpoint a
-// censored probe is proof it is still slow.
-func (e *Ejector) ObserveCensored(endpoint string, elapsed time.Duration) {
+// by another endpoint while this one was still in flight after elapsed
+// time. The true latency is unknown but at least elapsed, so the sample
+// only ever pushes the EWMA up — without it a limper that loses every
+// hedge race would never accumulate evidence, because its attempts
+// never complete. overtaken reports that the winner was launched after
+// this attempt: a hedge fired because this one was slow, and finished
+// first. That counts toward the ejection streak whatever elapsed reads
+// against the fleet median, which it cannot exceed by much: the hedge
+// delay plus the winner's round trip bounds it. An attempt that lost to
+// an earlier one says nothing about its endpoint beyond the EWMA. For an
+// ejected endpoint a censored probe is proof it is still slow.
+func (e *Ejector) ObserveCensored(endpoint string, elapsed time.Duration, overtaken bool) {
 	e.mu.Lock()
 	p := e.ep(endpoint)
 	// Below the EWMA a censored sample cannot push it up, so it only
 	// updates when it is above.
-	above := p.samples == 0 || float64(elapsed) > p.ewma
-	if above {
+	if p.samples == 0 || float64(elapsed) > p.ewma {
 		e.update(p, float64(elapsed))
 	}
 	if p.ejected {
@@ -272,13 +276,11 @@ func (e *Ejector) ObserveCensored(endpoint string, elapsed time.Duration) {
 		}
 		return
 	}
-	if !above {
-		// A quickly-canceled attempt says nothing: it was abandoned
-		// before it could prove itself slow or fast.
+	if !overtaken {
 		e.mu.Unlock()
 		return
 	}
-	e.maybeEject(endpoint, p, float64(elapsed))
+	e.maybeEject(endpoint, p, float64(elapsed), true)
 }
 
 // ejectStreak is how many consecutive samples must each exceed the
@@ -291,12 +293,13 @@ const ejectStreak = 3
 
 // maybeEject applies the ejection rule to one endpoint after its
 // sample x: the EWMA and the last ejectStreak samples must all exceed
-// Threshold× the fleet median. Caller holds mu; the lock is released
-// before detector/observer callbacks.
-func (e *Ejector) maybeEject(endpoint string, p *epLatency, x float64) {
+// Threshold× the fleet median, where an overtaken attempt's sample
+// counts as over whatever it reads. Caller holds mu; the lock is
+// released before detector/observer callbacks.
+func (e *Ejector) maybeEject(endpoint string, p *epLatency, x float64, overtaken bool) {
 	med := e.medianLocked()
 	bar := e.cfg.Threshold * med
-	if med > 0 && x > bar {
+	if med > 0 && (overtaken || x > bar) {
 		p.over++
 	} else {
 		p.over = 0

@@ -93,6 +93,53 @@ func TestEjectorSingleOutlierNeverEjects(t *testing.T) {
 	}
 }
 
+// TestEjectorOvertakenLimperEjected is the E29 limper that loses every
+// hedge race: its censored samples read under Threshold× the fleet
+// median (the hedge delay plus the winner's round trip bounds them), but
+// a hedge launched after each of its attempts finished first, and that
+// is the streak. A hedge that lost to an earlier attempt neither extends
+// nor breaks it.
+func TestEjectorOvertakenLimperEjected(t *testing.T) {
+	limping := func() *Ejector {
+		e := NewEjector(EjectorConfig{Alpha: 0.3, Threshold: 3, MinSamples: 5, MinKeep: 2})
+		feedFleet(e, 5, map[string]time.Duration{"r1": 10 * time.Millisecond, "r3": 10 * time.Millisecond})
+		// Five completed samples, never two over the bar in a row, leave
+		// r2's EWMA at about 45ms: over the 30ms bar, with no streak.
+		for _, d := range []time.Duration{100, 10, 100, 10, 10} {
+			e.Observe("r2", d*time.Millisecond)
+		}
+		if e.Ejected("r2") {
+			t.Fatalf("ejected before any censored sample: %+v", e.Snapshot())
+		}
+		return e
+	}
+
+	e := limping()
+	for i := 0; i < ejectStreak; i++ {
+		if e.Ejected("r2") {
+			t.Fatalf("ejected after %d overtaken attempts, want %d", i, ejectStreak)
+		}
+		e.ObserveCensored("r2", 20*time.Millisecond, true) // 2× the median
+	}
+	if !e.Ejected("r2") {
+		t.Fatalf("%d overtaken attempts did not eject: %+v", ejectStreak, e.Snapshot())
+	}
+
+	e = limping()
+	for i := 0; i < ejectStreak-1; i++ {
+		e.ObserveCensored("r2", 20*time.Millisecond, true)
+	}
+	// Over the bar, but it lost to an attempt launched before it.
+	e.ObserveCensored("r2", 50*time.Millisecond, false)
+	if e.Ejected("r2") {
+		t.Fatal("a hedge that lost to an earlier attempt extended the streak")
+	}
+	e.ObserveCensored("r2", 20*time.Millisecond, true)
+	if !e.Ejected("r2") {
+		t.Fatalf("a hedge that lost to an earlier attempt broke the streak: %+v", e.Snapshot())
+	}
+}
+
 func TestEjectorFloorHoldsRotation(t *testing.T) {
 	// Two endpoints, floor of 2: however slow r2 gets, ejecting it
 	// would leave one endpoint in rotation — below the floor.
@@ -157,7 +204,7 @@ func TestEjectorProbationAndReinstatement(t *testing.T) {
 			}
 			probes++
 			// A slow probe (censored by the hedge) resets probation.
-			e.ObserveCensored("r2", 25*time.Millisecond)
+			e.ObserveCensored("r2", 25*time.Millisecond, true)
 		} else if class[1] <= class[0] {
 			t.Fatalf("non-probe decision %d did not penalize the ejected endpoint: %v", i, class)
 		}
@@ -214,14 +261,14 @@ func TestEjectorCensoredSamplesOnlyPushUp(t *testing.T) {
 	e.Observe("r1", 10*time.Millisecond)
 	// A quickly-abandoned attempt proves nothing and must not drag the
 	// EWMA down.
-	e.ObserveCensored("r1", time.Millisecond)
+	e.ObserveCensored("r1", time.Millisecond, true)
 	for _, ep := range e.Snapshot() {
 		if ep.Endpoint == "r1" && ep.EWMA < 9*time.Millisecond {
 			t.Fatalf("censored fast sample dragged EWMA to %v", ep.EWMA)
 		}
 	}
 	// A censored sample slower than the EWMA is real evidence.
-	e.ObserveCensored("r1", 100*time.Millisecond)
+	e.ObserveCensored("r1", 100*time.Millisecond, true)
 	for _, ep := range e.Snapshot() {
 		if ep.Endpoint == "r1" && ep.EWMA <= 10*time.Millisecond {
 			t.Fatalf("censored slow sample ignored; EWMA %v", ep.EWMA)

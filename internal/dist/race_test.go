@@ -212,7 +212,7 @@ func TestEjectorObserveRacesRouting(t *testing.T) {
 				lat = 20 * time.Millisecond // e2 limps
 			}
 			e.Observe(names[i%len(names)], lat)
-			e.ObserveCensored(names[i%len(names)], lat/2)
+			e.ObserveCensored(names[i%len(names)], lat/2, i%len(names) == 1)
 		}
 	}()
 

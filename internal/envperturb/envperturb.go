@@ -27,6 +27,7 @@ import (
 
 	"github.com/softwarefaults/redundancy/internal/core"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/pattern"
 )
 
@@ -68,7 +69,7 @@ type Executor[I, O any] struct {
 	// Rollback restores a consistent state before each re-execution; nil
 	// for pure programs.
 	rollback func(ctx context.Context) error
-	metrics  *core.Metrics
+	observer obs.Observer
 	seq      *pattern.SequentialAlternatives[I, O]
 
 	// lastRung records the name of the rung that produced the last
@@ -87,9 +88,12 @@ func WithRollback[I, O any](rollback func(ctx context.Context) error) Option[I, 
 	return func(e *Executor[I, O]) { e.rollback = rollback }
 }
 
-// WithMetrics attaches a metrics collector.
-func WithMetrics[I, O any](m *core.Metrics) Option[I, O] {
-	return func(e *Executor[I, O]) { e.metrics = m }
+// WithObserver attaches an observer. It sees the executor as a
+// sequential-alternatives executor: each rung a variant span, each
+// escalation a retry event, each restoration a rollback. Repeated
+// options combine.
+func WithObserver[I, O any](o obs.Observer) Option[I, O] {
+	return func(e *Executor[I, O]) { e.observer = obs.Combine(e.observer, o) }
 }
 
 // New builds a perturbation executor over program, starting from baseEnv
@@ -110,7 +114,7 @@ func New[I, O any](program EnvProgram[I, O], baseEnv *faultmodel.Env, ladder []R
 		variants = append(variants, e.under(rung))
 	}
 	seq, err := pattern.NewSequentialAlternatives(variants,
-		func(I, O) error { return nil }, e.rollback, pattern.WithMetrics(e.metrics))
+		func(I, O) error { return nil }, e.rollback, pattern.WithObserver(e.observer))
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/softwarefaults/redundancy/internal/core"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/xrand"
 )
 
@@ -49,9 +49,9 @@ func TestCleanProgramNoPerturbation(t *testing.T) {
 }
 
 func TestPaddingRungHealsOverflow(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	e, err := New(overflowProgram(), faultmodel.DefaultEnv(), DefaultLadder(),
-		WithMetrics[int, int](&m))
+		WithObserver[int, int](c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +62,9 @@ func TestPaddingRungHealsOverflow(t *testing.T) {
 	if e.LastRung() != "pad-64" {
 		t.Errorf("LastRung = %q, want pad-64", e.LastRung())
 	}
-	s := m.Snapshot()
+	s := c.Executor("sequential-alternatives")
 	// First try + plain retry + padded retry = 3 executions.
-	if s.VariantExecutions != 3 || s.FailuresMasked != 1 {
+	if s.Executions() != 3 || s.FailuresMasked != 1 {
 		t.Errorf("metrics = %+v", s)
 	}
 }
@@ -133,15 +133,15 @@ func TestLadderExhaustion(t *testing.T) {
 	always := func(_ context.Context, _ *faultmodel.Env, _ int) (int, error) {
 		return 0, errors.New("unconditional bug")
 	}
-	var m core.Metrics
-	e, err := New(always, faultmodel.DefaultEnv(), DefaultLadder(), WithMetrics[int, int](&m))
+	c := obs.NewCollector()
+	e, err := New(always, faultmodel.DefaultEnv(), DefaultLadder(), WithObserver[int, int](c))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Execute(context.Background(), 1); err == nil {
 		t.Error("want error")
 	}
-	if s := m.Snapshot(); s.Failures != 1 || s.VariantExecutions != 5 {
+	if s := c.Executor("sequential-alternatives"); s.Failures != 1 || s.Executions() != 5 {
 		t.Errorf("metrics = %+v", s)
 	}
 }
@@ -156,8 +156,8 @@ func TestPanickingProgramIsAFailedAttempt(t *testing.T) {
 		}
 		return x * 2, nil
 	}
-	var m core.Metrics
-	e, err := New(prog, faultmodel.DefaultEnv(), DefaultLadder(), WithMetrics[int, int](&m))
+	c := obs.NewCollector()
+	e, err := New(prog, faultmodel.DefaultEnv(), DefaultLadder(), WithObserver[int, int](c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPanickingProgramIsAFailedAttempt(t *testing.T) {
 	if e.LastRung() != "pad-64" {
 		t.Errorf("LastRung = %q, want pad-64", e.LastRung())
 	}
-	if s := m.Snapshot(); s.VariantExecutions != 3 || s.FailuresMasked != 1 {
+	if s := c.Executor("sequential-alternatives"); s.Executions() != 3 || s.FailuresMasked != 1 {
 		t.Errorf("metrics = %+v", s)
 	}
 }

@@ -333,32 +333,80 @@ func (c *Collector) Snapshot() []ExecutorSnapshot {
 	if m == nil {
 		return nil
 	}
-	out := make([]ExecutorSnapshot, 0, len(*m))
+	out := make([]ExecutorSnapshot, len(*m))
+	i := 0
 	for _, e := range *m {
 		// Filled in place: the row accessors are func values, so a pointer
 		// to a local snapshot would escape and cost an allocation per
 		// executor.
-		out = append(out, ExecutorSnapshot{Executor: e.name, Latency: e.latency.Snapshot(), MTTR: e.mttr.Snapshot()})
-		s := &out[len(out)-1]
-		for id := cRequests; id < nCounters; id++ {
-			*counterRows[id].field(s) = e.counters[id].Load()
-		}
-		if vm := e.variants.Load(); vm != nil {
-			for _, v := range *vm {
-				s.Variants = append(s.Variants, VariantSnapshot{
-					Variant:    v.name,
-					Executions: v.executions.Load(),
-					Failures:   v.failures.Load(),
-					Latency:    v.latency.Snapshot(),
-				})
-			}
-			sort.Slice(s.Variants, func(i, j int) bool {
-				return s.Variants[i].Variant < s.Variants[j].Variant
-			})
-		}
+		e.fill(&out[i])
+		i++
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Executor < out[j].Executor })
 	return out
+}
+
+// Executor returns the snapshot of one executor's stats: an empty row
+// under that name if the executor has not been observed.
+func (c *Collector) Executor(name string) ExecutorSnapshot {
+	s := ExecutorSnapshot{Executor: name}
+	if m := c.execs.Load(); m != nil {
+		if e, ok := (*m)[name]; ok {
+			e.fill(&s)
+		}
+	}
+	return s
+}
+
+// fill copies the executor's stats into s.
+func (e *ExecutorStats) fill(s *ExecutorSnapshot) {
+	*s = ExecutorSnapshot{Executor: e.name, Latency: e.latency.Snapshot(), MTTR: e.mttr.Snapshot()}
+	for id := cRequests; id < nCounters; id++ {
+		*counterRows[id].field(s) = e.counters[id].Load()
+	}
+	if vm := e.variants.Load(); vm != nil {
+		for _, v := range *vm {
+			s.Variants = append(s.Variants, VariantSnapshot{
+				Variant:    v.name,
+				Executions: v.executions.Load(),
+				Failures:   v.failures.Load(),
+				Latency:    v.latency.Snapshot(),
+			})
+		}
+		sort.Slice(s.Variants, func(i, j int) bool {
+			return s.Variants[i].Variant < s.Variants[j].Variant
+		})
+	}
+}
+
+// Executions is the executor's variant executions, summed over its
+// variants.
+func (s ExecutorSnapshot) Executions() int64 {
+	var n int64
+	for _, v := range s.Variants {
+		n += v.Executions
+	}
+	return n
+}
+
+// ExecutionsPerRequest is the execution-cost measure of the paper's
+// Section 4.1: the average number of variant executions needed to serve
+// one request. It reads 0 before any request has been observed.
+func (s ExecutorSnapshot) ExecutionsPerRequest() float64 {
+	if s.Requests == 0 {
+		return 0
+	}
+	return float64(s.Executions()) / float64(s.Requests)
+}
+
+// Reliability is the fraction of requests served successfully. An idle
+// executor reads 1: with no requests observed there are no observed
+// failures, and reporting 0 would make it look broken.
+func (s ExecutorSnapshot) Reliability() float64 {
+	if s.Requests == 0 {
+		return 1
+	}
+	return 1 - float64(s.Failures)/float64(s.Requests)
 }
 
 // ExecutorLatency returns the request-latency histogram of an executor,

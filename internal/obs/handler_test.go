@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/softwarefaults/redundancy/internal/core"
 )
 
 // observeOneRequest drives one masked request through an observer.
@@ -121,39 +119,5 @@ func TestCollectorVar(t *testing.T) {
 	s := c.Var().String()
 	if !strings.Contains(s, `"single"`) {
 		t.Errorf("expvar output missing executor: %s", s)
-	}
-}
-
-func TestForMetricsParity(t *testing.T) {
-	// The adapter must reproduce the legacy counter semantics: request on
-	// start, one execution per variant end, detected/masked/failed from
-	// the adjudication decision.
-	var m core.Metrics
-	o := ForMetrics(&m)
-
-	observeOneRequest(o, "exec") // accepted with detected failure -> masked
-
-	req := NextRequestID() // failed request
-	o.RequestStart("exec", req)
-	o.VariantEnd("exec", "v1", req, time.Millisecond, errors.New("boom"))
-	o.Adjudicated("exec", req, false, true)
-	o.RequestEnd("exec", req, time.Millisecond, OutcomeFailed)
-
-	req = NextRequestID() // clean request
-	o.RequestStart("exec", req)
-	o.VariantEnd("exec", "v1", req, time.Millisecond, nil)
-	o.Adjudicated("exec", req, true, false)
-	o.RequestEnd("exec", req, time.Millisecond, OutcomeSuccess)
-
-	s := m.Snapshot()
-	if s.Requests != 3 || s.VariantExecutions != 4 || s.FailuresDetected != 2 ||
-		s.FailuresMasked != 1 || s.Failures != 1 {
-		t.Errorf("snapshot = %+v", s)
-	}
-}
-
-func TestForMetricsNil(t *testing.T) {
-	if ForMetrics(nil) != nil {
-		t.Error("ForMetrics(nil) should be nil to preserve the fast path")
 	}
 }

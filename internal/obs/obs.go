@@ -2,9 +2,8 @@
 // single Observer interface receives span-style callbacks from every
 // redundancy executor (pattern executors, composite processes, technique
 // facades), and composable implementations turn those callbacks into
-// latency histograms (Collector), bounded request traces (TraceRecorder),
-// the legacy core.Metrics counters (ForMetrics), or anything a caller
-// wires in.
+// per-executor counters and latency histograms (Collector), bounded
+// request traces (TraceRecorder), or anything a caller wires in.
 //
 // The design follows the cost model of the paper's Section 4.1: the two
 // quantities that matter for a redundant executor are how many variant

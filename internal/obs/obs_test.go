@@ -202,6 +202,108 @@ func TestCollectorCounts(t *testing.T) {
 	}
 }
 
+// TestExecutorSnapshotCostModel reads the paper's Section 4.1 cost
+// model off a collected row: variant executions per request (summed over
+// the variants) and the fraction of requests served.
+func TestExecutorSnapshotCostModel(t *testing.T) {
+	c := NewCollector()
+	req := NextRequestID() // three executions, one failed: masked
+	c.RequestStart("exec", req)
+	c.VariantEnd("exec", "v1", req, time.Millisecond, nil)
+	c.VariantEnd("exec", "v2", req, time.Millisecond, errors.New("boom"))
+	c.VariantEnd("exec", "v3", req, time.Millisecond, nil)
+	c.Adjudicated("exec", req, true, true)
+	c.RequestEnd("exec", req, time.Millisecond, OutcomeMasked)
+	req = NextRequestID() // one execution, failed
+	c.RequestStart("exec", req)
+	c.VariantEnd("exec", "v1", req, time.Millisecond, errors.New("boom"))
+	c.Adjudicated("exec", req, false, false)
+	c.RequestEnd("exec", req, time.Millisecond, OutcomeFailed)
+
+	s := c.Executor("exec")
+	if s.Requests != 2 || s.FailuresDetected != 1 || s.FailuresMasked != 1 || s.Failures != 1 {
+		t.Errorf("row = %+v", s)
+	}
+	if got := s.ExecutionsPerRequest(); got != 2 {
+		t.Errorf("ExecutionsPerRequest = %f, want 2", got)
+	}
+	if got := s.Reliability(); got != 0.5 {
+		t.Errorf("Reliability = %f, want 0.5", got)
+	}
+}
+
+// TestExecutorSnapshotIdle pins the cost model of an executor that has
+// served nothing: zero execution cost, and fully reliable rather than
+// broken (no observed requests means no observed failures).
+func TestExecutorSnapshotIdle(t *testing.T) {
+	s := NewCollector().Executor("idle")
+	if s.Executor != "idle" || s.Requests != 0 {
+		t.Errorf("row = %+v", s)
+	}
+	if got := s.ExecutionsPerRequest(); got != 0 {
+		t.Errorf("ExecutionsPerRequest = %f, want 0", got)
+	}
+	if got := s.Reliability(); got != 1 {
+		t.Errorf("Reliability = %f, want 1", got)
+	}
+}
+
+// TestCollectorCountsFromAdjudication pins how a row derives the cost
+// model's counts from the callbacks: a request on start, one execution
+// per variant end, and detected, masked and failed from the
+// adjudication decision.
+func TestCollectorCountsFromAdjudication(t *testing.T) {
+	c := NewCollector()
+	observeOneRequest(c, "exec") // accepted with a detected failure: masked
+
+	req := NextRequestID() // failed request
+	c.RequestStart("exec", req)
+	c.VariantEnd("exec", "v1", req, time.Millisecond, errors.New("boom"))
+	c.Adjudicated("exec", req, false, true)
+	c.RequestEnd("exec", req, time.Millisecond, OutcomeFailed)
+
+	req = NextRequestID() // clean request
+	c.RequestStart("exec", req)
+	c.VariantEnd("exec", "v1", req, time.Millisecond, nil)
+	c.Adjudicated("exec", req, true, false)
+	c.RequestEnd("exec", req, time.Millisecond, OutcomeSuccess)
+
+	s := c.Executor("exec")
+	if s.Requests != 3 || s.Executions() != 4 || s.FailuresDetected != 2 ||
+		s.FailuresMasked != 1 || s.Failures != 1 {
+		t.Errorf("row = %+v (executions %d)", s, s.Executions())
+	}
+}
+
+// TestExecutorSnapshotConcurrent checks that a row shared by concurrent
+// requests loses no request and no execution.
+func TestExecutorSnapshotConcurrent(t *testing.T) {
+	c := NewCollector()
+	var wg sync.WaitGroup
+	const workers, each = 8, 1000
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				req := NextRequestID()
+				c.RequestStart("exec", req)
+				c.VariantEnd("exec", "v1", req, time.Microsecond, nil)
+				c.VariantEnd("exec", "v2", req, time.Microsecond, nil)
+				c.RequestEnd("exec", req, time.Microsecond, OutcomeSuccess)
+			}
+		}()
+	}
+	wg.Wait()
+	s := c.Executor("exec")
+	if s.Requests != workers*each || s.Executions() != 2*workers*each {
+		t.Errorf("lost updates: requests %d, executions %d", s.Requests, s.Executions())
+	}
+	if got := s.ExecutionsPerRequest(); got != 2 {
+		t.Errorf("ExecutionsPerRequest = %f, want 2", got)
+	}
+}
+
 func TestCollectorLatencyLookup(t *testing.T) {
 	c := NewCollector()
 	if c.ExecutorLatency("missing") != nil || c.VariantLatency("missing", "v") != nil {

@@ -131,7 +131,7 @@ func TestParallelEvaluationExecuteAllUnobserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Direct raw executions carry no adjudication, so they are not
-	// observed (matching the historical WithMetrics behavior).
+	// observed.
 	pe.ExecuteAll(context.Background(), 1)
 	if rec.starts != 0 || len(rec.variants) != 0 {
 		t.Errorf("ExecuteAll emitted events: starts=%d variants=%v", rec.starts, rec.variants)
@@ -247,96 +247,87 @@ func TestSingleObserver(t *testing.T) {
 	}
 }
 
-// TestWithMetricsViaObserverParity drives each executor through mixed
-// success/failure workloads twice — once against the legacy counters
-// (WithMetrics, now observer-backed) and conceptually against the
-// documented legacy semantics — and asserts the counters are unchanged.
-func TestWithMetricsViaObserverParity(t *testing.T) {
+// TestCollectorCostModelPerExecutor drives each executor through a mixed
+// success/failure workload and reads the paper's Section 4.1 counts off
+// its Collector row: requests, variant executions, and detected, masked
+// and residual failures.
+func TestCollectorCostModelPerExecutor(t *testing.T) {
 	ctx := context.Background()
+	type counts struct{ requests, executions, detected, masked, failures int64 }
+	check := func(t *testing.T, c *obs.Collector, executor string, want counts) {
+		t.Helper()
+		s := c.Executor(executor)
+		got := counts{int64(s.Requests), int64(s.Executions()), int64(s.FailuresDetected), int64(s.FailuresMasked), int64(s.Failures)}
+		if got != want {
+			t.Errorf("%s row = %+v, want %+v", executor, got, want)
+		}
+	}
 
 	t.Run("parallel-evaluation", func(t *testing.T) {
-		var m core.Metrics
+		c := obs.NewCollector()
 		pe, err := NewParallelEvaluation(
 			[]core.Variant[int, int]{obsOK("a", 1), obsFail("b"), obsOK("c", 1)},
 			core.AdjudicatorFunc[int](func(rs []core.Result[int]) (int, error) { return rs[0].Value, nil }),
-			WithMetrics(&m))
+			WithObserver(c))
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, _ = pe.Execute(ctx, 1)
-		s := m.Snapshot()
-		if s.Requests != 1 || s.VariantExecutions != 3 || s.FailuresDetected != 1 ||
-			s.FailuresMasked != 1 || s.Failures != 0 {
-			t.Errorf("snapshot = %+v", s)
-		}
+		check(t, c, "parallel-evaluation", counts{requests: 1, executions: 3, detected: 1, masked: 1})
 	})
 
 	t.Run("sequential", func(t *testing.T) {
-		var m core.Metrics
+		c := obs.NewCollector()
 		seq, err := NewSequentialAlternatives(
 			[]core.Variant[int, int]{obsFail("p"), obsOK("a", 1)},
-			func(int, int) error { return nil }, nil, WithMetrics(&m))
+			func(int, int) error { return nil }, nil, WithObserver(c))
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, _ = seq.Execute(ctx, 1)
-		s := m.Snapshot()
-		if s.Requests != 1 || s.VariantExecutions != 2 || s.FailuresDetected != 1 ||
-			s.FailuresMasked != 1 || s.Failures != 0 {
-			t.Errorf("snapshot = %+v", s)
-		}
+		check(t, c, "sequential-alternatives", counts{requests: 1, executions: 2, detected: 1, masked: 1})
 	})
 
 	t.Run("selection-all-disabled", func(t *testing.T) {
-		var m core.Metrics
+		c := obs.NewCollector()
 		rejectAll := func(int, int) error { return core.ErrNotAccepted }
 		ps, err := NewParallelSelection(
 			[]core.Variant[int, int]{obsOK("v", 0)},
-			[]core.AcceptanceTest[int, int]{rejectAll}, WithMetrics(&m))
+			[]core.AcceptanceTest[int, int]{rejectAll}, WithObserver(c))
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, _ = ps.Execute(ctx, 1) // rejected and disabled
 		_, _ = ps.Execute(ctx, 1) // all disabled
-		s := m.Snapshot()
-		if s.Requests != 2 || s.VariantExecutions != 1 || s.FailuresDetected != 1 ||
-			s.Failures != 2 {
-			t.Errorf("snapshot = %+v", s)
-		}
+		check(t, c, "parallel-selection", counts{requests: 2, executions: 1, detected: 1, failures: 2})
 	})
 
 	t.Run("single", func(t *testing.T) {
-		var m core.Metrics
-		sg, err := NewSingle(obsFail("only"), WithMetrics(&m))
+		c := obs.NewCollector()
+		sg, err := NewSingle(obsFail("only"), WithObserver(c))
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, _ = sg.Execute(ctx, 1)
-		s := m.Snapshot()
-		if s.Requests != 1 || s.VariantExecutions != 1 || s.FailuresDetected != 1 ||
-			s.Failures != 1 {
-			t.Errorf("snapshot = %+v", s)
-		}
+		check(t, c, "single", counts{requests: 1, executions: 1, detected: 1, failures: 1})
 	})
 }
 
-// TestWithMetricsAndObserverCompose checks that legacy metrics and a new
-// observer can be attached together and both see the traffic.
-func TestWithMetricsAndObserverCompose(t *testing.T) {
-	var m core.Metrics
-	c := obs.NewCollector()
-	sg, err := NewSingle(obsOK("v", 1), WithMetrics(&m), WithObserver(c))
+// TestObserversCompose checks that two observers attached to one
+// executor both see its traffic.
+func TestObserversCompose(t *testing.T) {
+	rec, c := newRecordingObserver(), obs.NewCollector()
+	sg, err := NewSingle(obsOK("v", 1), WithObserver(rec), WithObserver(c))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sg.Execute(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Snapshot(); s.Requests != 1 {
-		t.Errorf("metrics snapshot = %+v", s)
+	if rec.starts != 1 || rec.ends != 1 || len(rec.variants) != 1 {
+		t.Errorf("recorder saw starts=%d ends=%d variants=%v", rec.starts, rec.ends, rec.variants)
 	}
-	snap := c.Snapshot()
-	if len(snap) != 1 || snap[0].Requests != 1 || snap[0].Executor != "single" {
-		t.Errorf("collector snapshot = %+v", snap)
+	if s := c.Executor("single"); s.Requests != 1 || s.Executions() != 1 {
+		t.Errorf("collector row = %+v", s)
 	}
 }

@@ -34,10 +34,10 @@
 //
 // Every executor is observable: WithObserver attaches an obs.Observer
 // that receives request/variant spans, adjudication decisions and
-// recovery actions. The legacy WithMetrics option is implemented on top
-// of the same mechanism (obs.ForMetrics) and keeps its exact counter
-// semantics. With no observer configured the executors take a fast path
-// that performs no observation work and no allocations.
+// recovery actions; an obs.Collector turns them into the per-executor
+// counters of the paper's cost model. With no observer configured the
+// executors take a fast path that performs no observation work and no
+// allocations.
 package pattern
 
 import (
@@ -67,7 +67,7 @@ type config struct {
 	observer obs.Observer
 	// traced caches obs.WantsTrace(observer): per-request trace spans are
 	// derived (one context allocation) only when an attached observer
-	// records them, preserving the unobserved and metrics-only fast paths.
+	// records them, preserving the unobserved and counter-only fast paths.
 	traced         bool
 	variantTimeout time.Duration
 	logger         *slog.Logger
@@ -148,20 +148,10 @@ func rankVariants[I, O any](r Ranker, executor string, vs []core.Variant[I, O]) 
 // Option configures a pattern executor.
 type Option func(*config)
 
-// WithMetrics attaches a metrics collector to the executor. Since the
-// observation layer landed this is a thin veneer over WithObserver: the
-// counters are driven by the same events as every other observer, with
-// the historical semantics preserved (one request per Execute, one
-// variant execution per variant run, detected/masked/failed derived from
-// the executor's adjudication decision).
-func WithMetrics(m *core.Metrics) Option {
-	return WithObserver(obs.ForMetrics(m))
-}
-
 // WithObserver attaches an observer receiving request and variant spans,
 // adjudication decisions, and recovery actions (component disablement,
-// retries, rollbacks). Multiple WithObserver (and WithMetrics) options
-// compose: every attached observer sees every event.
+// retries, rollbacks). Multiple WithObserver options compose: every
+// attached observer sees every event.
 func WithObserver(o obs.Observer) Option {
 	return func(c *config) { c.observer = obs.Combine(c.observer, o) }
 }
@@ -793,69 +783,83 @@ func (s *SequentialAlternatives[I, O]) Execute(ctx context.Context, input I) (O,
 		return zero, admitErr
 	}
 	defer adm.release()
-	o := s.cfg.observer
 	variants := s.variants
 	if s.cfg.ranker != nil {
 		variants = rankVariants(s.cfg.ranker, nameSequentialAlternatives, s.variants)
 	}
-	retrier := s.cfg.retrier
+	n := len(variants)
+	if r := s.cfg.retrier; r != nil && r.AttemptCap() > 0 {
+		n = min(n, r.AttemptCap())
+	}
+	value, attempts, err := runAttempts(ctx, &s.cfg, nameSequentialAlternatives, req, n, input,
+		variants, s.test, s.rollback)
+	if err != nil {
+		value, err = zero, fmt.Errorf("%w: %w", core.ErrAllVariantsFailed, err)
+	}
+	return finish(ctx, s.cfg, nameSequentialAlternatives, req, start, input, value, err, attempts > 1)
+}
+
+// runAttempts is the attempt loop of the sequential executors: attempts
+// 1..n on the caller's goroutine, attempt k running vs[k-1] (the last of
+// vs once k passes its length, which is how Single retries its one
+// variant) and validated by test (nil accepts every result the variant
+// returns), up to the first accepted one. Every attempt after the first is a retry: it
+// pays the retry policy's budget and waits out its backoff when a policy
+// is configured, runs rollback (when non-nil) to restore state, and is
+// reported as a RetryAttempt. The loop stops early when the request's
+// context ends, the budget runs dry or a rollback fails. It returns the
+// last attempt's value, how many attempts ran, and nil once one was
+// accepted, else the last attempt's failure, wrapped in the cause when
+// the loop stopped early.
+func runAttempts[I, O any](ctx context.Context, cfg *config, executor string, req uint64, n int, input I, vs []core.Variant[I, O], test core.AcceptanceTest[I, O], rollback func(context.Context) error) (O, int, error) {
+	var (
+		value O
+		err   error
+	)
+	retrier := cfg.retrier
 	if retrier != nil {
 		if b := retrier.Budget(); b != nil {
 			b.Deposit()
 		}
 	}
-	var lastErr error
-	attempts := 0
-	for i, v := range variants {
-		if err := ctx.Err(); err != nil {
-			lastErr = stopped(err, lastErr)
-			break
+	for k := 1; k <= n; k++ {
+		v := vs[min(k, len(vs))-1]
+		if cause := ctx.Err(); cause != nil {
+			return value, k - 1, stopped(cause, err)
 		}
-		if i > 0 && retrier != nil {
-			// Every alternate beyond the first is a retry: it pays the
-			// retry budget, respects the attempt cap, and waits out the
-			// policy's (jittered, exponential) backoff.
-			if cap := retrier.AttemptCap(); cap > 0 && attempts >= cap {
-				break
+		if k > 1 {
+			if retrier != nil {
+				if b := retrier.Budget(); b != nil && !b.Withdraw() {
+					return value, k - 1, stopped(resilience.ErrRetryBudgetExhausted, err)
+				}
+				if cause := retrier.Pause(ctx, k); cause != nil {
+					return value, k - 1, stopped(cause, err)
+				}
 			}
-			if b := retrier.Budget(); b != nil && !b.Withdraw() {
-				lastErr = stopped(resilience.ErrRetryBudgetExhausted, lastErr)
-				break
+			o := cfg.observer
+			if rollback != nil {
+				if o != nil && req != 0 {
+					o.Rollback(executor, req)
+				}
+				if rbErr := rollback(ctx); rbErr != nil {
+					return value, k - 1, fmt.Errorf("rollback before alternate %s: %w", v.Name(), rbErr)
+				}
 			}
-			if err := retrier.Pause(ctx, attempts+1); err != nil {
-				lastErr = stopped(err, lastErr)
-				break
-			}
-		}
-		if i > 0 && s.rollback != nil {
 			if o != nil && req != 0 {
-				o.Rollback(nameSequentialAlternatives, req)
-			}
-			if err := s.rollback(ctx); err != nil {
-				lastErr = fmt.Errorf("rollback before alternate %s: %w", v.Name(), err)
-				break
+				o.RetryAttempt(executor, v.Name(), req, k)
 			}
 		}
-		if i > 0 && o != nil && req != 0 {
-			o.RetryAttempt(nameSequentialAlternatives, v.Name(), req, i+1)
-		}
-		attempts++
-		r := runVariant(ctx, &s.cfg, nameSequentialAlternatives, req, v, input)
-		err := r.Err
-		if err == nil {
-			err = s.test(input, r.Value)
+		r := runVariant(ctx, cfg, executor, req, v, input)
+		value, err = r.Value, r.Err
+		if err == nil && test != nil {
+			err = test(input, r.Value)
 		}
 		if err == nil {
-			return finish(ctx, s.cfg, nameSequentialAlternatives, req, start, input, r.Value, nil, attempts > 1)
+			return value, k, nil
 		}
-		lastErr = err
-		s.cfg.logVariantFailure(nameSequentialAlternatives, v.Name(), err)
+		cfg.logVariantFailure(executor, v.Name(), err)
 	}
-	err := core.ErrAllVariantsFailed
-	if lastErr != nil {
-		err = fmt.Errorf("%w: %w", core.ErrAllVariantsFailed, lastErr)
-	}
-	return finish(ctx, s.cfg, nameSequentialAlternatives, req, start, input, zero, err, attempts > 1)
+	return value, n, err
 }
 
 // Single runs one variant: with no retry policy it is the non-redundant
@@ -923,40 +927,7 @@ func (s *Single[I, O]) Execute(ctx context.Context, input I) (O, error) {
 		return zero, admitErr
 	}
 	defer adm.release()
-	retrier := s.cfg.retrier
-	if retrier != nil {
-		if b := retrier.Budget(); b != nil {
-			b.Deposit()
-		}
-	}
-	var (
-		r        core.Result[O]
-		attempts int
-	)
-	for attempt := 1; attempt <= s.attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			r.Err = stopped(err, r.Err)
-			break
-		}
-		if attempt > 1 {
-			if b := retrier.Budget(); b != nil && !b.Withdraw() {
-				r.Err = stopped(resilience.ErrRetryBudgetExhausted, r.Err)
-				break
-			}
-			if err := retrier.Pause(ctx, attempt); err != nil {
-				r.Err = stopped(err, r.Err)
-				break
-			}
-			if o := s.cfg.observer; o != nil && req != 0 {
-				o.RetryAttempt(s.name, s.variant.Name(), req, attempt)
-			}
-		}
-		attempts++
-		r = runVariant(ctx, &s.cfg, s.name, req, s.variant, input)
-		if r.OK() {
-			break
-		}
-		s.cfg.logVariantFailure(s.name, r.Variant, r.Err)
-	}
-	return finish(ctx, s.cfg, s.name, req, start, input, r.Value, r.Err, !r.OK() || attempts > 1)
+	value, attempts, err := runAttempts(ctx, &s.cfg, s.name, req, s.attempts, input,
+		[]core.Variant[I, O]{s.variant}, nil, nil)
+	return finish(ctx, s.cfg, s.name, req, start, input, value, err, err != nil || attempts > 1)
 }

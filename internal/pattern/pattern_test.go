@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/vote"
 )
 
@@ -110,13 +111,13 @@ func TestParallelEvaluationConstructorErrors(t *testing.T) {
 }
 
 func TestParallelEvaluationMetrics(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	pe, err := NewParallelEvaluation(
 		[]core.Variant[int, int]{
 			constVariant("a", 1), constVariant("b", 1), errVariant("c"),
 		},
 		vote.Majority(core.EqualOf[int]()),
-		WithMetrics(&m),
+		WithObserver(c),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +125,8 @@ func TestParallelEvaluationMetrics(t *testing.T) {
 	if _, err := pe.Execute(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Snapshot()
-	if s.Requests != 1 || s.VariantExecutions != 3 {
+	s := c.Executor(nameParallelEvaluation)
+	if s.Requests != 1 || s.Executions() != 3 {
 		t.Errorf("snapshot = %+v", s)
 	}
 	if s.FailuresDetected != 1 || s.FailuresMasked != 1 || s.Failures != 0 {
@@ -134,11 +135,11 @@ func TestParallelEvaluationMetrics(t *testing.T) {
 }
 
 func TestParallelEvaluationNoConsensusCountsAsFailure(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	pe, err := NewParallelEvaluation(
 		[]core.Variant[int, int]{constVariant("a", 1), constVariant("b", 2)},
 		vote.Majority(core.EqualOf[int]()),
-		WithMetrics(&m),
+		WithObserver(c),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestParallelEvaluationNoConsensusCountsAsFailure(t *testing.T) {
 	if _, err := pe.Execute(context.Background(), 0); !errors.Is(err, core.ErrNoConsensus) {
 		t.Fatalf("err = %v", err)
 	}
-	if s := m.Snapshot(); s.Failures != 1 {
+	if s := c.Executor(nameParallelEvaluation); s.Failures != 1 {
 		t.Errorf("failures = %d, want 1", s.Failures)
 	}
 }
@@ -193,11 +194,11 @@ func TestParallelSelectionDisablesAndRecovers(t *testing.T) {
 }
 
 func TestParallelSelectionAllDisabled(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	ps, err := NewParallelSelection(
 		[]core.Variant[int, int]{errVariant("a")},
 		[]core.AcceptanceTest[int, int]{acceptAll},
-		WithMetrics(&m),
+		WithObserver(c),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +209,7 @@ func TestParallelSelectionAllDisabled(t *testing.T) {
 	if _, err := ps.Execute(context.Background(), 0); !errors.Is(err, core.ErrAllVariantsFailed) {
 		t.Fatalf("after disable: err = %v", err)
 	}
-	if s := m.Snapshot(); s.Failures != 2 {
+	if s := c.Executor(nameParallelSelection); s.Failures != 2 {
 		t.Errorf("failures = %d, want 2", s.Failures)
 	}
 }
@@ -335,11 +336,11 @@ func TestSequentialAlternativesContextCancellation(t *testing.T) {
 }
 
 func TestSequentialAlternativesMetrics(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	sa, err := NewSequentialAlternatives(
 		[]core.Variant[int, int]{errVariant("a"), constVariant("b", 1)},
 		acceptAll, nil,
-		WithMetrics(&m),
+		WithObserver(c),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -347,8 +348,8 @@ func TestSequentialAlternativesMetrics(t *testing.T) {
 	if _, err := sa.Execute(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Snapshot()
-	if s.Requests != 1 || s.VariantExecutions != 2 ||
+	s := c.Executor(nameSequentialAlternatives)
+	if s.Requests != 1 || s.Executions() != 2 ||
 		s.FailuresDetected != 1 || s.FailuresMasked != 1 || s.Failures != 0 {
 		t.Errorf("snapshot = %+v", s)
 	}
@@ -369,8 +370,8 @@ func TestSequentialAlternativesConstructorErrors(t *testing.T) {
 }
 
 func TestSingleBaseline(t *testing.T) {
-	var m core.Metrics
-	s, err := NewSingle(constVariant("only", 9), WithMetrics(&m))
+	c := obs.NewCollector()
+	s, err := NewSingle(constVariant("only", 9), WithObserver(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,21 +379,21 @@ func TestSingleBaseline(t *testing.T) {
 	if err != nil || got != 9 {
 		t.Errorf("= (%d, %v)", got, err)
 	}
-	if snap := m.Snapshot(); snap.Requests != 1 || snap.VariantExecutions != 1 {
+	if snap := c.Executor(nameSingle); snap.Requests != 1 || snap.Executions() != 1 {
 		t.Errorf("metrics = %+v", snap)
 	}
 }
 
 func TestSingleFailure(t *testing.T) {
-	var m core.Metrics
-	s, err := NewSingle(errVariant("only"), WithMetrics(&m))
+	c := obs.NewCollector()
+	s, err := NewSingle(errVariant("only"), WithObserver(c))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Execute(context.Background(), 0); err == nil {
 		t.Error("want error")
 	}
-	if snap := m.Snapshot(); snap.Failures != 1 {
+	if snap := c.Executor(nameSingle); snap.Failures != 1 {
 		t.Errorf("failures = %d", snap.Failures)
 	}
 }

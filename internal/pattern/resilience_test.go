@@ -3,6 +3,7 @@ package pattern
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -298,6 +299,37 @@ func TestSequentialAttemptCapLimitsAlternates(t *testing.T) {
 	}
 	if r1.Load() != 1 || r2.Load() != 0 {
 		t.Errorf("runs = %d/%d, want 1/0", r1.Load(), r2.Load())
+	}
+}
+
+// TestRetryAttemptsFixedByRetries pins NewRetry's attempt count at
+// retries+1 whatever the policy's MaxAttempts says, with the last
+// attempt's error returned unwrapped.
+func TestRetryAttemptsFixedByRetries(t *testing.T) {
+	for _, maxAttempts := range []int{0, 1, 10} {
+		var calls atomic.Int64
+		failing := core.NewVariant("failing", func(_ context.Context, _ int) (int, error) {
+			return 0, fmt.Errorf("attempt %d failed", calls.Add(1))
+		})
+		collector := obs.NewCollector()
+		r, err := NewRetry(failing, 2,
+			WithObserver(collector),
+			WithRetryPolicy(resilience.RetryPolicy{MaxAttempts: maxAttempts}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Execute(context.Background(), 1)
+		if err == nil || err.Error() != "attempt 3 failed" || errors.Is(err, core.ErrAllVariantsFailed) {
+			t.Errorf("MaxAttempts %d: Execute = %v, want the third attempt's own error", maxAttempts, err)
+		}
+		if got := calls.Load(); got != 3 {
+			t.Errorf("MaxAttempts %d: variant ran %d times, want 3", maxAttempts, got)
+		}
+		s := snapshotOf(t, collector, "retry")
+		if s.Retries != 2 || s.Executions() != 3 || s.Failures != 1 {
+			t.Errorf("MaxAttempts %d: row retries=%d executions=%d failures=%d, want 2/3/1",
+				maxAttempts, s.Retries, s.Executions(), s.Failures)
+		}
 	}
 }
 

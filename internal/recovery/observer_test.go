@@ -47,26 +47,24 @@ func TestBlockForwardsObserver(t *testing.T) {
 	}
 }
 
-func TestBlockCombinesMetricsAndObserver(t *testing.T) {
-	var m core.Metrics
-	c := obs.NewCollector()
+func TestBlockCombinesObservers(t *testing.T) {
+	first, second := obs.NewCollector(), obs.NewCollector()
 	state := 0
 	v := core.NewVariant("v", func(_ context.Context, x int) (int, error) { return x, nil })
 	b, err := NewBlock("blk", &state,
 		func(int, int) error { return nil },
 		[]core.Variant[int, int]{v},
-		WithMetrics[int, int, int](&m),
-		WithObserver[int, int, int](c))
+		WithObserver[int, int, int](first),
+		WithObserver[int, int, int](second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Execute(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Snapshot(); s.Requests != 1 || s.VariantExecutions != 1 {
-		t.Errorf("legacy metrics = %+v", s)
-	}
-	if snap := c.Snapshot(); len(snap) != 1 || snap[0].Requests != 1 {
-		t.Errorf("collector = %+v", snap)
+	for _, c := range []*obs.Collector{first, second} {
+		if s := c.Executor("sequential-alternatives"); s.Requests != 1 || s.Executions() != 1 {
+			t.Errorf("collector = %+v", s)
+		}
 	}
 }

@@ -31,7 +31,6 @@ type Block[S, I, O any] struct {
 	store *checkpoint.Store[S]
 	seq   *pattern.SequentialAlternatives[I, O]
 
-	metrics  *core.Metrics
 	observer obs.Observer
 }
 
@@ -39,11 +38,6 @@ var _ core.Executor[int, int] = (*Block[struct{}, int, int])(nil)
 
 // Option configures a Block.
 type Option[S, I, O any] func(*Block[S, I, O])
-
-// WithMetrics attaches a metrics collector.
-func WithMetrics[S, I, O any](m *core.Metrics) Option[S, I, O] {
-	return func(b *Block[S, I, O]) { b.metrics = m }
-}
 
 // WithObserver attaches an observer. The block forwards it to the
 // underlying sequential-alternatives executor, so the observer sees the
@@ -76,7 +70,7 @@ func NewBlock[S, I, O any](name string, state *S, test core.AcceptanceTest[I, O]
 		o(b)
 	}
 	seq, err := pattern.NewSequentialAlternatives(variants, test, b.rollback,
-		pattern.WithMetrics(b.metrics), pattern.WithObserver(b.observer))
+		pattern.WithObserver(b.observer))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/obs"
 )
 
 // ledger is the shared state the block's variants mutate.
@@ -128,7 +129,7 @@ func TestExhaustedBlockRestoresState(t *testing.T) {
 
 func TestMetricsAccounting(t *testing.T) {
 	state := struct{ X int }{}
-	var m core.Metrics
+	c := obs.NewCollector()
 	fail := core.NewVariant("p", func(_ context.Context, _ int) (int, error) {
 		return 0, errors.New("x")
 	})
@@ -138,7 +139,7 @@ func TestMetricsAccounting(t *testing.T) {
 	b, err := NewBlock("blk", &state,
 		func(_ int, _ int) error { return nil },
 		[]core.Variant[int, int]{fail, ok},
-		WithMetrics[struct{ X int }, int, int](&m),
+		WithObserver[struct{ X int }, int, int](c),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +147,8 @@ func TestMetricsAccounting(t *testing.T) {
 	if _, err := b.Execute(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Snapshot()
-	if s.Requests != 1 || s.VariantExecutions != 2 || s.FailuresMasked != 1 {
+	s := c.Executor("sequential-alternatives")
+	if s.Requests != 1 || s.Executions() != 2 || s.FailuresMasked != 1 {
 		t.Errorf("metrics = %+v", s)
 	}
 }

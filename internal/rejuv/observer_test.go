@@ -136,8 +136,7 @@ func TestRejuvenatorObserverPlainVariantErrorNotAdjudicated(t *testing.T) {
 		t.Fatal("want variant error")
 	}
 	// Rejuvenation is preventive: it has no failure detector, so a plain
-	// variant error must not be adjudicated (legacy counters recorded
-	// nothing here either).
+	// variant error must not be adjudicated.
 	if len(rec.adjs) != 0 {
 		t.Errorf("adjudications = %+v, want none", rec.adjs)
 	}
@@ -147,19 +146,19 @@ func TestRejuvenatorObserverPlainVariantErrorNotAdjudicated(t *testing.T) {
 }
 
 func TestRejuvenatorMetricsOnAgingFailure(t *testing.T) {
-	// Legacy counter parity on the fault path: one request, one variant
+	// The cost-model counters on the fault path: one request, one variant
 	// execution, one detected failure, one executor failure.
-	var m core.Metrics
+	c := obs.NewCollector()
 	r, err := NewRejuvenator(identity(), alwaysAging(), NeverPolicy{}, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetMetrics(&m)
+	r.SetObserver(c)
 	if _, err := r.Execute(context.Background(), 1); err == nil {
 		t.Fatal("want aging failure")
 	}
-	s := m.Snapshot()
-	if s.Requests != 1 || s.VariantExecutions != 1 || s.FailuresDetected != 1 || s.Failures != 1 {
+	s := c.Executor("rejuvenator")
+	if s.Requests != 1 || s.Executions() != 1 || s.FailuresDetected != 1 || s.Failures != 1 {
 		t.Errorf("metrics = %+v", s)
 	}
 }

@@ -185,12 +185,6 @@ func NewRejuvenator[I, O any](variant core.Variant[I, O], fault faultmodel.Aging
 	}, nil
 }
 
-// SetMetrics attaches a metrics collector; it is observation shorthand
-// for SetObserver(obs.ForMetrics(m)) and keeps the legacy counter
-// semantics: every request counts one variant execution, and only an
-// activated aging fault counts as a detected failure.
-func (r *Rejuvenator[I, O]) SetMetrics(m *core.Metrics) { r.SetObserver(obs.ForMetrics(m)) }
-
 // SetObserver attaches an observer. Rejuvenations are reported as
 // rollback events (the environment is restored to its initial state);
 // aging-fault activations fail the request with the failure detected.

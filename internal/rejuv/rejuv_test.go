@@ -7,6 +7,7 @@ import (
 
 	"github.com/softwarefaults/redundancy/internal/core"
 	"github.com/softwarefaults/redundancy/internal/faultmodel"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/xrand"
 )
 
@@ -110,16 +111,16 @@ func TestRejuvenatorCountsRejuvenations(t *testing.T) {
 }
 
 func TestRejuvenatorMetrics(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	r, err := NewRejuvenator(identity(), faultmodel.AgingFault{}, NeverPolicy{}, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetMetrics(&m)
+	r.SetObserver(c)
 	if _, err := r.Execute(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Snapshot(); s.Requests != 1 || s.Failures != 0 {
+	if s := c.Executor("rejuvenator"); s.Requests != 1 || s.Failures != 0 {
 		t.Errorf("metrics = %+v", s)
 	}
 }

@@ -26,8 +26,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-
-	"github.com/softwarefaults/redundancy/internal/core"
 )
 
 // Sentinel errors reported by replicas and the monitor.
@@ -191,8 +189,7 @@ func (p *Process) Handle(req Request) (uint64, error) {
 // System is the monitor plus N replicas with disjoint partitions and
 // distinct tags.
 type System struct {
-	procs   []*Process
-	metrics *core.Metrics
+	procs []*Process
 }
 
 // NewSystem creates n replicas, each with a partition of the given size.
@@ -216,9 +213,6 @@ func NewSystem(n int, size uint64) (*System, error) {
 	return &System{procs: procs}, nil
 }
 
-// SetMetrics attaches a metrics collector.
-func (s *System) SetMetrics(m *core.Metrics) { s.metrics = m }
-
 // N returns the number of replicas.
 func (s *System) N() int { return len(s.procs) }
 
@@ -230,10 +224,6 @@ func (s *System) Process(i int) *Process { return s.procs[i] }
 // If all replicas agree (same value, or same error class) the common
 // outcome is returned; any divergence is reported as ErrAttackDetected.
 func (s *System) Execute(req Request) (uint64, error) {
-	if s.metrics != nil {
-		s.metrics.RecordRequest()
-		s.metrics.RecordVariantExecutions(len(s.procs))
-	}
 	values := make([]uint64, len(s.procs))
 	errs := make([]error, len(s.procs))
 	for i, p := range s.procs {
@@ -256,20 +246,12 @@ func (s *System) Execute(req Request) (uint64, error) {
 		}
 	}
 	if diverged {
-		if s.metrics != nil {
-			s.metrics.RecordFailureDetected()
-			s.metrics.RecordFailure()
-		}
 		return 0, fmt.Errorf("replica responses diverged: %w", ErrAttackDetected)
 	}
 	if errs[0] != nil {
 		// A unanimous trap is still suspicious for untrusted code (the
 		// attacker guessed no valid tag at all), but it cannot be a
 		// successful attack; report it as the common error.
-		if s.metrics != nil {
-			s.metrics.RecordFailureDetected()
-			s.metrics.RecordFailure()
-		}
 		return 0, errs[0]
 	}
 	return values[0], nil

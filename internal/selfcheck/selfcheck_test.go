@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/pattern"
 )
 
@@ -126,12 +127,12 @@ func TestSystemActingResultPreferred(t *testing.T) {
 }
 
 func TestSystemHotSparePromotion(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	sys, err := NewSystem([]Component[int, int]{
 		mustWithTest(t, impl("acting", 0, true), acceptAll),
 		mustWithTest(t, impl("spare1", 2, false), acceptAll),
 		mustWithTest(t, impl("spare2", 3, false), acceptAll),
-	}, pattern.WithMetrics(&m))
+	}, pattern.WithObserver(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSystemHotSparePromotion(t *testing.T) {
 	if len(d) != 1 || d[0] != "acting" {
 		t.Errorf("Discarded = %v", d)
 	}
-	s := m.Snapshot()
+	s := c.Executor("parallel-selection")
 	if s.FailuresDetected != 1 || s.FailuresMasked != 1 || s.Failures != 0 {
 		t.Errorf("metrics = %+v", s)
 	}
@@ -191,10 +192,10 @@ func TestSystemDiscardedComponentNoLongerRuns(t *testing.T) {
 }
 
 func TestSystemRedundancyExhaustion(t *testing.T) {
-	var m core.Metrics
+	c := obs.NewCollector()
 	sys, err := NewSystem([]Component[int, int]{
 		mustWithTest(t, impl("a", 0, true), acceptAll),
-	}, pattern.WithMetrics(&m))
+	}, pattern.WithObserver(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestSystemRedundancyExhaustion(t *testing.T) {
 	if sys.Acting() != "" {
 		t.Errorf("Acting = %q, want empty", sys.Acting())
 	}
-	if s := m.Snapshot(); s.Failures != 2 {
+	if s := c.Executor("parallel-selection"); s.Failures != 2 {
 		t.Errorf("failures = %d", s.Failures)
 	}
 }

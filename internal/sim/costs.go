@@ -6,6 +6,7 @@ import (
 
 	"github.com/softwarefaults/redundancy/internal/core"
 	"github.com/softwarefaults/redundancy/internal/nvp"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/pattern"
 	"github.com/softwarefaults/redundancy/internal/selfcheck"
 	"github.com/softwarefaults/redundancy/internal/selfopt"
@@ -13,19 +14,10 @@ import (
 	"github.com/softwarefaults/redundancy/internal/xrand"
 )
 
-// withMetricsOpt wraps a metrics collector (plus the package observer,
-// when set) as pattern options.
-func withMetricsOpt(m *core.Metrics) []pattern.Option {
-	opts := []pattern.Option{pattern.WithMetrics(m)}
-	if observer != nil {
-		opts = append(opts, pattern.WithObserver(observer))
-	}
-	return opts
-}
-
-// newSequential builds a sequential-alternatives executor with metrics.
-func newSequential(vs []core.Variant[int, int], test core.AcceptanceTest[int, int], m *core.Metrics) (*pattern.SequentialAlternatives[int, int], error) {
-	return pattern.NewSequentialAlternatives(vs, test, nil, withMetricsOpt(m)...)
+// counted attaches an experiment's own collector, plus the package
+// observer when set, to a pattern executor.
+func counted(c *obs.Collector) pattern.Option {
+	return pattern.WithObserver(obs.Combine(c, observer))
 }
 
 // buildOptimizer constructs a selfopt.Optimizer over identity variants
@@ -81,12 +73,12 @@ func runCostsExperiment(seed uint64) ([]*stats.Table, error) {
 
 		// N-version programming: parallel evaluation, majority vote,
 		// implicit adjudicator (no acceptance test needed).
-		var mNVP core.Metrics
+		cNVP := obs.NewCollector()
 		versions := make([]core.Variant[int, int], n)
 		for i := range versions {
 			versions[i] = mkVersion(fmt.Sprintf("v%d", i+1), master.Split())
 		}
-		nvpSys, err := nvp.New(versions, core.EqualOf[int](), withMetricsOpt(&mNVP)...)
+		nvpSys, err := nvp.New(versions, core.EqualOf[int](), counted(cNVP))
 		if err != nil {
 			return nil, err
 		}
@@ -97,19 +89,19 @@ func runCostsExperiment(seed uint64) ([]*stats.Table, error) {
 				nvpWrong++
 			}
 		}
-		s := mNVP.Snapshot()
+		s := cNVP.Executor("parallel-evaluation")
 		table.AddRow(p, "N-version programming", 1-float64(nvpWrong)/trials,
 			s.ExecutionsPerRequest(), "implicit (vote)")
 
 		// Recovery blocks: sequential alternatives behind a perfect
 		// acceptance test. State is trivial here (pure functions), so
 		// rollback is a no-op; the point is the execution-cost profile.
-		var mRB core.Metrics
+		cRB := obs.NewCollector()
 		rbVersions := make([]core.Variant[int, int], n)
 		for i := range rbVersions {
 			rbVersions[i] = mkVersion(fmt.Sprintf("alt%d", i+1), master.Split())
 		}
-		rb, err := newSequential(rbVersions, acceptance, &mRB)
+		rb, err := pattern.NewSequentialAlternatives(rbVersions, acceptance, nil, counted(cRB))
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +112,7 @@ func runCostsExperiment(seed uint64) ([]*stats.Table, error) {
 				rbWrong++
 			}
 		}
-		s = mRB.Snapshot()
+		s = cRB.Executor("sequential-alternatives")
 		table.AddRow(p, "recovery blocks", 1-float64(rbWrong)/trials,
 			s.ExecutionsPerRequest(), "explicit (acceptance test)")
 
@@ -129,7 +121,7 @@ func runCostsExperiment(seed uint64) ([]*stats.Table, error) {
 		// transient per-request, so discarded components are restored
 		// between requests by rebuilding the system per batch; we model
 		// the hot-spare cost by running all components in parallel.
-		var mSC core.Metrics
+		cSC := obs.NewCollector()
 		scWrong := 0
 		comps := make([]selfcheck.Component[int, int], n)
 		for i := range comps {
@@ -142,7 +134,7 @@ func runCostsExperiment(seed uint64) ([]*stats.Table, error) {
 		for i := 0; i < trials; i++ {
 			// Rebuild per request: the experiment measures per-request
 			// cost, not redundancy depletion.
-			sys, err := selfcheck.NewSystem(comps, pattern.WithMetrics(&mSC))
+			sys, err := selfcheck.NewSystem(comps, pattern.WithObserver(cSC))
 			if err != nil {
 				return nil, err
 			}
@@ -151,7 +143,7 @@ func runCostsExperiment(seed uint64) ([]*stats.Table, error) {
 				scWrong++
 			}
 		}
-		s = mSC.Snapshot()
+		s = cSC.Executor("parallel-selection")
 		table.AddRow(p, "self-checking programming", 1-float64(scWrong)/trials,
 			s.ExecutionsPerRequest(), "expl./impl. (built-in checks)")
 	}

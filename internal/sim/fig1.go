@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/softwarefaults/redundancy/internal/core"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/pattern"
 	"github.com/softwarefaults/redundancy/internal/stats"
 	"github.com/softwarefaults/redundancy/internal/vote"
@@ -51,48 +52,48 @@ func figure1Experiment() Experiment {
 				rng := xrand.New(seed)
 
 				// Baseline: single variant, detected failures.
-				var mSingle core.Metrics
+				cSingle := obs.NewCollector()
 				single, err := pattern.NewSingle(
 					flakyVariant("v1", 0, p, false, rng.Split()),
-					withMetricsOpt(&mSingle)...)
+					counted(cSingle))
 				if err != nil {
 					return nil, err
 				}
 				for i := 0; i < trials; i++ {
 					_, _ = single.Execute(ctx, i)
 				}
-				s := mSingle.Snapshot()
+				s := cSingle.Executor("single")
 				table.AddRow(p, "single (baseline)", s.Reliability(), 1-p, s.ExecutionsPerRequest())
 
 				// Figure 1a: parallel evaluation with majority voting over
 				// silently wrong results.
-				var mPE core.Metrics
+				cPE := obs.NewCollector()
 				peVars := make([]core.Variant[int, int], n)
 				for i := range peVars {
 					peVars[i] = flakyVariant(fmt.Sprintf("v%d", i+1), i, p, true, rng.Split())
 				}
 				pe, err := pattern.NewParallelEvaluation(peVars,
-					vote.Majority(core.EqualOf[int]()), withMetricsOpt(&mPE)...)
+					vote.Majority(core.EqualOf[int]()), counted(cPE))
 				if err != nil {
 					return nil, err
 				}
 				for i := 0; i < trials; i++ {
 					_, _ = pe.Execute(ctx, i)
 				}
-				s = mPE.Snapshot()
+				s = cPE.Executor("parallel-evaluation")
 				analyticPE := (1-p)*(1-p)*(1-p) + 3*p*(1-p)*(1-p)
 				table.AddRow(p, "parallel evaluation (1a)", s.Reliability(), analyticPE, s.ExecutionsPerRequest())
 
 				// Figure 1b: parallel selection with per-variant acceptance
 				// tests (failures are detected).
-				var mPS core.Metrics
+				cPS := obs.NewCollector()
 				psVars := make([]core.Variant[int, int], n)
 				tests := make([]core.AcceptanceTest[int, int], n)
 				for i := range psVars {
 					psVars[i] = flakyVariant(fmt.Sprintf("v%d", i+1), i, p, false, rng.Split())
 					tests[i] = func(_ int, _ int) error { return nil }
 				}
-				ps, err := pattern.NewParallelSelection(psVars, tests, withMetricsOpt(&mPS)...)
+				ps, err := pattern.NewParallelSelection(psVars, tests, counted(cPS))
 				if err != nil {
 					return nil, err
 				}
@@ -100,25 +101,25 @@ func figure1Experiment() Experiment {
 					_, _ = ps.Execute(ctx, i)
 					ps.Reset() // re-enable variants: failures here are transient
 				}
-				s = mPS.Snapshot()
+				s = cPS.Executor("parallel-selection")
 				analyticAny := 1 - p*p*p
 				table.AddRow(p, "parallel selection (1b)", s.Reliability(), analyticAny, s.ExecutionsPerRequest())
 
 				// Figure 1c: sequential alternatives.
-				var mSA core.Metrics
+				cSA := obs.NewCollector()
 				saVars := make([]core.Variant[int, int], n)
 				for i := range saVars {
 					saVars[i] = flakyVariant(fmt.Sprintf("v%d", i+1), i, p, false, rng.Split())
 				}
 				sa, err := pattern.NewSequentialAlternatives(saVars,
-					func(_ int, _ int) error { return nil }, nil, withMetricsOpt(&mSA)...)
+					func(_ int, _ int) error { return nil }, nil, counted(cSA))
 				if err != nil {
 					return nil, err
 				}
 				for i := 0; i < trials; i++ {
 					_, _ = sa.Execute(ctx, i)
 				}
-				s = mSA.Snapshot()
+				s = cSA.Executor("sequential-alternatives")
 				table.AddRow(p, "sequential alternatives (1c)", s.Reliability(), analyticAny, s.ExecutionsPerRequest())
 			}
 			return []*stats.Table{table}, nil

@@ -223,12 +223,7 @@ func escalationTable() (*stats.Table, error) {
 	}
 	err := sup.Serve(context.Background())
 
-	var snap obs.ExecutorSnapshot
-	for _, e := range collector.Snapshot() {
-		if e.Executor == "e23-escalation" {
-			snap = e
-		}
-	}
+	snap := collector.Executor("e23-escalation")
 	t := stats.NewTable(
 		"Restart-intensity escalation on a persistent failure (budget 2/min)",
 		"measure", "value")

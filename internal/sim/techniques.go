@@ -8,6 +8,7 @@ import (
 	"github.com/softwarefaults/redundancy/internal/core"
 	"github.com/softwarefaults/redundancy/internal/datadiv"
 	"github.com/softwarefaults/redundancy/internal/geneticfix"
+	"github.com/softwarefaults/redundancy/internal/obs"
 	"github.com/softwarefaults/redundancy/internal/replica"
 	"github.com/softwarefaults/redundancy/internal/robustdata"
 	"github.com/softwarefaults/redundancy/internal/service"
@@ -62,13 +63,13 @@ func dataDiversityExperiment() Experiment {
 				"Retry-block success rate on failure-region inputs (region width 10/1000)",
 				"retry budget", "success rate", "analytic", "mean attempts")
 			for _, budget := range []int{1, 2, 3, 5} {
-				var m core.Metrics
+				c := obs.NewCollector()
 				rb, err := datadiv.NewRetryBlock(program, accept,
 					[]datadiv.Reexpression[int]{shift}, budget, rng.Split())
 				if err != nil {
 					return nil, err
 				}
-				rb.SetMetrics(&m)
+				rb.SetObserver(c)
 				ok := 0
 				for i := 0; i < trials; i++ {
 					in := regionLo + rng.Intn(regionWidth) // always inside the region
@@ -76,7 +77,7 @@ func dataDiversityExperiment() Experiment {
 						ok++
 					}
 				}
-				s := m.Snapshot()
+				s := c.Executor("sequential-alternatives")
 				// First attempt always fails; each retry escapes with
 				// probability 1 - (regionWidth-?)/domain ≈ 1 - w/domain.
 				pStay := float64(regionWidth) / float64(domain-1)

@@ -10,11 +10,11 @@ import (
 
 // The observation layer: a single Observer interface receives span-style
 // callbacks from every redundancy executor, with composable built-in
-// implementations — latency histograms (Collector), bounded request
-// traces (TraceRecorder), the legacy Metrics counters (MetricsObserver),
-// and an HTTP exporter (ObservationHandler). Attach observers to pattern
-// executors with WithObserver; WithMetrics remains the counter-only
-// shorthand, itself implemented as an Observer.
+// implementations — per-executor counters and latency histograms
+// (Collector), bounded request traces (TraceRecorder), and an HTTP
+// exporter (ObservationHandler). Attach observers to pattern executors
+// with WithObserver. A Collector row carries the paper's cost model:
+// ExecutorObservation's ExecutionsPerRequest and Reliability.
 type (
 	// Observer receives span-style callbacks from redundancy executors;
 	// see the interface documentation for the callback contract.
@@ -26,7 +26,7 @@ type (
 	// path.
 	Collector = obs.Collector
 	// ExecutorObservation is a point-in-time copy of one executor's
-	// collected stats.
+	// collected stats; Collector.Executor reads one by executor name.
 	ExecutorObservation = obs.ExecutorSnapshot
 	// VariantObservation is a point-in-time copy of one variant's
 	// collected stats.
@@ -85,8 +85,7 @@ const (
 )
 
 // WithObserver attaches an observer to a pattern executor. Repeated
-// options (and WithMetrics) combine: every attached observer sees every
-// event.
+// options combine: every attached observer sees every event.
 func WithObserver(o Observer) PatternOption { return pattern.WithObserver(o) }
 
 // NewCollector returns an empty histogram-backed metrics observer.
@@ -99,11 +98,6 @@ func NewTraceRecorder(n int) *TraceRecorder { return obs.NewTraceRecorder(n) }
 // CombineObservers composes observers into one; nil entries are dropped
 // and no live observers yield nil (the executors' unobserved fast path).
 func CombineObservers(observers ...Observer) Observer { return obs.Combine(observers...) }
-
-// MetricsObserver adapts the legacy counter set as an Observer, with the
-// exact counting semantics of the historical WithMetrics option. A nil
-// metrics collector yields a nil Observer.
-func MetricsObserver(m *Metrics) Observer { return obs.ForMetrics(m) }
 
 // ObservationHandler returns an HTTP handler exposing the observation
 // layer: /metrics (Prometheus text format), /vars (JSON snapshot), and

@@ -11,19 +11,18 @@ import (
 )
 
 // TestObservationFacade drives an observed executor through the public
-// API: collector, trace recorder and the legacy counters attached
-// together, and the HTTP exporter serving the results.
+// API: collector and trace recorder attached together, the cost model
+// read off the collector by executor name, and the HTTP exporter serving
+// the results.
 func TestObservationFacade(t *testing.T) {
 	collector := redundancy.NewCollector()
 	traces := redundancy.NewTraceRecorder(8)
-	var m redundancy.Metrics
 
 	ok := redundancy.NewVariant("ok", func(_ context.Context, x int) (int, error) { return x, nil })
 	exec, err := redundancy.NewSequentialAlternatives(
 		[]redundancy.Variant[int, int]{ok},
 		func(int, int) error { return nil }, nil,
-		redundancy.WithObserver(redundancy.CombineObservers(collector, traces)),
-		redundancy.WithObserver(redundancy.MetricsObserver(&m)))
+		redundancy.WithObserver(redundancy.CombineObservers(collector, traces)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +39,9 @@ func TestObservationFacade(t *testing.T) {
 	if got := traces.Snapshot(); len(got) != 3 || got[0].Outcome != "success" {
 		t.Errorf("traces = %+v", got)
 	}
-	if s := m.Snapshot(); s.Requests != 3 || s.VariantExecutions != 3 {
-		t.Errorf("legacy metrics = %+v", s)
+	s := collector.Executor("sequential-alternatives")
+	if s.ExecutionsPerRequest() != 1 || s.Reliability() != 1 {
+		t.Errorf("cost model: %v executions/request, reliability %v", s.ExecutionsPerRequest(), s.Reliability())
 	}
 
 	srv := httptest.NewServer(redundancy.ObservationHandler(collector, traces))
@@ -63,9 +63,6 @@ func TestObservationFacade(t *testing.T) {
 func TestCombineObserversNil(t *testing.T) {
 	if redundancy.CombineObservers(nil, nil) != nil {
 		t.Error("all-nil combination should collapse to nil")
-	}
-	if redundancy.MetricsObserver(nil) != nil {
-		t.Error("nil metrics should yield a nil observer")
 	}
 	nop := redundancy.NopObserver{}
 	if redundancy.CombineObservers(nil, nop) != redundancy.Observer(nop) {

@@ -29,9 +29,6 @@ type (
 	PatternOption = pattern.Option
 )
 
-// WithMetrics attaches a metrics collector to a pattern executor.
-func WithMetrics(m *Metrics) PatternOption { return pattern.WithMetrics(m) }
-
 // WithVariantTimeout bounds each variant execution of a pattern executor.
 func WithVariantTimeout(d time.Duration) PatternOption {
 	return pattern.WithVariantTimeout(d)

@@ -27,12 +27,6 @@ type (
 	ExecutorFunc[I, O any] = core.ExecutorFunc[I, O]
 	// Equal compares two outputs for adjudication purposes.
 	Equal[O any] = core.Equal[O]
-	// Metrics accumulates counters for a redundant executor.
-	Metrics = core.Metrics
-	// MetricsSnapshot is a point-in-time copy of executor counters. Its
-	// Reliability method reads 1 on an empty snapshot (no observed
-	// requests means no observed failures).
-	MetricsSnapshot = core.Snapshot
 	// Rand is the deterministic PRNG used throughout the framework.
 	Rand = xrand.Rand
 	// Table is a rendered result table (experiments, taxonomy).

@@ -84,11 +84,11 @@ func TestPublicSelfChecking(t *testing.T) {
 }
 
 func TestPublicPatternsAndAdjudicators(t *testing.T) {
-	var m redundancy.Metrics
+	collector := redundancy.NewCollector()
 	pe, err := redundancy.NewParallelEvaluation(
 		[]redundancy.Variant[int, int]{double("a", 0), double("b", 0)},
 		redundancy.Unanimity(redundancy.EqualOf[int]()),
-		redundancy.WithMetrics(&m),
+		redundancy.WithObserver(collector),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +96,8 @@ func TestPublicPatternsAndAdjudicators(t *testing.T) {
 	if got, err := pe.Execute(context.Background(), 1); err != nil || got != 2 {
 		t.Errorf("= (%d, %v)", got, err)
 	}
-	if m.Snapshot().VariantExecutions != 2 {
-		t.Error("metrics not recorded")
+	if collector.Executor("parallel-evaluation").Executions() != 2 {
+		t.Error("executions not recorded")
 	}
 	if _, err := redundancy.MedianAdjudicator().Adjudicate([]redundancy.Result[float64]{
 		{Variant: "x", Value: 3},
