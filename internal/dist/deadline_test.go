@@ -146,12 +146,16 @@ func TestCancelUnblocksReadInFlight(t *testing.T) {
 // TestTimerRacingCompletionNeverPoolsExpiredConnection: replies land
 // just before or just after the deadline, so the timer races the
 // exchange's end. Whatever wins, a pooled connection has never had a
-// deadline set, and the next call reuses it and succeeds.
+// deadline set, and the next call reuses it and succeeds. A pooled
+// connection that had expired would fail that call at once; a call that
+// fails only after running for the whole CallTimeout was slowed by a
+// loaded machine, and is counted, not failed.
 func TestTimerRacingCompletionNeverPoolsExpiredConnection(t *testing.T) {
+	const callTimeout = 8 * time.Millisecond
 	network := NewPipeNetwork()
 	stallReplica(t, network, "r1")
 	var tp tap
-	remote, err := NewRemote[int, int]("racer", RemoteConfig{CallTimeout: 8 * time.Millisecond},
+	remote, err := NewRemote[int, int]("racer", RemoteConfig{CallTimeout: callTimeout},
 		Endpoint{Name: "r1", Dial: tp.wrap(network.Dial("r1"))})
 	if err != nil {
 		t.Fatalf("NewRemote: %v", err)
@@ -159,7 +163,7 @@ func TestTimerRacingCompletionNeverPoolsExpiredConnection(t *testing.T) {
 	defer remote.Close()
 	pool := remote.view().pools[0]
 	ctx := context.Background()
-	successes, failures := 0, 0
+	successes, failures, overruns := 0, 0, 0
 	for i := 0; i < 200; i++ {
 		// Service times from 6ms to 10ms, around the 8ms deadline.
 		stall := 6000 + (i*397)%4000
@@ -180,8 +184,14 @@ func TestTimerRacingCompletionNeverPoolsExpiredConnection(t *testing.T) {
 		}
 		pool.mu.Unlock()
 		before, _ := tp.snapshot()
-		if got, err := remote.Execute(ctx, 0); err != nil || got != 0 {
-			t.Fatalf("call %d: call after a success = %d, %v", i, got, err)
+		began := time.Now()
+		got, err := remote.Execute(ctx, 0)
+		if took := time.Since(began); err != nil && took >= callTimeout {
+			overruns++
+			t.Logf("call %d: call after a success ran %v, past its %v timeout: %v", i, took, callTimeout, err)
+			continue
+		} else if err != nil || got != 0 {
+			t.Fatalf("call %d: call after a success = %d, %v after %v", i, got, err, took)
 		}
 		if dials, _ := tp.snapshot(); dials != before {
 			t.Fatalf("call %d: call after a success dialed instead of reusing the pooled connection", i)
@@ -189,5 +199,8 @@ func TestTimerRacingCompletionNeverPoolsExpiredConnection(t *testing.T) {
 	}
 	if successes == 0 || failures == 0 {
 		t.Logf("%d successes, %d failures: the timer did not race completion on this machine", successes, failures)
+	}
+	if overruns > 0 {
+		t.Logf("%d of %d calls after a success overran their timeout on a loaded machine", overruns, successes)
 	}
 }

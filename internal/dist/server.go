@@ -25,6 +25,15 @@ type ServerConfig struct {
 	// context.DeadlineExceeded, as under context.WithTimeout. The timer
 	// behind it runs only once the variant (or a context derived from
 	// it) watches Done; Err reads the clock. Zero means 30 seconds.
+	//
+	// A variant that watched its context, or derived one from it, sees
+	// it end with Canceled when it returns, and it stays ended. One that
+	// never watched it costs nothing to reuse: each connection restarts
+	// that context for its next call. A variant that keeps such a
+	// context past its return, unwatched, may therefore read it as the
+	// live context of a later call on the same connection (Err nil, a
+	// later Deadline) until that call ends — at most CallTimeout later.
+	// Watching it, even after the return, ends the reuse.
 	CallTimeout time.Duration
 	// Observer receives request/variant spans for served calls under the
 	// executor name "replica:<name>"; nil observes nothing.
@@ -46,7 +55,10 @@ const defaultServerCallTimeout = 30 * time.Second
 // discipline; concurrency comes from concurrent connections. Each
 // handler keeps the mirror image of the client's per-connection codec
 // state (wireConn), and abandons the connection whenever its value
-// streams may have fallen out of step with the client's.
+// streams may have fallen out of step with the client's. It keeps its
+// last call's context too, and restarts it for the next call unless a
+// variant watched it (see ServerConfig.CallTimeout), so serving a call
+// whose variant never watches its context allocates nothing for it.
 type Server[I, O any] struct {
 	variant core.Variant[I, O]
 	// executor is "replica:<name>", built once rather than on every
@@ -217,6 +229,7 @@ func (s *Server[I, O]) untrack(c net.Conn) {
 // connection's value streams are poisoned.
 func (s *Server[I, O]) handle(base *resilience.DeadlineSource, conn net.Conn) {
 	wc := newWireConn(conn)
+	var cc *resilience.DeadlineContext // the last call's context, restarted while nobody watches it
 	for {
 		env, err := wc.recv()
 		if err != nil {
@@ -228,7 +241,7 @@ func (s *Server[I, O]) handle(base *resilience.DeadlineSource, conn net.Conn) {
 				return
 			}
 		case kindCall:
-			if !s.call(base, wc, &env) {
+			if !s.call(base, &cc, wc, &env) {
 				return
 			}
 		default:
@@ -251,7 +264,11 @@ func (s *Server[I, O]) handle(base *resilience.DeadlineSource, conn net.Conn) {
 // trace carried by the envelope (its parent is the client attempt span
 // that sent the call), so the per-process trace exports assemble into
 // one causal tree.
-func (s *Server[I, O]) call(base *resilience.DeadlineSource, wc *wireConn, env *envelope) bool {
+//
+// The variant's context is *cc restarted when nobody watched it during
+// or after its call, and a new one from base otherwise (see
+// ServerConfig.CallTimeout).
+func (s *Server[I, O]) call(base *resilience.DeadlineSource, cc **resilience.DeadlineContext, wc *wireConn, env *envelope) bool {
 	abort := func(err error) bool {
 		wc.send(&envelope{Kind: kindAbort, ID: env.ID, Err: err.Error()}) // closing anyway
 		return false
@@ -260,9 +277,11 @@ func (s *Server[I, O]) call(base *resilience.DeadlineSource, wc *wireConn, env *
 	if err != nil {
 		return abort(err)
 	}
-	cc := base.Start(s.cfg.CallTimeout)
-	defer cc.End()
-	var callCtx context.Context = cc
+	if !base.Restart(*cc, s.cfg.CallTimeout) {
+		*cc = base.Start(s.cfg.CallTimeout)
+	}
+	defer (*cc).End()
+	var callCtx context.Context = *cc
 	executor := s.executor
 	o := s.cfg.Observer
 	var req uint64

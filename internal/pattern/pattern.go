@@ -23,14 +23,15 @@
 //
 // A variant sees the request's context: the caller's, bounded by
 // WithDeadline's Request bound when there is one. A caller context
-// with no Done is bounded lazily (resilience.WithLazyTimeout: no
-// channel or timer until a variant watches it), one that can be
-// cancelled by context.WithTimeout. A variant gets a context of its own
-// only when its deadline (WithVariantTimeout, or WithDeadline's Variant
-// bound) is tighter than the request's; that context ends when the
-// variant returns. Every variant context ends when its request's
-// deadline passes or the caller cancels, so variants that honor their
-// context stop early.
+// with no Done is bounded lazily (a resilience.Lazy: no channel or
+// timer until a variant watches it, and in the parallel executors no
+// allocation of its own, since it lives in the request's batch), one
+// that can be cancelled by context.WithTimeout. A variant gets a
+// context of its own only when its deadline (WithVariantTimeout, or
+// WithDeadline's Variant bound) is tighter than the request's; that
+// context ends when the variant returns. Every variant context ends
+// when its request's deadline passes or the caller cancels, so variants
+// that honor their context stop early.
 //
 // Every executor is observable: WithObserver attaches an obs.Observer
 // that receives request/variant spans, adjudication decisions and
@@ -290,14 +291,20 @@ func (a admission) release() {
 // executing.
 //
 // A caller context with no Done is bounded by a lazy deadline context,
-// which costs one object until something watches it. One that can be
+// which costs nothing but its own object until something watches it:
+// held in lazy when the caller has one (a parallel executor's batch,
+// allocated per request anyway), allocated otherwise. One that can be
 // cancelled keeps context.WithTimeout, whose Cause is the caller's
 // cause when the caller ends the request.
-func (c *config) admit(ctx context.Context, executor string, req uint64) (context.Context, admission, error) {
+func (c *config) admit(ctx context.Context, executor string, req uint64, lazy *resilience.Lazy) (context.Context, admission, error) {
 	var a admission
 	if c.deadline.Request > 0 {
 		if ctx.Done() == nil {
-			a.lazy = resilience.WithLazyTimeout(ctx, c.deadline.Request)
+			if lazy != nil {
+				a.lazy = lazy.Start(ctx, c.deadline.Request)
+			} else {
+				a.lazy = resilience.WithLazyTimeout(ctx, c.deadline.Request)
+			}
 			ctx = a.lazy
 		} else {
 			ctx, a.cancel = context.WithTimeout(ctx, c.deadline.Request)
@@ -498,6 +505,21 @@ type batch[I, O any] struct {
 	inline  [inlineResults]core.Result[O]
 }
 
+// newBatch returns a parallel request's batch, allocated before admit
+// so that the request's lazy deadline, when admit will start one under
+// ctx, lives in the same object; a request without one gets no room for
+// it.
+func newBatch[I, O any](cfg *config, ctx context.Context) (*batch[I, O], *resilience.Lazy) {
+	if cfg.deadline.Request > 0 && ctx.Done() == nil {
+		p := new(struct {
+			b        batch[I, O]
+			deadline resilience.Lazy
+		})
+		return &p.b, &p.deadline
+	}
+	return new(batch[I, O]), nil
+}
+
 // run runs the attempt in slot and counts it done.
 func (b *batch[I, O]) run(slot int) {
 	defer b.wg.Done()
@@ -507,9 +529,9 @@ func (b *batch[I, O]) run(slot int) {
 // runAll runs vs[i] for every i in idx concurrently and returns the
 // results in idx order. It is the one launch loop of the parallel
 // executors: attempts 2..n get a goroutine each, attempt 1 runs on the
-// caller's, and runAll returns once every attempt has.
-func runAll[I, O any](ctx context.Context, cfg *config, executor string, req uint64, vs []core.Variant[I, O], idx []int, input I) []core.Result[O] {
-	b := &batch[I, O]{ctx: ctx, cfg: cfg, executor: executor, req: req, vs: vs, idx: idx, input: input}
+// caller's, and runAll returns once every attempt has. b is fresh.
+func (b *batch[I, O]) runAll(ctx context.Context, cfg *config, executor string, req uint64, vs []core.Variant[I, O], idx []int, input I) []core.Result[O] {
+	b.ctx, b.cfg, b.executor, b.req, b.vs, b.idx, b.input = ctx, cfg, executor, req, vs, idx, input
 	if len(idx) <= inlineResults {
 		b.results = b.inline[:len(idx)]
 	} else {
@@ -563,14 +585,15 @@ func NewParallelEvaluation[I, O any](variants []core.Variant[I, O], adj core.Adj
 // Execute implements core.Executor.
 func (p *ParallelEvaluation[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	ctx, req, start := p.cfg.startRequest(ctx, nameParallelEvaluation)
-	ctx, adm, admitErr := p.cfg.admit(ctx, nameParallelEvaluation, req)
+	b, lazy := newBatch[I, O](&p.cfg, ctx)
+	ctx, adm, admitErr := p.cfg.admit(ctx, nameParallelEvaluation, req, lazy)
 	if admitErr != nil {
 		var zero O
 		p.cfg.endRequest(nameParallelEvaluation, req, start, false, false)
 		return zero, admitErr
 	}
 	defer adm.release()
-	results := p.executeAll(ctx, input, req)
+	results := b.runAll(ctx, &p.cfg, nameParallelEvaluation, req, p.variants, p.all, input)
 	value, err := p.adjudicator.Adjudicate(results)
 	anyFailed := false
 	for _, r := range results {
@@ -587,11 +610,7 @@ func (p *ParallelEvaluation[I, O]) Execute(ctx context.Context, input I) (O, err
 // the raw result vector; such direct executions are not observed, because
 // no request-level adjudication takes place.
 func (p *ParallelEvaluation[I, O]) ExecuteAll(ctx context.Context, input I) []core.Result[O] {
-	return p.executeAll(ctx, input, 0)
-}
-
-func (p *ParallelEvaluation[I, O]) executeAll(ctx context.Context, input I, req uint64) []core.Result[O] {
-	return runAll(ctx, &p.cfg, nameParallelEvaluation, req, p.variants, p.all, input)
+	return new(batch[I, O]).runAll(ctx, &p.cfg, nameParallelEvaluation, 0, p.variants, p.all, input)
 }
 
 // ParallelSelection is the Figure 1b executor: live variants run
@@ -665,7 +684,8 @@ func (p *ParallelSelection[I, O]) Reset() {
 func (p *ParallelSelection[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	var zero O
 	ctx, req, start := p.cfg.startRequest(ctx, nameParallelSelection)
-	ctx, adm, admitErr := p.cfg.admit(ctx, nameParallelSelection, req)
+	b, lazy := newBatch[I, O](&p.cfg, ctx)
+	ctx, adm, admitErr := p.cfg.admit(ctx, nameParallelSelection, req, lazy)
 	if admitErr != nil {
 		p.cfg.endRequest(nameParallelSelection, req, start, false, false)
 		return zero, admitErr
@@ -694,7 +714,7 @@ func (p *ParallelSelection[I, O]) Execute(ctx context.Context, input I) (O, erro
 		live = rankLive(p.cfg.ranker, nameParallelSelection, p.variants, live)
 	}
 
-	results := runAll(ctx, &p.cfg, nameParallelSelection, req, p.variants, live, input)
+	results := b.runAll(ctx, &p.cfg, nameParallelSelection, req, p.variants, live, input)
 	var (
 		accepted    bool
 		value       O
@@ -777,7 +797,7 @@ func NewSequentialAlternatives[I, O any](variants []core.Variant[I, O], test cor
 func (s *SequentialAlternatives[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	var zero O
 	ctx, req, start := s.cfg.startRequest(ctx, nameSequentialAlternatives)
-	ctx, adm, admitErr := s.cfg.admit(ctx, nameSequentialAlternatives, req)
+	ctx, adm, admitErr := s.cfg.admit(ctx, nameSequentialAlternatives, req, nil)
 	if admitErr != nil {
 		s.cfg.endRequest(nameSequentialAlternatives, req, start, false, false)
 		return zero, admitErr
@@ -920,7 +940,7 @@ func NewRetry[I, O any](v core.Variant[I, O], retries int, opts ...Option) (*Sin
 // attempt.
 func (s *Single[I, O]) Execute(ctx context.Context, input I) (O, error) {
 	ctx, req, start := s.cfg.startRequest(ctx, s.name)
-	ctx, adm, admitErr := s.cfg.admit(ctx, s.name, req)
+	ctx, adm, admitErr := s.cfg.admit(ctx, s.name, req, nil)
 	if admitErr != nil {
 		var zero O
 		s.cfg.endRequest(s.name, req, start, false, false)

@@ -36,7 +36,8 @@ func (p DeadlinePolicy) Zero() bool { return p.Request <= 0 && p.Variant <= 0 }
 // DeadlineSource is what every DeadlineContext started under one parent
 // shares: the parent, whose end (or deadline) ends them all, and the
 // parent without its cancellation, which answers Value. A server makes
-// one per serving context and starts a DeadlineContext per call.
+// one per serving context and starts a DeadlineContext per call, or
+// restarts the last call's when nothing watched it.
 type DeadlineSource struct {
 	ctx    context.Context
 	values context.Context
@@ -66,24 +67,61 @@ func (s *DeadlineSource) Start(timeout time.Duration) *DeadlineContext {
 }
 
 func (s *DeadlineSource) start(c *DeadlineContext, timeout time.Duration) {
+	c.src, c.deadline = s, s.deadline(timeout)
+}
+
+// deadline returns the deadline of a context bounded by timeout from
+// now: the sooner of that and the parent's.
+func (s *DeadlineSource) deadline(timeout time.Duration) time.Time {
 	d := time.Now().Add(timeout)
 	if pd, ok := s.ctx.Deadline(); ok && pd.Before(d) {
 		d = pd
 	}
-	c.src, c.deadline = s, d
+	return d
 }
 
-// WithLazyTimeout returns a context bounded by timeout under parent: a
-// DeadlineContext and its source in one allocation, for a parent that
-// bounds a single context. The caller must End it.
+// Restart makes c, a context s started and the caller has since Ended,
+// a live context bounded by timeout again, as if Start had returned it,
+// and reports whether it could. It refuses a context that was ever
+// watched — Done or AfterFunc called on it, during its call or after —
+// because whoever watched it holds its channel or a registration on it,
+// and must see it stay ended; the caller Starts a new one instead. A
+// context nobody watched is a deadline and an error and nothing else,
+// so restarting it costs no allocation. Whoever still holds a restarted
+// context reads it as the new one until that ends.
+func (s *DeadlineSource) Restart(c *DeadlineContext, timeout time.Duration) bool {
+	if c == nil || c.src != s {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed != nil {
+		return false
+	}
+	c.err, c.deadline = nil, s.deadline(timeout)
+	return true
+}
+
+// Lazy is a DeadlineContext and its own source in one object, for a
+// parent that bounds a single context. Embed it in what a request
+// allocates anyway and its deadline costs no allocation of its own.
+type Lazy struct {
+	src DeadlineSource
+	ctx DeadlineContext
+}
+
+// Start returns a context bounded by timeout under parent, held in l.
+// The caller must End it, and may Start l only once.
+func (l *Lazy) Start(parent context.Context, timeout time.Duration) *DeadlineContext {
+	l.src.init(parent)
+	l.src.start(&l.ctx, timeout)
+	return &l.ctx
+}
+
+// WithLazyTimeout returns a context bounded by timeout under parent, in
+// one allocation. The caller must End it.
 func WithLazyTimeout(parent context.Context, timeout time.Duration) *DeadlineContext {
-	p := new(struct {
-		src DeadlineSource
-		ctx DeadlineContext
-	})
-	p.src.init(parent)
-	p.src.start(&p.ctx, timeout)
-	return &p.ctx
+	return new(Lazy).Start(parent, timeout)
 }
 
 // DeadlineContext is what context.WithTimeout(parent, timeout) would
@@ -96,7 +134,8 @@ func WithLazyTimeout(parent context.Context, timeout time.Duration) *DeadlineCon
 // on the parent, so a variant that watches Done, and anything derived
 // from the context, sees it close on time. The context package's
 // derived contexts register through its AfterFunc method, so deriving
-// one starts no goroutine.
+// one starts no goroutine. Once ended, a context nobody watched can be
+// made live again by its source's Restart; a watched one stays ended.
 //
 // Value goes to the parent with its cancellation hidden
 // (context.WithoutCancel), so context.Cause and derived contexts treat
@@ -105,12 +144,12 @@ func WithLazyTimeout(parent context.Context, timeout time.Duration) *DeadlineCon
 // also when the parent was cancelled with a cause; a caller that needs
 // the parent's cause keeps context.WithTimeout.
 type DeadlineContext struct {
-	src      *DeadlineSource
-	deadline time.Time
+	src *DeadlineSource // fixed once started: Restart keeps it
 
-	mu    sync.Mutex
-	err   error
-	armed *armed // made by the first Done or AfterFunc
+	mu       sync.Mutex
+	deadline time.Time // rewritten by Restart
+	err      error
+	armed    *armed // made by the first Done or AfterFunc
 }
 
 // armed is what a DeadlineContext makes when it is first watched.
@@ -125,7 +164,11 @@ type armed struct {
 	afters []*func()
 }
 
-func (c *DeadlineContext) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c *DeadlineContext) Deadline() (time.Time, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.deadline, true
+}
 
 func (c *DeadlineContext) Value(key any) any { return c.src.values.Value(key) }
 
@@ -200,7 +243,7 @@ func (c *DeadlineContext) arm() *armed {
 }
 
 // expired returns why the context has ended on its own, if it has: its
-// deadline passed, or its parent ended.
+// deadline passed, or its parent ended. c.mu is held.
 func (c *DeadlineContext) expired() error {
 	if !time.Now().Before(c.deadline) {
 		return context.DeadlineExceeded

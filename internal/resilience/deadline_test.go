@@ -415,3 +415,126 @@ func TestDeadlineContextChildrenStartNoGoroutine(t *testing.T) {
 		t.Fatalf("Cause = %v, Err = %v", err, cc.Err())
 	}
 }
+
+// The Restart checks below run on DeadlineContext alone: a context from
+// context.WithTimeout cannot be restarted, and what they check is that
+// a restart is refused wherever it would break that context's contract.
+
+// TestDeadlineContextRestartReusesUnwatched: a context nobody watched
+// comes back from Restart live, with a fresh deadline and its source's
+// values, at no allocation; Ended again, it reads Canceled again.
+func TestDeadlineContextRestartReusesUnwatched(t *testing.T) {
+	type key struct{}
+	base := NewDeadlineSource(context.WithValue(context.Background(), key{}, "served"))
+	cc := base.Start(time.Millisecond)
+	first, _ := cc.Deadline()
+	cc.End()
+	if err := cc.Err(); err != context.Canceled {
+		t.Fatalf("Err after End = %v, want Canceled", err)
+	}
+	if !base.Restart(cc, time.Hour) {
+		t.Fatal("Restart refused a context nobody watched")
+	}
+	if err := cc.Err(); err != nil {
+		t.Fatalf("Err after Restart = %v, want nil", err)
+	}
+	if d, _ := cc.Deadline(); !d.After(first) || time.Until(d) < 59*time.Minute {
+		t.Fatalf("Deadline after Restart = %v, want an hour from now", d)
+	}
+	if v := cc.Value(key{}); v != "served" {
+		t.Fatalf("Value after Restart = %v, want the source's", v)
+	}
+	cc.End()
+	if err := cc.Err(); err != context.Canceled {
+		t.Fatalf("Err after the second End = %v, want Canceled", err)
+	}
+	if base.Restart(nil, time.Hour) {
+		t.Fatal("Restart accepted a nil context")
+	}
+	if NewDeadlineSource(context.Background()).Restart(cc, time.Hour) {
+		t.Fatal("Restart accepted a context another source started")
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !base.Restart(cc, time.Hour) {
+			panic("Restart refused")
+		}
+		_ = cc.Err()
+		cc.End()
+	}); allocs != 0 {
+		t.Fatalf("%.0f allocs per restarted call, want 0", allocs)
+	}
+}
+
+// TestDeadlineContextRestartRefusesWatched: a context that was watched
+// — Done or AfterFunc called, or a context derived from it, during its
+// call or after it ended — is refused, and stays ended with Canceled
+// and its channel closed.
+func TestDeadlineContextRestartRefusesWatched(t *testing.T) {
+	watches := map[string]func(cc *DeadlineContext){
+		"Done":      func(cc *DeadlineContext) { cc.Done() },
+		"AfterFunc": func(cc *DeadlineContext) { cc.AfterFunc(func() {}) },
+		"derived": func(cc *DeadlineContext) {
+			_, cancel := context.WithCancel(cc)
+			cancel()
+		},
+	}
+	for name, watch := range watches {
+		for _, when := range []string{"during", "after"} {
+			t.Run(name+"/"+when, func(t *testing.T) {
+				base := NewDeadlineSource(context.Background())
+				cc := base.Start(time.Hour)
+				if when == "during" {
+					watch(cc)
+				}
+				cc.End()
+				if when == "after" {
+					watch(cc)
+				}
+				if base.Restart(cc, time.Hour) {
+					t.Fatal("Restart reused a watched context")
+				}
+				checkEnded(t, cc, context.Canceled)
+			})
+		}
+	}
+}
+
+// TestDeadlineContextRestartRetainedReads: a goroutine that kept the
+// context reads Deadline, Err and Value while its source restarts and
+// ends it a thousand times; under -race this checks the reads and
+// Restart's writes are ordered. Done, asked at the end, arms it and
+// ends the reuse.
+func TestDeadlineContextRestartRetainedReads(t *testing.T) {
+	base := NewDeadlineSource(context.Background())
+	cc := base.Start(time.Hour)
+	cc.End()
+	stop, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cc.Deadline()
+			cc.Err()
+			cc.Value(nil)
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		if !base.Restart(cc, time.Hour) {
+			t.Fatalf("restart %d refused", i)
+		}
+		cc.End()
+	}
+	close(stop)
+	<-read
+	checkEnded(t, cc, context.Canceled)
+	if base.Restart(cc, time.Hour) {
+		t.Fatal("Restart reused a context watched after its last end")
+	}
+}
